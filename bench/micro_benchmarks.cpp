@@ -273,7 +273,7 @@ void BM_CampaignElection(benchmark::State& state) {
     counter_sink->experiment([&](const campaign::StudyInfo&, int,
                                  const runtime::ExperimentResult& r) {
       ++experiments;
-      events += r.sim_events;  // 0 for process-pool shards (not serialized)
+      events += r.sim_events;  // 0 for procs:N results (not serialized)
     });
     Campaign campaign = CampaignBuilder()
                             .add(study)

@@ -56,7 +56,6 @@ void BM_WorkerLoop(benchmark::State& state) {
   lease.id = 1;
   lease.lo = 0;
   lease.hi = kExperiments;
-  lease.step = 1;
   const auto lease_frame = runtime::encode_lease_frame(lease);
   const auto shutdown = runtime::encode_shutdown_frame();
 

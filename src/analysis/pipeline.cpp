@@ -34,15 +34,6 @@ ExperimentAnalysis analyze_experiment(const runtime::ExperimentResult& result,
   return out;
 }
 
-std::vector<ExperimentAnalysis> analyze_study(const runtime::StudyResult& study,
-                                              const AnalysisOptions& options) {
-  std::vector<ExperimentAnalysis> out;
-  out.reserve(study.experiments.size());
-  for (const auto& exp : study.experiments)
-    out.push_back(analyze_experiment(exp, options));
-  return out;
-}
-
 std::string serialize_verdicts(const VerificationResult& v) {
   // Size the buffer once and append in place: the operator+ chains this
   // used to build allocated one temporary string per fragment per verdict.

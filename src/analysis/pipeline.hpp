@@ -35,10 +35,6 @@ struct ExperimentAnalysis {
 ExperimentAnalysis analyze_experiment(const runtime::ExperimentResult& result,
                                       const AnalysisOptions& options = {});
 
-/// Analyze every experiment of a study; convenience for the measure phase.
-std::vector<ExperimentAnalysis> analyze_study(
-    const runtime::StudyResult& study, const AnalysisOptions& options = {});
-
 /// The fault-injection results file of §5.7: one verdict per line,
 ///   <machine> <fault> <injection_index> <correct|incorrect> [<reason>]
 /// followed by `missed <machine> <fault>` lines.

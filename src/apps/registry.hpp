@@ -4,7 +4,7 @@
 // string and registers a constructor that parses it back, so experiments
 // built by election_experiment / kvstore_experiment / token_ring_experiment
 // can cross the wire format (runtime/serialize.hpp) and be re-instantiated
-// in another process (`lokimeasure --worker`).
+// in another process (`lokimeasure --worker --serve`).
 //
 // Call register_builtin_apps() once in any process that decodes
 // ExperimentParams; registration is idempotent.

@@ -274,25 +274,4 @@ void ResultCache::store(const std::string& key,
   }
 }
 
-CacheSink::CacheSink(std::shared_ptr<ResultCache> cache)
-    : cache_(std::move(cache)) {
-  if (!cache_) throw ConfigError("CacheSink: null cache");
-}
-
-CacheSink& CacheSink::study(runtime::StudyParams study) {
-  if (study.name.empty() || !study.make_params)
-    throw ConfigError("CacheSink: study needs a name and make_params");
-  const std::string name = study.name;
-  studies_.insert_or_assign(name, std::move(study));
-  return *this;
-}
-
-void CacheSink::on_experiment(const StudyInfo& study, int index,
-                              const runtime::ExperimentResult& result) {
-  const auto it = studies_.find(study.name);
-  if (it == studies_.end()) return;
-  cache_->store(
-      runtime::experiment_cache_key(it->second.make_params(index)), result);
-}
-
 }  // namespace loki::campaign

@@ -6,16 +6,12 @@
 // runtime/serialize.hpp. The wire version is part of the encoding, so a
 // format bump changes every key and stale entries are simply never found.
 //
-// Two ways in:
-//   * CampaignBuilder::cache(...) — the cache-first path: Campaign looks
-//     every experiment up before running, executes only the misses through
-//     the runner, stores them, and emits hits and fresh results interleaved
-//     in index order. Sinks observe a sequence byte-identical to an
-//     uncached serial run; a fully warm cache performs zero
-//     run_experiment calls.
-//   * CacheSink — a plain ResultSink that writes every result of its
-//     registered studies into the cache, for warming a cache from a
-//     campaign that does not read from it.
+// The way in is CampaignBuilder::cache(...), the cache-first path: Campaign
+// looks every experiment up before running, executes only the misses
+// through the runner, stores them, and emits hits and fresh results
+// interleaved in index order. Sinks observe a sequence byte-identical to an
+// uncached serial run; a fully warm cache performs zero run_experiment
+// calls.
 //
 // Storage is one file per key (`<key>.result`, the encoded result),
 // published durably — written to a temp name, fsync'd, then renamed
@@ -50,12 +46,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "campaign/sink.hpp"
 #include "runtime/experiment.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -112,9 +106,9 @@ class ResultCache {
     /// Entries evicted by the GC budget.
     std::uint64_t evictions{0};
   };
-  /// A snapshot, by value: one cache may be shared by a parallel runner's
-  /// CacheSink and the campaign's cache-first probe loop, so counters are
-  /// mutated concurrently and a reference would be a data race to read.
+  /// A snapshot, by value: one cache may be shared by several campaigns on
+  /// different threads, so counters are mutated concurrently and a
+  /// reference would be a data race to read.
   Stats stats() const LOKI_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     return stats_;
@@ -150,30 +144,6 @@ class ResultCache {
   std::uint64_t total_bytes_ LOKI_GUARDED_BY(mu_){0};
   std::uint64_t generation_ LOKI_GUARDED_BY(mu_){0};
   std::uint64_t stores_since_persist_ LOKI_GUARDED_BY(mu_){0};
-};
-
-/// Streams every result of its registered studies into a ResultCache.
-/// Studies are matched by name; results of unregistered studies pass
-/// through uncached (register every study you want captured).
-class CacheSink final : public ResultSink {
- public:
-  explicit CacheSink(std::shared_ptr<ResultCache> cache);
-
-  /// Register a study whose results should be cached. The StudyParams'
-  /// make_params is re-invoked per index to derive the key, so it must be
-  /// deterministic (the standard campaign contract) and its nodes need wire
-  /// identities (NodeConfig::app_name). The sink keeps its own copy of the
-  /// generator and calls it during on_experiment — concurrently with a
-  /// parallel runner's generator calls — so a generator registered here
-  /// must not share mutable state by reference with the running study.
-  CacheSink& study(runtime::StudyParams study);
-
-  void on_experiment(const StudyInfo& study, int index,
-                     const runtime::ExperimentResult& result) override;
-
- private:
-  std::shared_ptr<ResultCache> cache_;
-  std::map<std::string, runtime::StudyParams> studies_;
 };
 
 }  // namespace loki::campaign

@@ -503,7 +503,7 @@ Campaign CampaignBuilder::build() const {
   return campaign;
 }
 
-// --- legacy wrappers ---------------------------------------------------------
+// --- one-shot experiments ----------------------------------------------------
 
 runtime::ExperimentResult run_single(const runtime::ExperimentParams& params,
                                      const std::string& context) {
@@ -512,19 +512,3 @@ runtime::ExperimentResult run_single(const runtime::ExperimentParams& params,
 }
 
 }  // namespace loki::campaign
-
-namespace loki::runtime {
-
-// The legacy double-loop, now a thin wrapper over the facade: validation up
-// front (ConfigError instead of a mid-campaign crash), serial execution,
-// everything buffered.
-CampaignResult run_campaign(const std::vector<StudyParams>& studies) {
-  auto collect = std::make_shared<campaign::CollectSink>();
-  campaign::CampaignBuilder builder;
-  for (const StudyParams& study : studies) builder.add(study);
-  builder.sink(collect);
-  builder.build().run();
-  return collect->take();
-}
-
-}  // namespace loki::runtime

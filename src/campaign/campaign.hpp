@@ -20,11 +20,8 @@
 // generator) and experiment 0 of every study (duplicate nicknames,
 // spec-name mismatches, unknown hosts, ...). Runners re-validate each
 // generated ExperimentParams so per-index generator bugs surface with the
-// study name and index attached.
-//
-// The legacy entry points stay as thin wrappers: runtime::run_campaign is
-// CampaignBuilder + SerialRunner + CollectSink, and run_single is
-// validate-then-run_experiment.
+// study name and index attached. run_single is the one-experiment shortcut:
+// validate, then run_experiment.
 #pragma once
 
 #include <cstdint>

@@ -140,8 +140,7 @@ class Engine {
         n_(study.experiments),
         lease_now_(options.autotune_lease
                        ? std::min(options.lease_size, options.max_lease_size)
-                       : options.lease_size),
-        reconnect_rng_(options.reconnect_jitter_seed) {}
+                       : options.lease_size) {}
 
   void run() {
     if (n_ <= 0) return;
@@ -369,9 +368,6 @@ class Engine {
           break;
         case WorkerFrame::Pong:
           break;
-        case WorkerFrame::Result:
-          on_result(ws, runtime::decode_result_frame(frame, &interner_));
-          break;
         case WorkerFrame::ResultBatch: {
           // All-or-nothing: decode_result_batch_frame throws on any
           // malformed entry before a single result escapes, so a corrupt
@@ -527,7 +523,7 @@ class Engine {
   // --- reconnect -------------------------------------------------------------
 
   /// 75%..125% of `delay`, so a fleet lost to one blip does not hammer the
-  /// transport in lockstep. Deterministic in reconnect_jitter_seed.
+  /// transport in lockstep. Deterministic: the jitter stream has a fixed seed.
   std::chrono::milliseconds jittered(std::chrono::milliseconds delay) {
     const double factor = 0.75 + 0.5 * reconnect_rng_.next_double();
     return std::chrono::milliseconds(std::max<std::int64_t>(
@@ -572,11 +568,7 @@ class Engine {
         it = reconnects_pending_.erase(it);
         continue;
       }
-      it->delay = std::min(
-          std::chrono::milliseconds(static_cast<std::int64_t>(
-              static_cast<double>(it->delay.count()) *
-              options_.reconnect_multiplier)),
-          options_.reconnect_backoff_max);
+      it->delay = std::min(it->delay * 2, options_.reconnect_backoff_max);
       it->next_try = now + jittered(it->delay);
       ++it;
     }
@@ -725,7 +717,7 @@ class Engine {
       try {
         ws.link->send(runtime::encode_lease_frame(
             {ws.lease_id, static_cast<std::uint32_t>(chunk.lo),
-             static_cast<std::uint32_t>(chunk.hi), 1}));
+             static_cast<std::uint32_t>(chunk.hi)}));
         ws.idle = false;
         ws.lease_sent = std::chrono::steady_clock::now();
         ws.lease_span = chunk.hi - chunk.lo;
@@ -840,8 +832,6 @@ RemoteRunner::RemoteRunner(std::shared_ptr<Transport> transport,
   if (options_.reconnect_attempts > 0) {
     if (options_.reconnect_backoff.count() <= 0)
       throw ConfigError("RemoteRunner: reconnect_backoff must be positive");
-    if (options_.reconnect_multiplier < 1.0)
-      throw ConfigError("RemoteRunner: reconnect_multiplier must be >= 1");
     if (options_.reconnect_backoff_max < options_.reconnect_backoff)
       throw ConfigError(
           "RemoteRunner: reconnect_backoff_max must be >= reconnect_backoff");
@@ -916,9 +906,17 @@ void serve_worker(FrameChannel& channel,
     switch (runtime::worker_frame_type(*frame)) {
       case WorkerFrame::Lease: {
         const runtime::LeaseFrame lease = runtime::decode_lease_frame(*frame);
+        // Fail closed: never call the generator at an index the study does
+        // not declare. The parent sees EOF and requeues the lease.
+        if (study != nullptr &&
+            lease.hi > static_cast<std::uint32_t>(study->experiments))
+          throw std::runtime_error(
+              "serve_worker: lease [" + std::to_string(lease.lo) + ", " +
+              std::to_string(lease.hi) + ") outside study '" + study->name +
+              "' of " + std::to_string(study->experiments) + " experiments");
         write(runtime::encode_heartbeat_frame(lease.id, stats));
         runtime::begin_result_batch(batch);
-        for (std::uint32_t k = lease.lo; k < lease.hi; k += lease.step) {
+        for (std::uint32_t k = lease.lo; k < lease.hi; ++k) {
           const int index = static_cast<int>(k);
           bool failed = false;
           const Clock::time_point started = Clock::now();

@@ -25,7 +25,7 @@
 // worker dies with work remaining and no reconnect is pending, the runner
 // throws std::runtime_error.
 //
-// Contract (matching SerialRunner / ThreadPoolRunner / ProcessPoolRunner):
+// Contract (matching SerialRunner / ThreadPoolRunner):
 //   * emit(k, result) exactly once per index, in increasing k, on the
 //     calling thread;
 //   * failure-prefix semantics: if experiment k itself fails (generator,
@@ -37,7 +37,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -85,16 +84,13 @@ struct RemoteOptions {
   /// lease; with no survivors the campaign stalls (rather than aborting)
   /// until an attempt succeeds or the budget runs out.
   int reconnect_attempts{0};
-  /// Delay before the first reopen attempt; doubles (reconnect_multiplier)
-  /// after each failure up to reconnect_backoff_max. Each wait is jittered
-  /// to 75%..125% so a fleet lost to one network blip does not retry in
-  /// lockstep (util::Rng seeded with reconnect_jitter_seed: deterministic
-  /// in the options, byte-identity of campaign output is unaffected either
-  /// way — reconnect timing never reaches the results).
+  /// Delay before the first reopen attempt; doubles after each failure up
+  /// to reconnect_backoff_max. Each wait is jittered to 75%..125% so a
+  /// fleet lost to one network blip does not retry in lockstep (a fixed-seed
+  /// util::Rng: deterministic, and byte-identity of campaign output is
+  /// unaffected either way — reconnect timing never reaches the results).
   std::chrono::milliseconds reconnect_backoff{100};
-  double reconnect_multiplier{2.0};
   std::chrono::milliseconds reconnect_backoff_max{5'000};
-  std::uint64_t reconnect_jitter_seed{0};
 };
 
 class RemoteRunner final : public Runner {
@@ -122,7 +118,7 @@ struct ServeOptions {
   /// a lease always flushes whatever remains before LeaseDone.
   std::size_t batch_soft_bytes{64 * 1024};
   /// Fallback heartbeat cadence when the parent's Hello carries no interval
-  /// (heartbeat_interval_ms == 0, e.g. a v3 parent keeping the field at its
+  /// (heartbeat_interval_ms == 0, e.g. a parent keeping the field at its
   /// default or a hand-built handshake). A Hello-supplied interval always
   /// wins.
   std::chrono::milliseconds heartbeat_interval{7'500};
@@ -130,9 +126,12 @@ struct ServeOptions {
 
 /// Worker-side protocol loop, shared by every backend: handshake on Hello
 /// (adopting the framed study, or `inherited_study` for fork()ed children),
-/// then serve Lease/Ping frames until Shutdown or EOF. A lease's results
-/// accumulate into ResultBatch frames in a buffer reused across leases
-/// (bounded by ServeOptions::batch_soft_bytes, flushed at lease end).
+/// then serve Lease/Ping frames until Shutdown or EOF. A lease that reaches
+/// past the study's last index is a protocol violation: the loop throws
+/// before running anything (not even the opening heartbeat goes out).
+/// A lease's results accumulate into ResultBatch frames in a buffer reused
+/// across leases (bounded by ServeOptions::batch_soft_bytes, flushed at
+/// lease end).
 /// While a lease runs, the loop emits a Heartbeat frame — carrying this
 /// worker's cumulative WorkerStatsSnapshot — whenever the resolved
 /// heartbeat interval elapses without any other write, plus one at lease

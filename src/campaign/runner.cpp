@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/process_runner.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
 #include "campaign/validate.hpp"
@@ -187,8 +186,7 @@ std::shared_ptr<Runner> parse_runner_spec(const std::string& spec) {
   const auto bad = [&spec]() -> ConfigError {
     return ConfigError(
         "bad runner spec '" + spec +
-        "' (expected serial | threads:N | procs:N | static-procs:N | "
-        "remote:HOSTFILE)");
+        "' (expected serial | threads:N | procs:N | remote:HOSTFILE)");
   };
   const auto workers_of = [&](std::string_view text) {
     int workers = 0;
@@ -209,9 +207,6 @@ std::shared_ptr<Runner> parse_runner_spec(const std::string& spec) {
     // tolerant, byte-identical to serial (campaign/remote_runner.hpp).
     return std::make_shared<RemoteRunner>(
         std::make_shared<SubprocessTransport>(workers_of(view.substr(6))));
-  if (view.starts_with("static-procs:"))
-    // PR 2's fixed round-robin shards — kept as the static reference.
-    return std::make_shared<ProcessPoolRunner>(workers_of(view.substr(13)));
   if (view.starts_with("remote:")) {
     const std::string path(view.substr(7));
     if (path.empty()) throw bad();

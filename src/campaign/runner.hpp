@@ -168,8 +168,6 @@ std::shared_ptr<Runner> make_runner(int parallelism);
 ///   "procs:N"        RemoteRunner over SubprocessTransport(N) — N local
 ///                    worker processes pulling leases from a dynamic work
 ///                    queue (campaign/remote_runner.hpp)
-///   "static-procs:N" ProcessPoolRunner(N) — PR 2's static round-robin
-///                    sharding (campaign/process_runner.hpp)
 ///   "remote:FILE"    RemoteRunner over SshTransport, one worker per
 ///                    hostfile line ('#' comments, blanks ignored)
 ///   "N"              make_runner(N) — the legacy bare-integer spelling

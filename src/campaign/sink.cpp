@@ -16,18 +16,6 @@ void ResultSink::on_experiment(const StudyInfo&, int,
 void ResultSink::on_study_done(const StudyInfo&) {}
 void ResultSink::on_campaign_done() {}
 
-// --- CollectSink -------------------------------------------------------------
-
-void CollectSink::on_study_begin(const StudyInfo& study) {
-  result_.studies.push_back(runtime::StudyResult{study.name, {}});
-}
-
-void CollectSink::on_experiment(const StudyInfo&, int,
-                                const runtime::ExperimentResult& result) {
-  LOKI_REQUIRE(!result_.studies.empty(), "experiment before study begin");
-  result_.studies.back().experiments.push_back(result);
-}
-
 // --- AnalysisSink ------------------------------------------------------------
 
 AnalysisSink::AnalysisSink(analysis::AnalysisOptions options)

@@ -4,7 +4,6 @@
 // order, experiment-index order — the Runner contract) so downstream
 // phases run incrementally instead of accumulating every result in memory:
 //
-//   CollectSink   — the legacy shape: buffers a full CampaignResult.
 //   AnalysisSink  — streams results through the analysis phase (§2.5).
 //   MeasureSink   — AnalysisSink that also applies a StudyMeasure (§4.3.4),
 //                   keeping only the final observation values.
@@ -46,22 +45,6 @@ class ResultSink {
                              const runtime::ExperimentResult& result);
   virtual void on_study_done(const StudyInfo& study);
   virtual void on_campaign_done();
-};
-
-/// Buffers everything into a runtime::CampaignResult — what the legacy
-/// run_campaign returned. Memory grows with the campaign; prefer the
-/// streaming sinks for large sweeps.
-class CollectSink final : public ResultSink {
- public:
-  void on_study_begin(const StudyInfo& study) override;
-  void on_experiment(const StudyInfo& study, int index,
-                     const runtime::ExperimentResult& result) override;
-
-  const runtime::CampaignResult& result() const { return result_; }
-  runtime::CampaignResult take() { return std::move(result_); }
-
- private:
-  runtime::CampaignResult result_;
 };
 
 /// Runs analyze_experiment on each result as it arrives and tracks per-study

@@ -476,20 +476,13 @@ class FakeLink final : public WorkerLink {
             !frame.empty() &&
             frame[0] ==
                 static_cast<std::uint8_t>(runtime::WorkerFrame::ResultBatch);
-        const bool is_result =
-            is_batch ||
-            (!frame.empty() &&
-             frame[0] ==
-                 static_cast<std::uint8_t>(runtime::WorkerFrame::Result));
-        if (!is_result) return {RecvOutcome::Status::Frame, std::move(frame)};
+        if (!is_batch) return {RecvOutcome::Status::Frame, std::move(frame)};
         // Count entries on the pristine frame (serve_worker produced it) so
         // the *_after_results thresholds keep experiment granularity even
         // when several results share one batch; the Nth-frame faults count
-        // result-bearing frames.
-        const int entries = is_batch
-                                ? static_cast<int>(
-                                      runtime::result_batch_entry_count(frame))
-                                : 1;
+        // batch frames.
+        const int entries =
+            static_cast<int>(runtime::result_batch_entry_count(frame));
         const int nth = ++w_->result_frames_seen;
         w_->results_seen += entries;
         if (nth == f.drop_nth) continue;  // vanished in transit

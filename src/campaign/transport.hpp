@@ -2,7 +2,7 @@
 //
 // A Transport spawns (or attaches to) workers and hands back one WorkerLink
 // per worker: a full-duplex, frame-oriented channel. Transports move bytes
-// only — the worker *protocol* (Hello/Lease/Result/..., see
+// only — the worker *protocol* (Hello/Lease/ResultBatch/..., see
 // runtime/serialize.hpp and campaign/remote_runner.hpp) is layered on top
 // by RemoteRunner on the parent side and serve_worker on the worker side,
 // so every backend shares one protocol implementation and one conformance
@@ -171,8 +171,8 @@ struct FakeWorker;
 
 /// Scripted fault plan for one FakeTransport worker. The *_after thresholds
 /// count delivered result *entries* (experiments); the *_nth counters are
-/// 1-based over result-bearing *frames* (ResultBatch or legacy Result) as
-/// the parent receives them. -1 disables a fault.
+/// 1-based over ResultBatch *frames* as the parent receives them. -1
+/// disables a fault.
 struct FakeFaults {
   int kill_after{-1};
   int eof_after{-1};

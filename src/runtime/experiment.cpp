@@ -113,10 +113,4 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
   return context.run(params);
 }
 
-const StudyResult* CampaignResult::find_study(const std::string& name) const {
-  for (const auto& s : studies)
-    if (s.name == name) return &s;
-  return nullptr;
-}
-
 }  // namespace loki::runtime

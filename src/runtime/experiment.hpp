@@ -231,22 +231,4 @@ struct StudyParams {
   int experiments{10};
 };
 
-struct StudyResult {
-  std::string name;
-  std::vector<ExperimentResult> experiments;
-};
-
-struct CampaignResult {
-  std::vector<StudyResult> studies;
-  const StudyResult* find_study(const std::string& name) const;
-};
-
-/// Legacy convenience: run every study serially and buffer every result.
-/// Implemented as a thin wrapper over the campaign facade (campaign/
-/// campaign.hpp), which validates the studies up front — malformed
-/// StudyParams or experiment configurations raise ConfigError naming the
-/// study before anything runs. Prefer loki::CampaignBuilder directly for
-/// parallel execution and streaming sinks.
-CampaignResult run_campaign(const std::vector<StudyParams>& studies);
-
 }  // namespace loki::runtime

@@ -660,8 +660,9 @@ void rethrow_wire_error(WireErrorCategory category, const std::string& message) 
 WorkerFrame worker_frame_type(const std::vector<std::uint8_t>& frame) {
   if (frame.empty()) throw DecodeError("worker frame: empty frame");
   const std::uint8_t type = frame[0];
+  // Type 5 is reserved (see WorkerFrame).
   if (type < static_cast<std::uint8_t>(WorkerFrame::Hello) ||
-      type > static_cast<std::uint8_t>(WorkerFrame::ResultBatch))
+      type > static_cast<std::uint8_t>(WorkerFrame::ResultBatch) || type == 5)
     throw DecodeError("worker frame: unknown frame type " + std::to_string(type));
   return static_cast<WorkerFrame>(type);
 }
@@ -710,7 +711,6 @@ std::vector<std::uint8_t> encode_lease_frame(const LeaseFrame& lease) {
   w.u32(lease.id);
   w.u32(lease.lo);
   w.u32(lease.hi);
-  w.u32(lease.step);
   return w.take();
 }
 
@@ -720,10 +720,11 @@ LeaseFrame decode_lease_frame(const std::vector<std::uint8_t>& frame) {
   lease.id = r.u32();
   lease.lo = r.u32();
   lease.hi = r.u32();
-  lease.step = r.u32();
   r.expect_done();
-  if (lease.step < 1)
-    throw DecodeError("worker frame: lease stride must be >= 1");
+  if (lease.lo > lease.hi)
+    throw DecodeError("worker frame: inverted lease [" +
+                      std::to_string(lease.lo) + ", " +
+                      std::to_string(lease.hi) + ")");
   return lease;
 }
 
@@ -777,64 +778,6 @@ std::vector<std::uint8_t> encode_lease_done_frame(std::uint32_t lease_id) {
 
 std::uint32_t decode_lease_done_frame(const std::vector<std::uint8_t>& frame) {
   return decode_lease_id_frame(frame, WorkerFrame::LeaseDone);
-}
-
-std::vector<std::uint8_t> encode_result_ok_frame(std::uint32_t index,
-                                                 const ExperimentResult& result) {
-  std::vector<std::uint8_t> out;
-  encode_result_ok_frame(index, result, out);
-  return out;
-}
-
-void encode_result_ok_frame(std::uint32_t index, const ExperimentResult& result,
-                            std::vector<std::uint8_t>& out) {
-  out.clear();
-  Writer w(out);
-  w.u8(static_cast<std::uint8_t>(WorkerFrame::Result));
-  w.u8(0);  // ok
-  w.u32(index);
-  // The embedded envelope is encoded in place — no per-result temporary.
-  put_header(w, kKindResult);
-  put_result_body(w, result);
-}
-
-std::vector<std::uint8_t> encode_result_error_frame(std::uint32_t index,
-                                                    WireErrorCategory category,
-                                                    const std::string& message) {
-  Writer w = frame_writer(WorkerFrame::Result);
-  w.u8(1);  // error
-  w.u32(index);
-  w.u8(static_cast<std::uint8_t>(category));
-  w.str(message);
-  return w.take();
-}
-
-ResultFrame decode_result_frame(const std::vector<std::uint8_t>& frame,
-                                ResultInterner* interner) {
-  Reader r = frame_reader(frame, WorkerFrame::Result);
-  ResultFrame result;
-  const std::uint8_t status = r.u8();
-  if (status > 1)
-    throw DecodeError("worker frame: result status byte out of range");
-  result.ok = status == 0;
-  result.index = r.u32();
-  if (result.ok) {
-    // Decode the embedded envelope in place — no slicing copy.
-    result.result = decode_experiment_result(frame.data() + r.position(),
-                                             r.remaining(), interner);
-  } else {
-    const std::uint8_t category = r.u8();
-    if (category > static_cast<std::uint8_t>(WireErrorCategory::Logic))
-      throw DecodeError("worker frame: error category byte out of range");
-    result.category = static_cast<WireErrorCategory>(category);
-    result.message = r.str();
-    r.expect_done();
-  }
-  return result;
-}
-
-ResultFrame decode_result_frame(const std::vector<std::uint8_t>& frame) {
-  return decode_result_frame(frame, nullptr);
 }
 
 // --- batched results ---------------------------------------------------------

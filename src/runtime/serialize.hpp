@@ -26,14 +26,14 @@
 //
 //   parent -> worker   Hello        protocol version, heartbeat interval,
 //                                   optionally the study
-//                      Lease        an index range [lo, hi) with a stride
+//                      Lease        an index range [lo, hi)
 //                      Ping         liveness/diagnostic probe (echoed back)
 //                      Shutdown     no more work; exit cleanly
 //   worker -> parent   HelloAck     protocol version + worker pid
 //                      Heartbeat    periodic liveness while a lease runs,
 //                                   carrying a WorkerStatsSnapshot
-//                      Result       one experiment's outcome (ok or error)
-//                      ResultBatch  several outcomes of one lease in one frame
+//                      ResultBatch  the outcomes (ok or error) of one lease,
+//                                   in index order, one or more per frame
 //                      LeaseDone    lease finished (possibly early, on error)
 //                      Pong         Ping echo
 //
@@ -67,7 +67,7 @@
 // StudyParams is a closure (make_params) in memory; on the wire it is the
 // *materialized* study — each index's generated ExperimentParams, in order.
 // Decoding yields a StudyParams whose generator replays those params, which
-// is exactly what a shard worker in another process needs. Generators must
+// is exactly what a worker in another process needs. Generators must
 // be deterministic per index for this to be faithful (the documented
 // campaign contract).
 //
@@ -131,8 +131,8 @@ std::string experiment_cache_key(const ExperimentParams& p);
 /// decoded header keyed on its raw encoded byte span: a hit skips the
 /// parse and copies the cached header (short dictionary names stay in SSO
 /// storage, so the copy is a handful of vector clones, not one allocation
-/// per string). Hold one per study; it is NOT thread-safe, matching the
-/// single-threaded decode loops in RemoteRunner and ProcessPoolRunner.
+/// per string). Hold one per study; it is NOT thread-safe, matching
+/// RemoteRunner's single-threaded decode loop.
 class ResultInterner {
  public:
   std::size_t header_hits() const { return hits_; }
@@ -156,7 +156,9 @@ class ResultInterner {
 /// v2: ResultBatch frames + the v2 result envelope inside ok entries.
 /// v3: Hello carries the heartbeat interval; Heartbeat carries a
 /// WorkerStatsSnapshot (the fleet-telemetry plane).
-inline constexpr std::uint16_t kWorkerProtocolVersion = 3;
+/// v4: results travel only in ResultBatch frames (the single-result frame,
+/// type 5, is gone) and Lease drops its stride: {id, lo, hi}.
+inline constexpr std::uint16_t kWorkerProtocolVersion = 4;
 
 /// First byte of every worker frame payload.
 enum class WorkerFrame : std::uint8_t {
@@ -164,7 +166,8 @@ enum class WorkerFrame : std::uint8_t {
   HelloAck = 2,
   Lease = 3,
   Heartbeat = 4,
-  Result = 5,
+  // 5 is reserved (v3's single-result frame): never reuse it, so a stale
+  // peer's frame fails worker_frame_type instead of dispatching.
   LeaseDone = 6,
   Shutdown = 7,
   Ping = 8,
@@ -182,7 +185,8 @@ WireErrorCategory classify_error(const std::exception& e);
                                      const std::string& message);
 
 /// Peek a frame's type byte. Throws DecodeError on an empty frame or an
-/// unknown type — a corrupt stream must never dispatch as a valid frame.
+/// unknown or reserved type — a corrupt stream must never dispatch as a
+/// valid frame.
 WorkerFrame worker_frame_type(const std::vector<std::uint8_t>& frame);
 
 /// Hello: pass nullptr when the worker already holds the study in memory
@@ -205,12 +209,13 @@ struct HelloAckFrame {
 };
 HelloAckFrame decode_hello_ack_frame(const std::vector<std::uint8_t>& frame);
 
-/// One unit of leased work: experiment indices lo, lo+step, ... (< hi).
+/// One unit of leased work: experiment indices [lo, hi). decode_lease_frame
+/// rejects an inverted range (lo > hi) with DecodeError; whether the range
+/// lies inside the study is the worker's check (serve_worker).
 struct LeaseFrame {
   std::uint32_t id{0};
   std::uint32_t lo{0};
   std::uint32_t hi{0};
-  std::uint32_t step{1};
 };
 std::vector<std::uint8_t> encode_lease_frame(const LeaseFrame& lease);
 LeaseFrame decode_lease_frame(const std::vector<std::uint8_t>& frame);
@@ -230,30 +235,17 @@ HeartbeatFrame decode_heartbeat_frame(const std::vector<std::uint8_t>& frame);
 std::vector<std::uint8_t> encode_lease_done_frame(std::uint32_t lease_id);
 std::uint32_t decode_lease_done_frame(const std::vector<std::uint8_t>& frame);
 
-std::vector<std::uint8_t> encode_result_ok_frame(std::uint32_t index,
-                                                 const ExperimentResult& result);
-/// Zero-copy flavour: clears `out` and encodes the frame into it, reusing
-/// its capacity. A worker loop keeps one buffer and never reallocates once
-/// it has seen its largest result.
-void encode_result_ok_frame(std::uint32_t index, const ExperimentResult& result,
-                            std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> encode_result_error_frame(std::uint32_t index,
-                                                    WireErrorCategory category,
-                                                    const std::string& message);
+// --- batched results ---------------------------------------------------------
+
+/// One decoded ResultBatch entry.
 struct ResultFrame {
   std::uint32_t index{0};
   bool ok{false};
-  ExperimentResult result;  // ok frames only
-  WireErrorCategory category{WireErrorCategory::Runtime};  // error frames only
-  std::string message;                                     // error frames only
+  ExperimentResult result;  // ok entries only
+  WireErrorCategory category{WireErrorCategory::Runtime};  // error entries only
+  std::string message;                                     // error entries only
 };
-ResultFrame decode_result_frame(const std::vector<std::uint8_t>& frame);
-/// Interned flavour: the embedded envelope decodes through the per-study
-/// interner. nullptr behaves like the plain decode.
-ResultFrame decode_result_frame(const std::vector<std::uint8_t>& frame,
-                                ResultInterner* interner);
 
-// --- batched results ---------------------------------------------------------
 // Builder-style API over a caller-owned buffer: begin_result_batch resets it
 // to the ResultBatch type byte, the append_* functions encode entries in
 // place (no intermediate per-result vector), and the caller sends the buffer

@@ -20,9 +20,9 @@ namespace {
                    err);
 }
 
-/// Process-wide serial so concurrent writers (threads or CacheSink vs the
-/// probe loop) never share a temp name; the pid disambiguates across
-/// processes writing into one shared directory.
+/// Process-wide serial so concurrent writers (threads sharing one cache)
+/// never share a temp name; the pid disambiguates across processes writing
+/// into one shared directory.
 std::atomic<std::uint64_t> temp_serial{0};
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Framed I/O over POSIX file descriptors — the transport between a campaign
-// parent and its shard worker processes (campaign/process_runner.*,
-// `lokimeasure --worker`).
+// parent and its worker processes (campaign/transport.*,
+// `lokimeasure --worker --serve`).
 //
 // A frame is a 4-byte little-endian payload length followed by the payload
 // bytes. Reads and writes retry on EINTR and loop over partial transfers;

@@ -164,45 +164,33 @@ TEST(CampaignValidation, ErrorNamesTheStudy) {
   expect_config_error(b, "study 'who-am-i'");
 }
 
-// --- legacy wrapper validation (StudyParams up front) ------------------------
+// --- pre-built StudyParams: add() shells are validated at build() ------------
 
-TEST(RunCampaignWrapper, RejectsEmptyName) {
+TEST(BuilderAdd, RejectsEmptyName) {
   runtime::StudyParams study;
   study.name = "";
   study.experiments = 1;
   study.make_params = [](int) { return election_params(1); };
-  EXPECT_THROW(runtime::run_campaign({study}), ConfigError);
+  CampaignBuilder builder;
+  builder.add(study);
+  EXPECT_THROW(builder.build(), ConfigError);
 }
 
-TEST(RunCampaignWrapper, RejectsNonPositiveExperiments) {
-  runtime::StudyParams study = quickstart_study("s", 0);
-  try {
-    runtime::run_campaign({study});
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("study 's'"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("experiments"), std::string::npos);
-  }
+TEST(BuilderAdd, RejectsNonPositiveExperiments) {
+  CampaignBuilder builder;
+  builder.add(quickstart_study("s", 0));
+  expect_config_error(builder, "study 's'");
+  expect_config_error(builder, "experiments");
 }
 
-TEST(RunCampaignWrapper, RejectsNullGenerator) {
+TEST(BuilderAdd, RejectsNullGenerator) {
   runtime::StudyParams study;
   study.name = "nogen";
   study.experiments = 3;
-  try {
-    runtime::run_campaign({study});
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("nogen"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("make_params"), std::string::npos);
-  }
-}
-
-TEST(RunCampaignWrapper, StillRunsValidStudies) {
-  const auto campaign = runtime::run_campaign({quickstart_study("s", 2)});
-  ASSERT_EQ(campaign.studies.size(), 1u);
-  EXPECT_EQ(campaign.studies[0].experiments.size(), 2u);
-  EXPECT_TRUE(campaign.studies[0].experiments[0].completed);
+  CampaignBuilder builder;
+  builder.add(study);
+  expect_config_error(builder, "nogen");
+  expect_config_error(builder, "make_params");
 }
 
 // --- runner equivalence ------------------------------------------------------
@@ -238,13 +226,16 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.app_messages, b.app_messages);
 }
 
-runtime::CampaignResult run_with(std::shared_ptr<campaign::Runner> runner,
-                                 const runtime::StudyParams& study) {
-  auto collect = std::make_shared<campaign::CollectSink>();
+/// Run one study through `runner`; its results in emit order.
+std::vector<ExperimentResult> run_with(std::shared_ptr<campaign::Runner> runner,
+                                       const runtime::StudyParams& study) {
+  std::vector<ExperimentResult> results;
+  auto collect = std::make_shared<campaign::CallbackSink>();
+  collect->experiment([&](const campaign::StudyInfo&, int,
+                          const ExperimentResult& r) { results.push_back(r); });
   CampaignBuilder builder;
-  Campaign c = builder.add(study).runner(std::move(runner)).sink(collect).build();
-  c.run();
-  return collect->take();
+  builder.add(study).runner(std::move(runner)).sink(collect).build().run();
+  return results;
 }
 
 TEST(Runners, ThreadPoolMatchesSerialByteForByte) {
@@ -253,14 +244,11 @@ TEST(Runners, ThreadPoolMatchesSerialByteForByte) {
   const auto pooled =
       run_with(std::make_shared<campaign::ThreadPoolRunner>(4), study);
 
-  ASSERT_EQ(serial.studies.size(), 1u);
-  ASSERT_EQ(pooled.studies.size(), 1u);
-  ASSERT_EQ(serial.studies[0].experiments.size(), 10u);
-  ASSERT_EQ(pooled.studies[0].experiments.size(), 10u);
-  for (int k = 0; k < 10; ++k) {
+  ASSERT_EQ(serial.size(), 10u);
+  ASSERT_EQ(pooled.size(), 10u);
+  for (std::size_t k = 0; k < 10; ++k) {
     SCOPED_TRACE("experiment " + std::to_string(k));
-    expect_identical(serial.studies[0].experiments[static_cast<std::size_t>(k)],
-                     pooled.studies[0].experiments[static_cast<std::size_t>(k)]);
+    expect_identical(serial[k], pooled[k]);
   }
 }
 
@@ -268,8 +256,8 @@ TEST(Runners, MoreWorkersThanExperiments) {
   const auto study = quickstart_study("tiny", 2);
   const auto pooled =
       run_with(std::make_shared<campaign::ThreadPoolRunner>(8), study);
-  ASSERT_EQ(pooled.studies[0].experiments.size(), 2u);
-  EXPECT_TRUE(pooled.studies[0].experiments[0].completed);
+  ASSERT_EQ(pooled.size(), 2u);
+  EXPECT_TRUE(pooled[0].completed);
 }
 
 TEST(Runners, ThreadPoolRejectsZeroWorkers) {
@@ -378,9 +366,11 @@ measure::StudyMeasure coverage_measure() {
 TEST(Sinks, MeasureSinkMatchesBatchPipeline) {
   const auto study = quickstart_study("cov", 8, 8000);
 
-  // Batch: buffer everything, then analyze + measure.
-  const auto campaign_result = runtime::run_campaign({study});
-  const auto analyses = analysis::analyze_study(campaign_result.studies[0]);
+  // Batch reference: run and analyze each experiment by hand, then measure.
+  std::vector<analysis::ExperimentAnalysis> analyses;
+  for (int k = 0; k < study.experiments; ++k)
+    analyses.push_back(analysis::analyze_experiment(
+        runtime::run_experiment(study.make_params(k))));
   const auto batch_values = coverage_measure().apply_study(analyses);
 
   // Streaming: one pass through the MeasureSink.
@@ -431,7 +421,10 @@ TEST(Sinks, AnalysisSinkStreamsAndRetains) {
 
 TEST(Builder, ComposedStudyRunsAndInjects) {
   // Quickstart study built entirely through the fluent surface.
-  auto sink = std::make_shared<campaign::CollectSink>();
+  std::vector<ExperimentResult> experiments;
+  auto sink = std::make_shared<campaign::CallbackSink>();
+  sink->experiment([&](const campaign::StudyInfo&, int,
+                       const ExperimentResult& r) { experiments.push_back(r); });
   CampaignBuilder builder;
   Campaign c = builder.sink(sink)
                    .study("fluent")
@@ -446,7 +439,6 @@ TEST(Builder, ComposedStudyRunsAndInjects) {
                    .build();
   c.run();
 
-  const auto& experiments = sink->result().studies[0].experiments;
   ASSERT_EQ(experiments.size(), 3u);
   for (const auto& r : experiments) EXPECT_TRUE(r.completed);
   // base(seed) varies the seed per experiment: runs differ.
@@ -487,11 +479,10 @@ TEST(Runners, SkewedDurationsKeepOrderAndBackpressure) {
   const auto serial = run_with(std::make_shared<campaign::SerialRunner>(), study);
   const auto pooled =
       run_with(std::make_shared<campaign::ThreadPoolRunner>(2), study);
-  ASSERT_EQ(pooled.studies[0].experiments.size(), 12u);
-  for (int k = 0; k < 12; ++k) {
+  ASSERT_EQ(pooled.size(), 12u);
+  for (std::size_t k = 0; k < 12; ++k) {
     SCOPED_TRACE("experiment " + std::to_string(k));
-    expect_identical(serial.studies[0].experiments[static_cast<std::size_t>(k)],
-                     pooled.studies[0].experiments[static_cast<std::size_t>(k)]);
+    expect_identical(serial[k], pooled[k]);
   }
 }
 

@@ -6,15 +6,15 @@
 // requeued_indices / workers_lost). Also covers the liveness cadence:
 // heartbeats flow *during* a lease, so a slow-but-healthy worker is never
 // mistaken for a hung one, while a worker whose heartbeats stop (and whose
-// batches never flush) is still killed within hang_timeout. Also covers the `remote:`/`procs:` runner specs, hostfile
-// parsing, SshTransport argv construction (plus an end-to-end run through a
-// local ssh shim), and the `lokimeasure --worker` stride CLI.
+// batches never flush) is still killed within hang_timeout. Also covers the
+// `remote:`/`procs:` runner specs, hostfile parsing, SshTransport argv
+// construction (plus an end-to-end run through a local ssh shim), and the
+// `lokimeasure` CLI's rejection of the retired worker range mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -30,13 +30,11 @@
 #include "apps/election.hpp"
 #include "apps/registry.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/process_runner.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
 #include "runtime/serialize.hpp"
 #include "util/codec.hpp"
 #include "util/error.hpp"
-#include "util/pipe_io.hpp"
 #include "util/text_file.hpp"
 
 namespace loki {
@@ -115,10 +113,10 @@ struct CampaignRun {
   Campaign::Summary summary;
 };
 
-/// Run `study` through `runner` via the full Campaign, recording the exact
+/// Run `studies` through `runner` via the full Campaign, recording the exact
 /// sink event sequence (results as encoded bytes) and the summary.
 CampaignRun run_recorded(std::shared_ptr<campaign::Runner> runner,
-                         const runtime::StudyParams& study) {
+                         const std::vector<runtime::StudyParams>& studies) {
   CampaignRun run;
   auto sink = std::make_shared<campaign::CallbackSink>();
   sink->campaign_begin([&](int n) {
@@ -139,9 +137,16 @@ CampaignRun run_recorded(std::shared_ptr<campaign::Runner> runner,
       [&] { run.events.push_back({"campaign_done", "", -1, {}}); });
 
   CampaignBuilder builder;
-  builder.add(study).runner(std::move(runner)).sink(sink);
+  for (const runtime::StudyParams& study : studies) builder.add(study);
+  builder.runner(std::move(runner)).sink(sink);
   run.summary = builder.build().run();
   return run;
+}
+
+CampaignRun run_recorded(std::shared_ptr<campaign::Runner> runner,
+                         const runtime::StudyParams& study) {
+  return run_recorded(std::move(runner),
+                      std::vector<runtime::StudyParams>{study});
 }
 
 void expect_identical_events(const std::vector<Event>& expected,
@@ -232,28 +237,15 @@ TEST(RemoteRunner, MoreWorkersThanLeases) {
 }
 
 TEST(RemoteRunner, TwoStudiesReconnectWorkers) {
-  auto transport = std::make_shared<campaign::FakeTransport>(2);
-  auto runner =
-      std::make_shared<campaign::RemoteRunner>(transport, test_options());
-  auto collect = std::make_shared<campaign::CollectSink>();
-  CampaignBuilder builder;
-  builder.add(fault_study("first", 4, 31'000))
-      .add(fault_study("second", 4, 32'000))
-      .runner(runner)
-      .sink(collect);
-  builder.build().run();
-  const runtime::CampaignResult got = collect->take();
-  const runtime::CampaignResult want = runtime::run_campaign(
-      {fault_study("first", 4, 31'000), fault_study("second", 4, 32'000)});
-  ASSERT_EQ(got.studies.size(), want.studies.size());
-  for (std::size_t s = 0; s < got.studies.size(); ++s) {
-    ASSERT_EQ(got.studies[s].experiments.size(),
-              want.studies[s].experiments.size());
-    for (std::size_t k = 0; k < got.studies[s].experiments.size(); ++k)
-      EXPECT_EQ(
-          runtime::encode_experiment_result(got.studies[s].experiments[k]),
-          runtime::encode_experiment_result(want.studies[s].experiments[k]));
-  }
+  const std::vector<runtime::StudyParams> studies = {
+      fault_study("first", 4, 31'000), fault_study("second", 4, 32'000)};
+  const auto serial =
+      run_recorded(std::make_shared<campaign::SerialRunner>(), studies);
+  const auto remote = run_recorded(
+      std::make_shared<campaign::RemoteRunner>(
+          std::make_shared<campaign::FakeTransport>(2), test_options()),
+      studies);
+  expect_identical_events(serial.events, remote.events);
 }
 
 // --- fault injection: the runner under its own medicine ----------------------
@@ -281,10 +273,9 @@ TEST(RemoteRunnerFaults, FakeWorkerKilledMidCampaign) {
 
 TEST(RemoteRunnerFaults, SubprocessWorkerSigkilledMidCampaign) {
   // A decorator transport that SIGKILLs the victim's real process when the
-  // nth result-bearing frame (Result or ResultBatch) arrives — and swallows
-  // that frame, as if the worker died mid-send. With batching a whole lease
-  // can share one frame, so delivering it first would leave nothing
-  // outstanding to requeue.
+  // nth ResultBatch frame arrives — and swallows that frame, as if the
+  // worker died mid-send. With batching a whole lease can share one frame,
+  // so delivering it first would leave nothing outstanding to requeue.
   class ChaosLink final : public campaign::WorkerLink {
    public:
     ChaosLink(std::unique_ptr<campaign::WorkerLink> inner, int kill_after)
@@ -297,10 +288,8 @@ TEST(RemoteRunnerFaults, SubprocessWorkerSigkilledMidCampaign) {
       const auto carries_results = [](const campaign::RecvOutcome& o) {
         return o.status == campaign::RecvOutcome::Status::Frame &&
                !o.frame.empty() &&
-               (o.frame[0] ==
-                    static_cast<std::uint8_t>(runtime::WorkerFrame::Result) ||
-                o.frame[0] == static_cast<std::uint8_t>(
-                                  runtime::WorkerFrame::ResultBatch));
+               o.frame[0] == static_cast<std::uint8_t>(
+                                 runtime::WorkerFrame::ResultBatch);
       };
       if (carries_results(out) && ++seen_ == kill_after_) {
         inner_->kill();
@@ -775,12 +764,6 @@ TEST(RemoteRunnerReconnect, RejectsBadReconnectOptions) {
   EXPECT_THROW(campaign::RemoteRunner(
                    std::make_shared<campaign::FakeTransport>(1), zero_backoff),
                ConfigError);
-  campaign::RemoteOptions shrinking;
-  shrinking.reconnect_attempts = 3;
-  shrinking.reconnect_multiplier = 0.5;
-  EXPECT_THROW(campaign::RemoteRunner(
-                   std::make_shared<campaign::FakeTransport>(1), shrinking),
-               ConfigError);
   campaign::RemoteOptions inverted_cap;
   inverted_cap.reconnect_attempts = 3;
   inverted_cap.reconnect_backoff = std::chrono::milliseconds(500);
@@ -1001,66 +984,30 @@ TEST(SshTransportEndToEnd, IdenticalToSerialThroughSshShim) {
   expect_identical_events(serial.events, remote.events);
 }
 
-// --- `lokimeasure --worker` stride CLI ---------------------------------------
+// --- retired CLI modes fail closed -------------------------------------------
 
 int run_command(const std::string& command) {
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-TEST(WorkerStrideCli, InterleavedShardMatchesDirectExecution) {
+TEST(RetiredCliModes, WorkerRangeModeIsAConfigError) {
   const std::string bin = lokimeasure_bin();
   if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
 
-  const std::string dir = temp_dir("stride");
-  const auto study = fault_study("stride", 6, 61'000);
-  const std::vector<std::uint8_t> bytes = runtime::encode_study_params(study);
-  write_file(dir + "/study.bin",
-             std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size()));
-
-  ASSERT_EQ(run_command("'" + bin + "' --worker '" + dir +
-                        "/study.bin' 1 6 2 > '" + dir + "/frames.bin' 2>'" +
-                        dir + "/err.txt'"),
-            0);
-
-  // Stride 2 from 1: indices 1, 3, 5 — byte-identical to running them here.
-  // The shard emits ResultBatch frames; flatten them in arrival order.
-  const int fd = ::open((dir + "/frames.bin").c_str(), O_RDONLY);
-  ASSERT_GE(fd, 0);
-  std::vector<runtime::ResultFrame> entries;
-  while (const auto frame = util::read_frame(fd)) {
-    ASSERT_EQ(runtime::worker_frame_type(*frame),
-              runtime::WorkerFrame::ResultBatch);
-    for (auto& entry : runtime::decode_result_batch_frame(*frame))
-      entries.push_back(std::move(entry));
-  }
-  ::close(fd);
-  ASSERT_EQ(entries.size(), 3u);
-  std::size_t at = 0;
-  for (const int k : {1, 3, 5}) {
-    EXPECT_TRUE(entries[at].ok) << "status ok";
-    EXPECT_EQ(entries[at].index, static_cast<std::uint32_t>(k));
-    EXPECT_EQ(runtime::encode_experiment_result(entries[at].result),
-              runtime::encode_experiment_result(
-                  runtime::run_experiment(study.make_params(k))));
-    ++at;
-  }
-}
-
-TEST(WorkerStrideCli, RejectsNonPositiveStride) {
-  const std::string bin = lokimeasure_bin();
-  if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
-
-  const std::string dir = temp_dir("stride-bad");
-  const auto study = fault_study("stride-bad", 3, 62'000);
-  const std::vector<std::uint8_t> bytes = runtime::encode_study_params(study);
-  write_file(dir + "/study.bin",
-             std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size()));
-  EXPECT_NE(run_command("'" + bin + "' --worker '" + dir +
-                        "/study.bin' 0 3 0 > /dev/null 2>&1"),
-            0);
+  const std::string dir = temp_dir("retired");
+  const auto rejects = [&](const std::string& args, const std::string& why) {
+    const std::string err = dir + "/err.txt";
+    EXPECT_NE(run_command("'" + bin + "' " + args + " > /dev/null 2> '" + err +
+                          "'"),
+              0)
+        << args;
+    EXPECT_NE(read_file(err).find(why), std::string::npos) << read_file(err);
+  };
+  // The range-mode worker and its study-file fallback are gone: only a
+  // bare --serve remains, and the study arrives in the Hello frame.
+  rejects("--worker study.bin 0 6", "--worker takes only --serve");
+  rejects("--worker --serve study.bin", "--worker takes only --serve");
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // ExperimentParams / ExperimentResult / StudyParams — including NaN/inf
 // statistics, empty timelines and long strings — plus envelope hygiene:
 // version-mismatch rejection, bad magic, truncated frames, trailing bytes.
-// Also the worker frame protocol codecs (Hello/Lease/Result/...) and
+// Also the worker frame protocol codecs (Hello/Lease/ResultBatch/...) and
 // util/pipe_io framing under corruption: truncated, bit-flipped, and
 // oversized length prefixes must surface as typed DecodeErrors, never a
 // hang, a crash, or a giant allocation.
@@ -416,13 +416,17 @@ TEST(WorkerFrames, ScalarFramesRoundTrip) {
   EXPECT_EQ(decoded.protocol_version, runtime::kWorkerProtocolVersion);
   EXPECT_EQ(decoded.worker_pid, 4242u);
 
-  const runtime::LeaseFrame lease{7, 10, 20, 3};
-  const runtime::LeaseFrame back =
-      runtime::decode_lease_frame(runtime::encode_lease_frame(lease));
+  const runtime::LeaseFrame lease{7, 10, 20};
+  const auto lease_bytes = runtime::encode_lease_frame(lease);
+  EXPECT_EQ(lease_bytes.size(), 13u);  // type byte + id, lo, hi
+  const runtime::LeaseFrame back = runtime::decode_lease_frame(lease_bytes);
   EXPECT_EQ(back.id, 7u);
   EXPECT_EQ(back.lo, 10u);
   EXPECT_EQ(back.hi, 20u);
-  EXPECT_EQ(back.step, 3u);
+  // An empty range is well-formed (the worker just closes the lease).
+  EXPECT_EQ(runtime::decode_lease_frame(runtime::encode_lease_frame({8, 5, 5}))
+                .hi,
+            5u);
 
   const runtime::HeartbeatFrame bare =
       runtime::decode_heartbeat_frame(runtime::encode_heartbeat_frame(9));
@@ -439,37 +443,6 @@ TEST(WorkerFrames, ScalarFramesRoundTrip) {
             payload);
   EXPECT_EQ(runtime::decode_pong_frame(runtime::encode_pong_frame(payload)),
             payload);
-}
-
-TEST(WorkerFrames, ResultFramesRoundTripBothArms) {
-  const auto ok =
-      runtime::encode_result_ok_frame(5, campaign::run_single(sample_params(13)));
-  const runtime::ResultFrame decoded_ok = runtime::decode_result_frame(ok);
-  EXPECT_TRUE(decoded_ok.ok);
-  EXPECT_EQ(decoded_ok.index, 5u);
-  EXPECT_EQ(runtime::encode_result_ok_frame(5, decoded_ok.result), ok);
-
-  const auto err = runtime::encode_result_error_frame(
-      8, runtime::WireErrorCategory::Config, "bad host 'zeppelin'");
-  const runtime::ResultFrame decoded_err = runtime::decode_result_frame(err);
-  EXPECT_FALSE(decoded_err.ok);
-  EXPECT_EQ(decoded_err.index, 8u);
-  EXPECT_EQ(decoded_err.category, runtime::WireErrorCategory::Config);
-  EXPECT_EQ(decoded_err.message, "bad host 'zeppelin'");
-}
-
-TEST(WorkerFrames, ZeroCopyResultFrameMatchesAllocatingFlavour) {
-  const ExperimentResult r = synthetic_result();
-  const auto fresh = runtime::encode_result_ok_frame(5, r);
-  std::vector<std::uint8_t> reused = {0xde, 0xad};  // stale bytes get cleared
-  runtime::encode_result_ok_frame(5, r, reused);
-  EXPECT_EQ(reused, fresh);
-  // Re-encoding into the same buffer reuses its capacity: no reallocation
-  // once the buffer has seen its largest frame.
-  const std::size_t cap = reused.capacity();
-  runtime::encode_result_ok_frame(5, r, reused);
-  EXPECT_EQ(reused, fresh);
-  EXPECT_EQ(reused.capacity(), cap);
 }
 
 TEST(WorkerFrames, ResultBatchRoundTripsMixedEntries) {
@@ -569,9 +542,10 @@ TEST(WorkerFrames, MalformedBatchYieldsNoPartialResults) {
   EXPECT_THROW(runtime::decode_result_batch_frame(truncated), DecodeError);
   EXPECT_THROW(runtime::result_batch_entry_count(truncated), DecodeError);
 
-  // A Result frame is not a ResultBatch frame.
-  const auto single = runtime::encode_result_ok_frame(0, ExperimentResult{});
-  EXPECT_THROW(runtime::decode_result_batch_frame(single), DecodeError);
+  // A frame of another type is not a ResultBatch frame.
+  EXPECT_THROW(
+      runtime::decode_result_batch_frame(runtime::encode_lease_done_frame(0)),
+      DecodeError);
 }
 
 TEST(WorkerFrames, ErrorClassificationSurvivesTheWire) {
@@ -596,24 +570,21 @@ TEST(WorkerFrames, MalformedFramesAreRejected) {
   EXPECT_THROW(runtime::worker_frame_type({}), DecodeError);
   EXPECT_THROW(runtime::worker_frame_type({0}), DecodeError);
   EXPECT_THROW(runtime::worker_frame_type({0x7f}), DecodeError);
+  // Type 5, the v3 single-result frame, is reserved: never dispatched.
+  EXPECT_THROW(runtime::worker_frame_type({5}), DecodeError);
   // A frame of the wrong type for the decoder at hand.
   EXPECT_THROW(runtime::decode_lease_frame(runtime::encode_heartbeat_frame(1)),
                DecodeError);
   // Truncations of structured frames.
-  auto lease = runtime::encode_lease_frame({1, 0, 4, 1});
+  auto lease = runtime::encode_lease_frame({1, 0, 4});
   lease.resize(lease.size() - 3);
   EXPECT_THROW(runtime::decode_lease_frame(lease), DecodeError);
-  auto ok = runtime::encode_result_ok_frame(0, ExperimentResult{});
-  ok.resize(ok.size() - 1);
-  EXPECT_THROW(runtime::decode_result_frame(ok), DecodeError);
   // Trailing garbage.
   auto heartbeat = runtime::encode_heartbeat_frame(2);
   heartbeat.push_back(0);
   EXPECT_THROW(runtime::decode_heartbeat_frame(heartbeat), DecodeError);
-  // A zero lease stride can never round (every index would repeat forever).
-  runtime::LeaseFrame zero_step{1, 0, 4, 0};
-  EXPECT_THROW(runtime::decode_lease_frame(
-                   runtime::encode_lease_frame(zero_step)),
+  // An inverted lease range is rejected, not run as empty or wrapped.
+  EXPECT_THROW(runtime::decode_lease_frame(runtime::encode_lease_frame({1, 4, 3})),
                DecodeError);
 }
 

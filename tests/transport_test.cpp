@@ -1,9 +1,9 @@
 // Transport conformance: one parameterized suite run against every
 // campaign::Transport backend (FakeTransport, SubprocessTransport in fork
 // and exec mode, SshTransport through a local shim), driving the worker
-// frame protocol by hand — handshake, lease round-trip with stride, large
-// frames, abrupt close, double close — so a future backend plugs into
-// ready-made coverage.
+// frame protocol by hand — handshake, lease round-trip, a lease outside the
+// study, large frames, abrupt close, double close — so a future backend
+// plugs into ready-made coverage.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -183,7 +183,7 @@ TEST_P(TransportConformance, HandshakeAcksProtocolVersion) {
 TEST_P(TransportConformance, LeaseRoundTripInOrder) {
   if (!start()) return;
   handshake();
-  link_->send(runtime::encode_lease_frame({/*id=*/7, 0, 2, 1}));
+  link_->send(runtime::encode_lease_frame({/*id=*/7, 0, 2}));
   const runtime::HeartbeatFrame opening =
       runtime::decode_heartbeat_frame(expect_frame());
   EXPECT_EQ(opening.lease_id, 7u);
@@ -208,23 +208,16 @@ TEST_P(TransportConformance, LeaseRoundTripInOrder) {
   EXPECT_EQ(link_->recv(kRecvTimeout).status, RecvOutcome::Status::Eof);
 }
 
-TEST_P(TransportConformance, StridedLeaseRunsInterleavedIndices) {
+TEST_P(TransportConformance, LeaseOutsideTheStudyEndsTheWorker) {
   if (!start()) return;
   handshake();
-  link_->send(runtime::encode_lease_frame({/*id=*/9, 1, 4, 2}));
-  EXPECT_EQ(runtime::decode_heartbeat_frame(expect_frame()).lease_id, 9u);
-  const std::vector<runtime::ResultFrame> results = expect_results(2);
-  std::size_t at = 0;
-  for (const std::uint32_t k : {1u, 3u}) {
-    EXPECT_TRUE(results[at].ok);
-    EXPECT_EQ(results[at].index, k);
-    ++at;
-  }
-  const runtime::HeartbeatFrame closing =
-      runtime::decode_heartbeat_frame(expect_frame());
-  EXPECT_EQ(closing.lease_id, 9u);
-  EXPECT_EQ(closing.stats.experiments_completed, 2u);
-  EXPECT_EQ(runtime::decode_lease_done_frame(expect_frame()), 9u);
+  // The study declares 4 experiments; index 4 does not exist. The worker
+  // must refuse the whole lease before running anything — not even the
+  // opening heartbeat goes out — and exit, so the parent sees Eof (and a
+  // RemoteRunner would requeue).
+  link_->send(runtime::encode_lease_frame(
+      {/*id=*/9, 2, static_cast<std::uint32_t>(study_.experiments) + 1}));
+  EXPECT_EQ(link_->recv(kRecvTimeout).status, RecvOutcome::Status::Eof);
 }
 
 TEST_P(TransportConformance, LargeFrameRoundTrips) {

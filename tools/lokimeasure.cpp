@@ -1,4 +1,4 @@
-// lokimeasure — the measure-phase CLI, four modes:
+// lokimeasure — the measure-phase CLI, three modes:
 //
 // 1. Evaluate a predicate over on-disk timeline artifacts (§4.3):
 //      lokimeasure <AlphabetaFile> <predicate> <start_ms> <end_ms>
@@ -11,26 +11,14 @@
 //      lokimeasure --campaign [--runner serial|threads:N|procs:N]
 //                  [--cache DIR] [--experiments N] [--seed S]
 //
-// 3. Emit the same demo study in the versioned wire format:
-//      lokimeasure --emit-study <out.bin> [--experiments N] [--seed S]
-//
-// 4. Shard worker, two flavours:
-//    a. Fixed range: decode an encoded StudyParams, run indices lo, lo+step,
-//       ... (< hi), and stream encoded results as length-prefixed frames to
-//       stdout — the exec'd counterpart of ProcessPoolRunner's forked
-//       shards:
-//         lokimeasure --worker <study.bin> <lo> <hi> [step]
-//    b. Serve mode: speak the full worker frame protocol (Hello/Lease/
-//       Result/..., runtime/serialize.hpp) on stdin/stdout — what
-//       RemoteRunner's SubprocessTransport and SshTransport exec. The study
-//       normally arrives inside the Hello frame; an optional study file is
-//       the fallback for pre-shipped studies:
-//         lokimeasure --worker --serve [study.bin]
+// 3. Worker: speak the worker frame protocol (Hello/Lease/ResultBatch/...,
+//    runtime/serialize.hpp) on stdin/stdout — what RemoteRunner's exec'd
+//    SubprocessTransport and SshTransport run. The study arrives inside the
+//    Hello frame:
+//      lokimeasure --worker --serve
 #include <cstdio>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,13 +30,11 @@
 #include "apps/registry.hpp"
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/process_runner.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
 #include "measure/observation.hpp"
 #include "measure/predicate.hpp"
 #include "measure/study_measure.hpp"
-#include "runtime/serialize.hpp"
 #include "util/strings.hpp"
 #include "util/text_file.hpp"
 
@@ -60,19 +46,11 @@ constexpr const char* kUsage =
     "usage: lokimeasure <AlphabetaFile> <predicate> <start_ms> <end_ms> "
     "<LocalTimelineFile>...\n"
     "       lokimeasure --campaign "
-    "[--runner serial|threads:N|procs:N|static-procs:N|remote:HOSTFILE] "
+    "[--runner serial|threads:N|procs:N|remote:HOSTFILE] "
     "[--cache DIR] [--cache-max-bytes B] [--cache-max-entries N]\n"
     "                   [--journal FILE | --resume FILE] [--journal-group N] "
     "[--experiments N] [--seed S] [--status]\n"
-    "       lokimeasure --emit-study <out.bin> [--experiments N] [--seed S]\n"
-    "       lokimeasure --worker <study.bin> <lo> <hi> [step]\n"
-    "       lokimeasure --worker --serve [study.bin]\n";
-
-/// Options shared by the modes that build the demo study.
-struct DemoOptions {
-  int experiments{12};
-  std::uint64_t seed{9000};
-};
+    "       lokimeasure --worker --serve\n";
 
 std::string flag_value(const std::vector<std::string>& args, std::size_t& i,
                        const char* flag) {
@@ -99,22 +77,6 @@ int int_arg(const char* flag, const std::string& value) {
 std::uint64_t u64_arg(const char* flag, const std::string& value) {
   return numeric(flag, value,
                  [](const std::string& v) { return std::stoull(v); });
-}
-
-/// Consume a demo-study option at args[i] (--experiments | --seed);
-/// false when args[i] is something else.
-bool parse_demo_option(const std::vector<std::string>& args, std::size_t& i,
-                       DemoOptions& opts) {
-  if (args[i] == "--experiments") {
-    opts.experiments =
-        int_arg("--experiments", flag_value(args, i, "--experiments"));
-    return true;
-  }
-  if (args[i] == "--seed") {
-    opts.seed = u64_arg("--seed", flag_value(args, i, "--seed"));
-    return true;
-  }
-  return false;
 }
 
 /// The demo campaign: black's leader fault with restarts, the §5.8
@@ -166,10 +128,15 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   int journal_group = 32;
   campaign::CacheOptions cache_options;
   bool status = false;
-  DemoOptions opts;
+  int experiments = 12;
+  std::uint64_t seed = 9000;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (parse_demo_option(args, i, opts)) continue;
-    if (args[i] == "--runner")
+    if (args[i] == "--experiments")
+      experiments =
+          int_arg("--experiments", flag_value(args, i, "--experiments"));
+    else if (args[i] == "--seed")
+      seed = u64_arg("--seed", flag_value(args, i, "--seed"));
+    else if (args[i] == "--runner")
       runner_spec = flag_value(args, i, "--runner");
     else if (args[i] == "--cache")
       cache_dir = flag_value(args, i, "--cache");
@@ -199,7 +166,7 @@ int run_campaign_mode(const std::vector<std::string>& args) {
         "indices from the cache");
 
   apps::register_builtin_apps();
-  const runtime::StudyParams study = demo_study(opts.seed, opts.experiments);
+  const runtime::StudyParams study = demo_study(seed, experiments);
 
   auto sink = std::make_shared<campaign::MeasureSink>();
   sink->measure(study.name, demo_measure());
@@ -226,7 +193,7 @@ int run_campaign_mode(const std::vector<std::string>& args) {
     if (resume)
       builder.resume(journal_path);
     else
-      builder.journal(journal_path, opts.seed);
+      builder.journal(journal_path, seed);
     builder.journal_group(journal_group);
   }
   const Campaign::Summary summary = builder.build().run();
@@ -272,57 +239,14 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   return 0;
 }
 
-int run_emit_study_mode(const std::vector<std::string>& args) {
-  if (args.empty()) throw ConfigError("--emit-study needs an output path");
-  const std::string out_path = args[0];
-  DemoOptions opts;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (parse_demo_option(args, i, opts)) continue;
-    throw ConfigError("unknown --emit-study option: " + args[i]);
-  }
-  const std::vector<std::uint8_t> bytes =
-      runtime::encode_study_params(demo_study(opts.seed, opts.experiments));
-  write_file(out_path,
-             std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size()));
-  std::fprintf(stderr, "wrote %zu bytes (%d experiments) to %s\n",
-               bytes.size(), opts.experiments, out_path.c_str());
-  return 0;
-}
-
-runtime::StudyParams load_study_file(const std::string& path) {
-  const std::string content = read_file(path);
-  const std::vector<std::uint8_t> bytes(content.begin(), content.end());
-  return runtime::decode_study_params(bytes);
-}
-
 int run_worker_mode(const std::vector<std::string>& args) {
+  if (args.size() != 1 || args[0] != "--serve")
+    throw ConfigError(
+        "--worker takes only --serve: the study arrives in the Hello frame");
   apps::register_builtin_apps();
-
-  if (!args.empty() && args[0] == "--serve") {
-    if (args.size() > 2)
-      throw ConfigError("--worker --serve takes at most one study file");
-    std::optional<runtime::StudyParams> fallback;
-    if (args.size() == 2) fallback = load_study_file(args[1]);
-    campaign::FdFrameChannel channel(STDIN_FILENO, STDOUT_FILENO);
-    // stdout carries frames only; everything diagnostic goes to stderr.
-    campaign::serve_worker(channel, fallback ? &*fallback : nullptr);
-    return 0;
-  }
-
-  if (args.size() < 3 || args.size() > 4)
-    throw ConfigError("--worker needs <study.bin> <lo> <hi> [step]");
-  const runtime::StudyParams study = load_study_file(args[0]);
-  const int lo = int_arg("--worker <lo>", args[1]);
-  const int hi = int_arg("--worker <hi>", args[2]);
-  const int step = args.size() == 4 ? int_arg("--worker <step>", args[3]) : 1;
-  if (lo < 0 || hi > study.experiments || lo > hi)
-    throw ConfigError("--worker range [" + args[1] + ", " + args[2] +
-                      ") outside study of " +
-                      std::to_string(study.experiments) + " experiments");
-  if (step < 1)
-    throw ConfigError("--worker stride must be >= 1, got " + args[3]);
-  campaign::run_worker_range(study, lo, hi, step, STDOUT_FILENO);
+  campaign::FdFrameChannel channel(STDIN_FILENO, STDOUT_FILENO);
+  // stdout carries frames only; everything diagnostic goes to stderr.
+  campaign::serve_worker(channel, nullptr);
   return 0;
 }
 
@@ -389,7 +313,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> rest;
     for (int i = 2; i < argc; ++i) rest.emplace_back(argv[i]);
     if (mode == "--campaign") return run_campaign_mode(rest);
-    if (mode == "--emit-study") return run_emit_study_mode(rest);
     if (mode == "--worker") return run_worker_mode(rest);
     return run_measure_mode(argc, argv);
   } catch (const std::exception& e) {
