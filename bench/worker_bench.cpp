@@ -49,9 +49,10 @@ void BM_WorkerLoop(benchmark::State& state) {
   campaign::ServeOptions options;
   options.batch_soft_bytes = static_cast<std::size_t>(state.range(0));
 
-  // Parent->worker script, encoded once: handshake, one lease covering the
-  // study, shutdown.
-  const auto hello = runtime::encode_hello_frame(nullptr);
+  // Parent->worker script, encoded once: handshake (at the default
+  // coordinator's heartbeat interval, 30 s hang_timeout / 4), one lease
+  // covering the study, shutdown.
+  const auto hello = runtime::encode_hello_frame(nullptr, 7'500);
   runtime::LeaseFrame lease;
   lease.id = 1;
   lease.lo = 0;

@@ -221,7 +221,7 @@ Campaign::Summary Campaign::run() {
       journal->campaign_begin(runner_->name(), journal_seed_,
                               static_cast<std::uint32_t>(studies_.size()));
     } else {
-      journal.emplace(CampaignJournal::append_to(journal_path_, jopts));
+      journal.emplace(CampaignJournal::append_to(journal_path_, state, jopts));
     }
   }
   CampaignJournal* const jptr = journal ? &*journal : nullptr;

@@ -1,8 +1,8 @@
 // Write-ahead campaign journal: the coordinator's crash-safety log.
 //
 // A journaled campaign records, before every sink emit, that experiment k of
-// study s completed with result key K (runtime/serialize.hpp journal
-// records). Combined with the ResultCache's durability ordering —
+// study s completed with result key K. Combined with the ResultCache's
+// durability ordering —
 //
 //   cache.store(key, result)   (fsync + atomic rename: durable)
 //   journal IndexDone{s, k, key}
@@ -24,9 +24,10 @@
 // prefix; the affected indices are re-served from the cache as ordinary
 // tail hits.
 //
-// The journal is append-only and versioned (runtime::kJournalVersion); a
-// torn tail record — the signature of a mid-write crash — is detected by
-// its checksum and treated as unwritten. load() parses and structurally
+// The file format lives in journal.cpp and nowhere else: a versioned
+// header, then checksummed records. A torn tail record — the signature of a
+// mid-write crash — fails its checksum and is treated as unwritten; a
+// resume cuts it off before appending. load() parses and structurally
 // validates the readable prefix; digest validation against the resumed
 // campaign's studies happens in Campaign::run, which knows the studies.
 #pragma once
@@ -52,8 +53,11 @@ struct JournalState {
   bool campaign_begun{false};
   bool campaign_done{false};
   /// True when the file ended in a torn/corrupt record (discarded) — the
-  /// expected shape of a SIGKILL mid-append, surfaced for diagnostics.
+  /// expected shape of a SIGKILL mid-append.
   bool truncated_tail{false};
+  /// Length of the readable prefix: the header plus every intact record.
+  /// append_to cuts a torn file back to it.
+  std::uint64_t intact_bytes{0};
 
   struct StudyProgress {
     std::string name;
@@ -85,9 +89,12 @@ class CampaignJournal {
   static CampaignJournal create(const std::filesystem::path& path,
                                 Options options = Options());
 
-  /// Open an existing journal for appending (the resume case). The caller
-  /// is expected to have load()ed and validated it first.
+  /// Open an existing journal for appending (the resume case). `state` is
+  /// what load() read from it (and the caller validated): a torn tail is
+  /// cut back to state.intact_bytes, durably, before anything is appended,
+  /// so the next load() sees the new records.
   static CampaignJournal append_to(const std::filesystem::path& path,
+                                   const JournalState& state,
                                    Options options = Options());
 
   /// Parse the readable prefix of the journal at `path`. Structural
@@ -121,7 +128,6 @@ class CampaignJournal {
 
  private:
   CampaignJournal(int fd, std::filesystem::path path, Options options);
-  void append(const std::vector<std::uint8_t>& bytes, bool durable);
 
   int fd_{-1};
   std::filesystem::path path_;

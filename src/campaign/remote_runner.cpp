@@ -30,7 +30,21 @@ namespace {
 
 using runtime::WorkerFrame;
 
+using Clock = std::chrono::steady_clock;
+
 constexpr int kNoFailure = std::numeric_limits<int>::max();
+
+/// Lease autotuning: a lease should take about kLeaseTarget, and the tuner
+/// grows spans no further than kMaxLeaseSize.
+constexpr std::chrono::milliseconds kLeaseTarget{250};
+constexpr int kMaxLeaseSize = 64;
+/// How long teardown waits for workers to exit after Shutdown before
+/// killing them.
+constexpr std::chrono::milliseconds kShutdownGrace{2'000};
+/// Reconnect backoff: the first wait, doubled per failed attempt up to the
+/// cap (each wait then jittered).
+constexpr std::chrono::milliseconds kReconnectBackoff{100};
+constexpr std::chrono::milliseconds kReconnectBackoffMax{5'000};
 
 /// What a reader thread observed on its link. Eof and Corrupt are terminal:
 /// the reader pushes one and exits. `epoch` is the link generation the
@@ -38,7 +52,7 @@ constexpr int kNoFailure = std::numeric_limits<int>::max();
 /// events from the replaced link's reader are recognized as stale instead
 /// of being charged against the fresh link.
 struct Event {
-  enum class Kind { Frame, Eof, Timeout, Corrupt };
+  enum class Kind { Frame, Eof, Corrupt };
   int worker{-1};
   Kind kind{Kind::Eof};
   int epoch{0};
@@ -64,7 +78,7 @@ class EventQueue {
     return e;
   }
 
-  std::optional<Event> pop_until(std::chrono::steady_clock::time_point deadline)
+  std::optional<Event> pop_until(Clock::time_point deadline)
       LOKI_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     while (events_.empty()) {
@@ -95,7 +109,7 @@ struct PendingReconnect {
   int worker{0};
   int attempts_left{0};
   std::chrono::milliseconds delay{0};
-  std::chrono::steady_clock::time_point next_try;
+  Clock::time_point next_try;
 };
 
 struct WorkerState {
@@ -113,15 +127,22 @@ struct WorkerState {
   bool rejoining{false};
   std::uint32_t lease_id{0};
   std::set<int> outstanding;    // leased indices without a Result yet
-  /// Autotuner inputs: when the current lease went out and how many
-  /// indices it spans.
-  std::chrono::steady_clock::time_point lease_sent;
-  int lease_span{0};
+  /// Engine-clock start of the current silence: the latest of the last
+  /// handled frame, the last lease send and the (re)connect. A worker that
+  /// owes a frame is hung once hang_timeout has passed since then.
+  Clock::time_point quiet_since;
   /// Worker-reported EWMA per-experiment latency from the latest Heartbeat
-  /// (µs; 0 until the first heartbeat carries stats). The autotuner prefers
-  /// this over whole-lease projection: it reflects only experiment time,
-  /// not queueing or transit, and is fresh even mid-lease.
+  /// (µs; 0 until the first heartbeat carries stats) — the autotuner's one
+  /// input: pure experiment time, no queueing or transit.
   double ewma_latency_us{0.0};
+
+  /// Handshaking or leased: silence past hang_timeout means hung. Only an
+  /// idle worker may sit silent. Keying on idleness (not on outstanding
+  /// results) also catches a worker that wedges after its lease's last
+  /// result but before LeaseDone — nothing is left to requeue, yet it must
+  /// be killed, or it would stay busy forever and silently shrink the
+  /// fleet (or hang a single-worker campaign outright).
+  bool owes_frame() const { return alive && (!handshaken || !idle); }
 };
 
 /// One run_study execution: a single-threaded event loop over per-worker
@@ -138,17 +159,13 @@ class Engine {
         emit_(emit),
         telemetry_(telemetry),
         n_(study.experiments),
-        lease_now_(options.autotune_lease
-                       ? std::min(options.lease_size, options.max_lease_size)
-                       : options.lease_size) {}
+        lease_now_(options.lease_size) {}
 
   void run() {
     if (n_ <= 0) return;
     // One contiguous range; assign() slices leases of the current span off
     // its head, so the autotuner can retarget the span between leases.
     queue_.push_back({0, n_});
-    // lease_now_ (not options_.lease_size) so an oversized configured span
-    // clamped by the autotuner still spawns every useful worker.
     const int spawn = std::min(transport_.worker_count(),
                                (n_ + lease_now_ - 1) / lease_now_);
     // Fresh per-worker telemetry slots for this study; the cumulative
@@ -195,13 +212,16 @@ class Engine {
             std::to_string(unfinished()) + " experiments unfinished (" +
             std::to_string(telemetry_.requeues) + " requeues)");
       if (done()) break;
-      // With a reconnect scheduled, wake at its deadline even if no worker
-      // ever produces another event (the zero-survivors stall).
-      std::optional<Event> event =
-          reconnects_pending_.empty()
-              ? std::optional<Event>(events_.pop())
-              : events_.pop_until(earliest_reconnect());
-      if (event.has_value()) handle(*event);
+      // Wake at the next hang or reconnect deadline even if no worker ever
+      // produces another event (a wedged fleet, the zero-survivors stall).
+      const std::optional<Clock::time_point> wake = next_deadline();
+      std::optional<Event> event = wake.has_value()
+                                       ? events_.pop_until(*wake)
+                                       : std::optional<Event>(events_.pop());
+      if (event.has_value())
+        handle(*event);
+      else
+        lose_hung_workers();
     }
 
     guard.armed = false;
@@ -225,15 +245,14 @@ class Engine {
       return;
     }
     wt.describe = ws.link->describe();
-    wt.last_seen = std::chrono::steady_clock::now();
+    wt.last_seen = Clock::now();
     // A study that cannot be encoded for a transport that needs it on the
     // wire is a configuration error, not a lost worker — let it propagate.
-    const std::vector<std::uint8_t>& hello = ws.link->needs_study_bytes()
-                                                 ? hello_with_study()
-                                                 : hello_inherited();
+    const std::vector<std::uint8_t>& hello = hello_for(*ws.link);
     try {
       ws.link->send(hello);
       ws.alive = true;
+      ws.quiet_since = Clock::now();
     } catch (const std::exception&) {
       ++telemetry_.workers_lost;
       wt.lost = true;
@@ -241,33 +260,26 @@ class Engine {
     }
   }
 
-  /// Heartbeat cadence shipped to workers in the Hello frame: the
-  /// configured interval, or hang_timeout / 4 when unset — several
-  /// heartbeat opportunities per timeout window.
-  std::uint32_t heartbeat_interval_ms() const {
-    const std::chrono::milliseconds interval =
-        options_.heartbeat_interval.count() > 0 ? options_.heartbeat_interval
-                                                : options_.hang_timeout / 4;
-    return static_cast<std::uint32_t>(std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(interval.count())));
-  }
-
-  const std::vector<std::uint8_t>& hello_with_study() {
-    if (hello_with_study_.empty())
-      hello_with_study_ =
-          runtime::encode_hello_frame(&study_, heartbeat_interval_ms());
-    return hello_with_study_;
-  }
-
-  const std::vector<std::uint8_t>& hello_inherited() {
-    if (hello_inherited_.empty())
-      hello_inherited_ =
-          runtime::encode_hello_frame(nullptr, heartbeat_interval_ms());
-    return hello_inherited_;
+  /// The Hello for `link`, encoded once per study: with the study for a
+  /// worker that needs its bytes, without for a fork()ed one. It asks for a
+  /// heartbeat every hang_timeout / 4, several chances per timeout window.
+  const std::vector<std::uint8_t>& hello_for(const WorkerLink& link) {
+    const bool with_study = link.needs_study_bytes();
+    std::vector<std::uint8_t>& hello =
+        with_study ? hello_with_study_ : hello_inherited_;
+    if (hello.empty())
+      hello = runtime::encode_hello_frame(
+          with_study ? &study_ : nullptr,
+          static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+              (options_.hang_timeout / 4).count(), 1,
+              std::numeric_limits<std::uint32_t>::max())));
+    return hello;
   }
 
   // --- reader threads --------------------------------------------------------
 
+  /// Silence is the engine's call (lose_hung_workers), so a recv timeout
+  /// is no event: the reader just waits again.
   void reader_loop(int w, WorkerLink* link, int epoch) {
     for (;;) {
       RecvOutcome out;
@@ -285,7 +297,6 @@ class Engine {
           events_.push({w, Event::Kind::Frame, epoch, std::move(out.frame), {}});
           break;
         case RecvOutcome::Status::Timeout:
-          events_.push({w, Event::Kind::Timeout, epoch, {}, {}});
           break;
         case RecvOutcome::Status::Eof:
           events_.push({w, Event::Kind::Eof, epoch, {}, {}});
@@ -322,9 +333,6 @@ class Engine {
         ++readers_finished_;
         lose_worker(event.worker, "corrupt stream: " + event.detail);
         break;
-      case Event::Kind::Timeout:
-        on_timeout(event.worker);
-        break;
     }
   }
 
@@ -333,8 +341,8 @@ class Engine {
     if (!ws.alive) return;  // a straggler frame from a worker we gave up on
     // Any frame is a liveness signal; the --status view renders this as a
     // last-seen age.
-    telemetry_.workers[static_cast<std::size_t>(w)].last_seen =
-        std::chrono::steady_clock::now();
+    ws.quiet_since = Clock::now();
+    telemetry_.workers[static_cast<std::size_t>(w)].last_seen = ws.quiet_since;
     try {
       switch (runtime::worker_frame_type(frame)) {
         case WorkerFrame::HelloAck: {
@@ -415,8 +423,7 @@ class Engine {
   void on_heartbeat(int w, const runtime::HeartbeatFrame& heartbeat) {
     WorkerTelemetry& wt = telemetry_.workers[static_cast<std::size_t>(w)];
     wt.latest = heartbeat.stats;
-    wt.recent.push_back(
-        {std::chrono::steady_clock::now(), heartbeat.stats});
+    wt.recent.push_back({Clock::now(), heartbeat.stats});
     if (wt.recent.size() > WorkerTelemetry::kSnapshotRing)
       wt.recent.erase(wt.recent.begin());
     workers_[static_cast<std::size_t>(w)].ewma_latency_us =
@@ -449,50 +456,40 @@ class Engine {
     ++telemetry_.workers[static_cast<std::size_t>(w)].requeues;
   }
 
-  /// Multiplicative lease-span adaptation from observed per-experiment
-  /// latency: project how long the *current* span would take at this
-  /// worker's measured rate, then double while the projection undershoots
-  /// half the target and halve when it overshoots it twofold. Bounded to
-  /// [1, max_lease_size]; leases already in flight are unaffected, and
-  /// results are byte-identical for every span (the safety argument for
-  /// tuning at all).
-  ///
-  /// The rate comes from the worker's self-reported EWMA latency (v3
-  /// heartbeats) when available: it measures pure experiment time and
-  /// smooths over outliers, where the old whole-lease projection folded
-  /// frame transit and coordinator queueing into the estimate and could
-  /// see one slow lease as a persistently slow worker. Workers that have
-  /// not yet reported stats fall back to the whole-lease projection.
+  /// Multiplicative lease-span adaptation from the worker's heartbeat EWMA
+  /// latency: project how long the *current* span would take at that rate,
+  /// then double while the projection undershoots half of kLeaseTarget
+  /// (never past kMaxLeaseSize) and halve when it overshoots it twofold
+  /// (never below 1). Leases already in flight are unaffected, and results
+  /// are byte-identical for every span (the safety argument for tuning at
+  /// all). A worker whose lease completed no experiment has no EWMA yet and
+  /// leaves the span alone.
   void autotune(const WorkerState& ws) {
-    if (!options_.autotune_lease || ws.lease_span <= 0) return;
-    std::chrono::nanoseconds projected{};
-    if (ws.ewma_latency_us > 0.0) {
-      projected = std::chrono::nanoseconds(static_cast<std::int64_t>(
-          ws.ewma_latency_us * 1000.0 * static_cast<double>(lease_now_)));
-    } else {
-      const auto elapsed = std::chrono::steady_clock::now() - ws.lease_sent;
-      projected = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          elapsed * lease_now_ / ws.lease_span);
-    }
-    if (projected * 2 < options_.lease_target)
-      lease_now_ = std::min(lease_now_ * 2, options_.max_lease_size);
-    else if (projected > options_.lease_target * 2)
+    if (ws.ewma_latency_us <= 0.0) return;
+    const std::chrono::duration<double, std::micro> projected(
+        ws.ewma_latency_us * lease_now_);
+    if (projected * 2 < kLeaseTarget) {
+      if (lease_now_ < kMaxLeaseSize)
+        lease_now_ = std::min(lease_now_ * 2, kMaxLeaseSize);
+    } else if (projected > kLeaseTarget * 2) {
       lease_now_ = std::max(lease_now_ / 2, 1);
+    }
   }
 
-  void on_timeout(int w) {
-    WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-    if (!ws.alive) return;
-    // Only an idle worker may legitimately sit silent. Keying on idleness
-    // (not on outstanding results) also catches a worker that wedges in
-    // the gap after its lease's last Result but before LeaseDone — it has
-    // nothing left to requeue, yet it must still be killed, or it would
-    // stay "busy" forever and silently shrink the fleet (or hang a
-    // single-worker campaign outright).
-    if (!ws.handshaken || !ws.idle)
-      lose_worker(w, "no frame within " +
-                         std::to_string(options_.hang_timeout.count()) +
-                         "ms — presumed hung");
+  /// Kill every worker that owes a frame and has been silent for
+  /// hang_timeout on the engine's clock. Runs only when the event queue has
+  /// drained, so a frame that arrived but is not yet handled can never make
+  /// a live worker look silent.
+  void lose_hung_workers() {
+    const Clock::time_point now = Clock::now();
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      const WorkerState& ws = workers_[w];
+      if (ws.owes_frame() && now - ws.quiet_since >= options_.hang_timeout)
+        lose_worker(static_cast<int>(w),
+                    "no frame within " +
+                        std::to_string(options_.hang_timeout.count()) +
+                        "ms — presumed hung");
+    }
   }
 
   void lose_worker(int w, const std::string& reason) {
@@ -535,20 +532,28 @@ class Engine {
     PendingReconnect pending;
     pending.worker = w;
     pending.attempts_left = options_.reconnect_attempts;
-    pending.delay = options_.reconnect_backoff;
-    pending.next_try = std::chrono::steady_clock::now() + jittered(pending.delay);
+    pending.delay = kReconnectBackoff;
+    pending.next_try = Clock::now() + jittered(pending.delay);
     reconnects_pending_.push_back(pending);
   }
 
-  std::chrono::steady_clock::time_point earliest_reconnect() const {
-    auto earliest = reconnects_pending_.front().next_try;
+  /// The earliest moment the engine must act without an event: a pending
+  /// reconnect attempt or a silent worker's hang deadline. nullopt when
+  /// only an event can make progress.
+  std::optional<Clock::time_point> next_deadline() const {
+    std::optional<Clock::time_point> next;
+    const auto consider = [&next](Clock::time_point t) {
+      if (!next.has_value() || t < *next) next = t;
+    };
     for (const PendingReconnect& pending : reconnects_pending_)
-      earliest = std::min(earliest, pending.next_try);
-    return earliest;
+      consider(pending.next_try);
+    for (const WorkerState& ws : workers_)
+      if (ws.owes_frame()) consider(ws.quiet_since + options_.hang_timeout);
+    return next;
   }
 
   void attempt_due_reconnects() {
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     for (auto it = reconnects_pending_.begin();
          it != reconnects_pending_.end();) {
       if (it->next_try > now) {
@@ -568,7 +573,7 @@ class Engine {
         it = reconnects_pending_.erase(it);
         continue;
       }
-      it->delay = std::min(it->delay * 2, options_.reconnect_backoff_max);
+      it->delay = std::min(it->delay * 2, kReconnectBackoffMax);
       it->next_try = now + jittered(it->delay);
       ++it;
     }
@@ -590,8 +595,7 @@ class Engine {
     }
     ws.link = std::move(link);
     try {
-      ws.link->send(ws.link->needs_study_bytes() ? hello_with_study()
-                                                 : hello_inherited());
+      ws.link->send(hello_for(*ws.link));
     } catch (const std::exception&) {
       ws.link->kill();
       return false;
@@ -602,11 +606,12 @@ class Engine {
     ws.rejoining = true;
     ws.outstanding.clear();
     ws.lease_id = 0;
+    ws.quiet_since = Clock::now();
     ws.ewma_latency_us = 0.0;
     ++ws.epoch;
     WorkerTelemetry& wt = telemetry_.workers[static_cast<std::size_t>(w)];
     wt.describe = ws.link->describe();
-    wt.last_seen = std::chrono::steady_clock::now();
+    wt.last_seen = ws.quiet_since;
     std::fprintf(stderr, "remote runner: study '%s': reconnected %s\n",
                  study_.name.c_str(), ws.link->describe().c_str());
     ++readers_started_;
@@ -667,8 +672,7 @@ class Engine {
     // Every result is in; now wait for each live worker's trailing
     // Heartbeat + LeaseDone so the telemetry ledger is exact at study end
     // (per-worker experiments_completed sums to the study total). A worker
-    // wedged before its LeaseDone is still bounded by the hang timeout —
-    // the loop keeps handling Timeout events until the fleet is idle.
+    // wedged before its LeaseDone is still bounded by its hang deadline.
     for (const WorkerState& ws : workers_)
       if (ws.alive && !ws.idle) return false;
     return true;
@@ -719,10 +723,9 @@ class Engine {
             {ws.lease_id, static_cast<std::uint32_t>(chunk.lo),
              static_cast<std::uint32_t>(chunk.hi)}));
         ws.idle = false;
-        ws.lease_sent = std::chrono::steady_clock::now();
-        ws.lease_span = chunk.hi - chunk.lo;
+        ws.quiet_since = Clock::now();
         WorkerTelemetry& wt = telemetry_.workers[w];
-        wt.lease_size = ws.lease_span;
+        wt.lease_size = chunk.hi - chunk.lo;
         wt.busy = true;
       } catch (const std::exception& e) {
         lose_worker(static_cast<int>(w),
@@ -748,8 +751,7 @@ class Engine {
       // Grace period for clean exits, then hard-stop the stragglers. Every
       // reader terminates with one Eof/Corrupt event; kill() guarantees a
       // blocked recv resolves to Eof promptly.
-      const auto deadline =
-          std::chrono::steady_clock::now() + options_.shutdown_grace;
+      const auto deadline = Clock::now() + kShutdownGrace;
       while (readers_finished_ < readers_started_) {
         std::optional<Event> event = events_.pop_until(deadline);
         if (!event.has_value()) break;
@@ -779,8 +781,8 @@ class Engine {
   const EmitFn& emit_;
   RunnerTelemetry& telemetry_;
   const int n_;
-  /// Current lease span — fixed at options.lease_size, or adapted by
-  /// autotune() between leases.
+  /// Current lease span: options.lease_size, then adapted by autotune()
+  /// between leases.
   int lease_now_;
 
   EventQueue events_;
@@ -819,23 +821,9 @@ RemoteRunner::RemoteRunner(std::shared_ptr<Transport> transport,
                       std::to_string(options_.lease_size));
   if (options_.hang_timeout.count() <= 0)
     throw ConfigError("RemoteRunner: hang_timeout must be positive");
-  if (options_.autotune_lease) {
-    if (options_.max_lease_size < 1)
-      throw ConfigError("RemoteRunner: max_lease_size must be >= 1, got " +
-                        std::to_string(options_.max_lease_size));
-    if (options_.lease_target.count() <= 0)
-      throw ConfigError("RemoteRunner: lease_target must be positive");
-  }
   if (options_.reconnect_attempts < 0)
     throw ConfigError("RemoteRunner: reconnect_attempts must be >= 0, got " +
                       std::to_string(options_.reconnect_attempts));
-  if (options_.reconnect_attempts > 0) {
-    if (options_.reconnect_backoff.count() <= 0)
-      throw ConfigError("RemoteRunner: reconnect_backoff must be positive");
-    if (options_.reconnect_backoff_max < options_.reconnect_backoff)
-      throw ConfigError(
-          "RemoteRunner: reconnect_backoff_max must be >= reconnect_backoff");
-  }
 }
 
 std::string RemoteRunner::name() const {
@@ -882,16 +870,10 @@ void serve_worker(FrameChannel& channel,
 
   // Liveness cadence: every write resets the silence clock; between
   // experiments and between batch flushes, a Heartbeat goes out whenever
-  // `interval` has elapsed without one. The old behaviour — one heartbeat
-  // at lease start only — let a worker grinding through a slow, autotuned
-  // lease sit silent past the parent's hang_timeout and get killed while
-  // healthy. The Hello-supplied interval (hang_timeout / 4 by default)
-  // wins over the local ServeOptions fallback.
-  using Clock = std::chrono::steady_clock;
-  const std::chrono::milliseconds interval =
-      hello.heartbeat_interval_ms > 0
-          ? std::chrono::milliseconds(hello.heartbeat_interval_ms)
-          : options.heartbeat_interval;
+  // the Hello's interval (the parent's hang_timeout / 4) has elapsed
+  // without one, so a worker grinding through a slow lease is never silent
+  // past the parent's hang_timeout.
+  const std::chrono::milliseconds interval(hello.heartbeat_interval_ms);
   Clock::time_point last_write = Clock::now();
   const auto write = [&](const std::vector<std::uint8_t>& bytes) {
     channel.write(bytes);

@@ -18,6 +18,9 @@
 //     resynchronized after a framing error);
 //   * a LeaseDone with unaccounted indices  -> the missing indices are
 //     requeued, the worker stays in rotation.
+// Silence is judged on the coordinator's own clock: a worker is hung once
+// hang_timeout has passed since the latest of its last frame, its lease
+// send, and its (re)connect — never on a reader's stale recv timeout.
 // Requeue/lost counts surface through Runner::telemetry() and
 // Campaign::Summary. With Options::reconnect_attempts > 0, a lost worker's
 // slot is reopened through the transport (exponential backoff with jitter);
@@ -46,51 +49,33 @@
 namespace loki::campaign {
 
 struct RemoteOptions {
-  /// Indices per lease — the *initial* span when autotuning is on, the
-  /// fixed span otherwise. Small leases spread load and shrink the requeue
-  /// blast radius; large leases amortize frame round-trips.
+  /// Indices in each worker's first lease. After every cleanly completed
+  /// lease the span follows the worker's heartbeat EWMA latency: it
+  /// doubles, up to 64, while a lease would finish in under half of 250 ms,
+  /// and halves, down to 1, when one would overrun 500 ms. A larger first
+  /// span is used as given (the tuner only grows spans up to 64). Small
+  /// leases shrink the requeue blast radius; large ones amortize frame
+  /// round-trips. Lease geometry never reaches the results.
   int lease_size{2};
-  /// Adapt the lease span to observed per-experiment latency: after each
-  /// completed lease the span doubles while a lease finishes in under half
-  /// of lease_target, and halves when one overruns it twofold — a bounded
-  /// multiplicative rule ([1, max_lease_size]) that converges within a few
-  /// leases. Fast experiments stop paying a frame round-trip every other
-  /// experiment; slow ones keep the requeue blast radius small. Byte-
-  /// identity is unaffected (lease geometry never reaches the results).
-  bool autotune_lease{true};
-  std::chrono::milliseconds lease_target{250};
-  int max_lease_size{64};
-  /// A worker silent for longer than this while holding a lease (or during
-  /// the handshake) is declared hung, killed, and its lease requeued. Must
-  /// comfortably exceed the slowest single experiment.
+  /// A worker silent for this long while holding a lease (or during the
+  /// handshake) is declared hung, killed, and its lease requeued. Workers
+  /// heartbeat every hang_timeout / 4, so a slow-but-alive worker always has
+  /// several chances per window. Must comfortably exceed the slowest single
+  /// experiment.
   std::chrono::milliseconds hang_timeout{30'000};
-  /// How often a busy worker must emit a Heartbeat frame (between
-  /// experiments and between batch flushes), shipped to workers in the
-  /// Hello frame. 0 (the default) resolves to hang_timeout / 4, so a
-  /// healthy worker always has several heartbeat opportunities per timeout
-  /// window — a slow-but-alive worker grinding through a long autotuned
-  /// lease is never mistaken for a hung one.
-  std::chrono::milliseconds heartbeat_interval{0};
-  /// How long to wait for workers to exit after Shutdown before killing
-  /// them at teardown.
-  std::chrono::milliseconds shutdown_grace{2'000};
   /// Reconnect policy: after a worker link is lost (EOF, hang-kill, corrupt
   /// stream), try Transport::reopen up to this many times before writing
   /// the slot off. 0 (the default) disables reconnection — a lost worker
-  /// stays lost, the pre-reconnect behaviour. The budget is per loss: a
-  /// worker that rejoins and dies again gets a fresh set of attempts.
-  /// Requeued indices are NOT held back for the reconnect — survivors keep
-  /// draining the queue, and the rejoined worker simply pulls the next
-  /// lease; with no survivors the campaign stalls (rather than aborting)
-  /// until an attempt succeeds or the budget runs out.
+  /// stays lost. The budget is per loss: a worker that rejoins and dies
+  /// again gets a fresh set of attempts. Attempts wait 100 ms, doubling per
+  /// failure up to 5 s, each jittered to 75%..125% with a fixed-seed
+  /// util::Rng so a fleet lost to one blip does not retry in lockstep
+  /// (reconnect timing never reaches the results). Requeued indices are NOT
+  /// held back for the reconnect — survivors keep draining the queue, and
+  /// the rejoined worker simply pulls the next lease; with no survivors the
+  /// campaign stalls (rather than aborting) until an attempt succeeds or
+  /// the budget runs out.
   int reconnect_attempts{0};
-  /// Delay before the first reopen attempt; doubles after each failure up
-  /// to reconnect_backoff_max. Each wait is jittered to 75%..125% so a
-  /// fleet lost to one network blip does not retry in lockstep (a fixed-seed
-  /// util::Rng: deterministic, and byte-identity of campaign output is
-  /// unaffected either way — reconnect timing never reaches the results).
-  std::chrono::milliseconds reconnect_backoff{100};
-  std::chrono::milliseconds reconnect_backoff_max{5'000};
 };
 
 class RemoteRunner final : public Runner {
@@ -117,11 +102,6 @@ struct ServeOptions {
   /// fault-injection harness uses this to keep per-result scripts exact);
   /// a lease always flushes whatever remains before LeaseDone.
   std::size_t batch_soft_bytes{64 * 1024};
-  /// Fallback heartbeat cadence when the parent's Hello carries no interval
-  /// (heartbeat_interval_ms == 0, e.g. a parent keeping the field at its
-  /// default or a hand-built handshake). A Hello-supplied interval always
-  /// wins.
-  std::chrono::milliseconds heartbeat_interval{7'500};
 };
 
 /// Worker-side protocol loop, shared by every backend: handshake on Hello
@@ -133,10 +113,10 @@ struct ServeOptions {
 /// across leases (bounded by ServeOptions::batch_soft_bytes, flushed at
 /// lease end).
 /// While a lease runs, the loop emits a Heartbeat frame — carrying this
-/// worker's cumulative WorkerStatsSnapshot — whenever the resolved
-/// heartbeat interval elapses without any other write, plus one at lease
-/// start and one right before LeaseDone, so a slow-but-healthy worker is
-/// never silent for longer than the interval.
+/// worker's cumulative WorkerStatsSnapshot — whenever the Hello's heartbeat
+/// interval elapses without any other write, plus one at lease start and
+/// one right before LeaseDone, so a slow-but-healthy worker is never silent
+/// for longer than the interval.
 /// Experiment failures travel back as error batch entries (ending the lease
 /// early); a protocol violation throws — the caller turns that into a
 /// nonzero exit.

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -249,24 +250,14 @@ SubprocessTransport::SubprocessTransport(int workers)
                       std::to_string(workers));
 }
 
-SubprocessTransport::SubprocessTransport(int workers,
-                                         std::vector<std::string> argv)
-    : SubprocessTransport(workers) {
-  if (argv.empty())
-    throw ConfigError("SubprocessTransport: exec mode needs a non-empty argv");
-  argv_ = std::move(argv);
-}
-
 std::string SubprocessTransport::name() const {
-  return (argv_.empty() ? "subprocess:" : "subprocess-exec:") +
-         std::to_string(workers_);
+  return "subprocess:" + std::to_string(workers_);
 }
 
 std::unique_ptr<WorkerLink> SubprocessTransport::connect(
     int index, const runtime::StudyParams& study) {
-  const std::string describe = "subprocess worker " + std::to_string(index);
-  if (argv_.empty()) return spawn_fork(study, describe, registry_);
-  return spawn_exec(argv_, describe, registry_);
+  return spawn_fork(study, "subprocess worker " + std::to_string(index),
+                    registry_);
 }
 
 // --- SshTransport ------------------------------------------------------------
@@ -330,7 +321,8 @@ std::atomic<std::uint64_t> self_detaches{0};
 std::uint64_t fake_worker_self_detaches() { return self_detaches.load(); }
 
 /// Shared state of one in-process fake worker: two frame queues and the
-/// scripted fault plan, guarded by one mutex.
+/// scripted fault plan (adopted when the link claims a victim), guarded by
+/// one mutex.
 struct FakeWorker {
   util::Mutex mu;
   util::CondVar cv;
@@ -343,7 +335,7 @@ struct FakeWorker {
   int results_seen LOKI_GUARDED_BY(mu){0};  // result entries delivered so far
   int result_frames_seen LOKI_GUARDED_BY(mu){0};  // result-bearing frames
   int heartbeats_seen LOKI_GUARDED_BY(mu){0};  // heartbeat frames delivered
-  FakeFaults faults;  // written before the thread starts, read-only after
+  FakeFaults faults LOKI_GUARDED_BY(mu);
   /// Deliberately NOT guarded_by(mu): the thread handle follows a lifecycle
   /// protocol, not a lock — written once at spawn (before any concurrent
   /// access exists) and joined/detached only via stop_and_join.
@@ -411,8 +403,11 @@ class WorkerQueueChannel final : public FrameChannel {
 
 class FakeLink final : public WorkerLink {
  public:
-  FakeLink(std::shared_ptr<FakeWorker> w, int index)
-      : w_(std::move(w)), index_(index) {}
+  /// `claim` (empty for a reopened link) runs when the first Lease goes
+  /// out and returns the victim's fault script this link adopts.
+  FakeLink(std::shared_ptr<FakeWorker> w, int index,
+           std::function<detail::FakeFaults()> claim)
+      : w_(std::move(w)), index_(index), claim_(std::move(claim)) {}
 
   ~FakeLink() override {
     // Closing the link closes the worker's stdin: it exits at next read.
@@ -429,6 +424,12 @@ class FakeLink final : public WorkerLink {
       if (w_->stream_eof)
         throw std::runtime_error("fake transport: worker " +
                                  std::to_string(index_) + " is gone (EPIPE)");
+      // The fault script is in place before the worker sees its lease.
+      if (claim_ && !frame.empty() &&
+          frame[0] == static_cast<std::uint8_t>(runtime::WorkerFrame::Lease)) {
+        w_->faults = claim_();
+        claim_ = nullptr;
+      }
       w_->to_worker.push_back(frame);
     }
     w_->cv.notify_all();
@@ -465,9 +466,9 @@ class FakeLink final : public WorkerLink {
           const int seen = ++w_->heartbeats_seen;
           if (f.drop_heartbeats_after >= 0 && seen > f.drop_heartbeats_after)
             continue;  // vanished in transit
-          if (f.heartbeat_delay.count() > 0) {
+          if (const auto delay = f.heartbeat_delay; delay.count() > 0) {
             lock.unlock();
-            std::this_thread::sleep_for(f.heartbeat_delay);
+            std::this_thread::sleep_for(delay);
             lock.lock();
           }
           return {RecvOutcome::Status::Frame, std::move(frame)};
@@ -493,9 +494,10 @@ class FakeLink final : public WorkerLink {
         if (nth == f.corrupt_nth && frame.size() > 1) frame[1] = 0xff;
         if (nth == f.truncate_nth && frame.size() > 3)
           frame.resize(frame.size() - 3);
-        if (nth == f.delay_nth && f.delay.count() > 0) {
+        if (const auto delay = f.delay;
+            nth == f.delay_nth && delay.count() > 0) {
           lock.unlock();
-          std::this_thread::sleep_for(f.delay);
+          std::this_thread::sleep_for(delay);
           lock.lock();
         }
         return {RecvOutcome::Status::Frame, std::move(frame)};
@@ -523,13 +525,14 @@ class FakeLink final : public WorkerLink {
  private:
   std::shared_ptr<FakeWorker> w_;
   int index_;
+  std::function<detail::FakeFaults()> claim_;  // engine thread only
 };
 
 }  // namespace
 
 FakeTransport::FakeTransport(int workers)
     : workers_(workers),
-      faults_(static_cast<std::size_t>(workers)),
+      scripts_(static_cast<std::size_t>(workers)),
       refuse_(static_cast<std::size_t>(workers), 0),
       live_(static_cast<std::size_t>(workers)) {
   if (workers < 1)
@@ -550,13 +553,17 @@ std::string FakeTransport::name() const {
 
 std::unique_ptr<WorkerLink> FakeTransport::connect(
     int index, const runtime::StudyParams&) {
+  return spawn(index, /*claims_victim=*/true);
+}
+
+std::unique_ptr<WorkerLink> FakeTransport::spawn(int index,
+                                                 bool claims_victim) {
   if (index < 0 || index >= workers_)
     throw ConfigError("FakeTransport: worker index " + std::to_string(index) +
                       " out of range");
   if (auto& old = live_[static_cast<std::size_t>(index)]; old)
     old->stop_and_join();  // a reconnect replaces the previous worker
   auto worker = std::make_shared<FakeWorker>();
-  worker->faults = faults_[static_cast<std::size_t>(index)];
   const ServeOptions serve_options{batch_soft_bytes_};
   worker->thread = std::thread([worker, serve_options] {
     WorkerQueueChannel channel(worker);
@@ -572,64 +579,77 @@ std::unique_ptr<WorkerLink> FakeTransport::connect(
     worker->cv.notify_all();
   });
   live_[static_cast<std::size_t>(index)] = worker;
-  return std::make_unique<FakeLink>(worker, index);
+  std::function<detail::FakeFaults()> claim;
+  if (claims_victim)
+    claim = [this, index] {
+      const std::size_t victim = victim_slots_.size();
+      victim_slots_.push_back(index);
+      return victim < scripts_.size() ? scripts_[victim] : detail::FakeFaults{};
+    };
+  return std::make_unique<FakeLink>(worker, index, std::move(claim));
 }
 
-std::unique_ptr<WorkerLink> FakeTransport::reopen(
-    int index, const runtime::StudyParams& study) {
-  fault_slot(index);  // range check with the standard message
-  if (int& left = refuse_[static_cast<std::size_t>(index)]; left > 0) {
-    --left;
-    throw std::runtime_error("FakeTransport: worker " + std::to_string(index) +
-                             " refused reconnect (scripted)");
+std::unique_ptr<WorkerLink> FakeTransport::reopen(int index,
+                                                  const runtime::StudyParams&) {
+  for (std::size_t victim = 0; victim < victim_slots_.size(); ++victim) {
+    if (victim < refuse_.size() && victim_slots_[victim] == index &&
+        refuse_[victim] > 0) {
+      --refuse_[victim];
+      throw std::runtime_error("FakeTransport: worker " +
+                               std::to_string(index) +
+                               " refused reconnect (scripted)");
+    }
   }
-  // The scripted fault belonged to the process that died; its replacement
-  // spawns fault-free, so a flap test converges instead of re-tripping.
-  faults_[static_cast<std::size_t>(index)] = detail::FakeFaults{};
-  return connect(index, study);
+  return spawn(index, /*claims_victim=*/false);
 }
 
-void FakeTransport::refuse_reconnects(int worker, int n) {
-  fault_slot(worker);  // range check
-  refuse_[static_cast<std::size_t>(worker)] = n;
+void FakeTransport::refuse_reconnects(int victim, int n) {
+  script(victim);  // range check
+  refuse_[static_cast<std::size_t>(victim)] = n;
 }
 
-detail::FakeFaults& FakeTransport::fault_slot(int worker) {
-  if (worker < 0 || worker >= workers_)
-    throw ConfigError("FakeTransport: worker index " + std::to_string(worker) +
+int FakeTransport::victim_slot(int victim) const {
+  return victim >= 0 && static_cast<std::size_t>(victim) < victim_slots_.size()
+             ? victim_slots_[static_cast<std::size_t>(victim)]
+             : -1;
+}
+
+detail::FakeFaults& FakeTransport::script(int victim) {
+  if (victim < 0 || victim >= workers_)
+    throw ConfigError("FakeTransport: victim " + std::to_string(victim) +
                       " out of range");
-  return faults_[static_cast<std::size_t>(worker)];
+  return scripts_[static_cast<std::size_t>(victim)];
 }
 
-void FakeTransport::kill_after_results(int worker, int n) {
-  fault_slot(worker).kill_after = n;
+void FakeTransport::kill_after_results(int victim, int n) {
+  script(victim).kill_after = n;
 }
-void FakeTransport::eof_after_results(int worker, int n) {
-  fault_slot(worker).eof_after = n;
+void FakeTransport::eof_after_results(int victim, int n) {
+  script(victim).eof_after = n;
 }
-void FakeTransport::hang_after_results(int worker, int n) {
-  fault_slot(worker).hang_after = n;
+void FakeTransport::hang_after_results(int victim, int n) {
+  script(victim).hang_after = n;
 }
-void FakeTransport::corrupt_batch(int worker, int nth) {
-  fault_slot(worker).corrupt_nth = nth;
+void FakeTransport::corrupt_batch(int victim, int nth) {
+  script(victim).corrupt_nth = nth;
 }
-void FakeTransport::truncate_batch(int worker, int nth) {
-  fault_slot(worker).truncate_nth = nth;
+void FakeTransport::truncate_batch(int victim, int nth) {
+  script(victim).truncate_nth = nth;
 }
-void FakeTransport::drop_batch(int worker, int nth) {
-  fault_slot(worker).drop_nth = nth;
+void FakeTransport::drop_batch(int victim, int nth) {
+  script(victim).drop_nth = nth;
 }
-void FakeTransport::delay_batch(int worker, int nth,
+void FakeTransport::delay_batch(int victim, int nth,
                                 std::chrono::milliseconds by) {
-  detail::FakeFaults& f = fault_slot(worker);
+  detail::FakeFaults& f = script(victim);
   f.delay_nth = nth;
   f.delay = by;
 }
-void FakeTransport::drop_heartbeats_after(int worker, int n) {
-  fault_slot(worker).drop_heartbeats_after = n;
+void FakeTransport::drop_heartbeats_after(int victim, int n) {
+  script(victim).drop_heartbeats_after = n;
 }
-void FakeTransport::delay_heartbeats(int worker, std::chrono::milliseconds by) {
-  fault_slot(worker).heartbeat_delay = by;
+void FakeTransport::delay_heartbeats(int victim, std::chrono::milliseconds by) {
+  script(victim).heartbeat_delay = by;
 }
 
 }  // namespace loki::campaign

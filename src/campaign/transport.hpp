@@ -9,12 +9,12 @@
 // test suite.
 //
 // Backends:
-//   SubprocessTransport   fork() (inherits the study closure — no wire
-//                         identity needed) or fork()+exec() of a worker
-//                         command such as `lokimeasure --worker --serve`,
-//                         framed over pipes (util/pipe_io.hpp).
+//   SubprocessTransport   fork()s workers that inherit the study closure
+//                         (no wire identity needed), framed over pipes
+//                         (util/pipe_io.hpp).
 //   SshTransport          exec's `ssh <host> <worker command>` per host —
-//                         the same frame protocol over an ssh stdio tunnel.
+//                         the same frame protocol over an ssh stdio tunnel
+//                         to `lokimeasure --worker --serve`.
 //   FakeTransport         in-process worker threads over in-memory frame
 //                         queues, with scripted fault injection (kill,
 //                         hang, EOF, corrupt, truncate, drop, delay) so
@@ -72,7 +72,7 @@ class WorkerLink {
   virtual std::string describe() const = 0;
 
   /// True when the worker needs the study inside the Hello frame (exec'd
-  /// and remote workers). fork()-based workers inherit it in memory, which
+  /// remote workers). fork()-based workers inherit it in memory, which
   /// keeps arbitrary closures working without a wire identity.
   virtual bool needs_study_bytes() const { return true; }
 };
@@ -103,7 +103,7 @@ class Transport {
 };
 
 /// Worker-side view of the same duplex channel — what serve_worker speaks,
-/// so the protocol loop runs identically in an exec'd process (fds), a
+/// so the protocol loop runs identically in an exec'd ssh worker (fds), a
 /// forked child (fds), and a FakeTransport thread (queues).
 class FrameChannel {
  public:
@@ -169,10 +169,10 @@ namespace detail {
 struct FdRegistry;  // open parent-side fds, closed inside fork()ed children
 struct FakeWorker;
 
-/// Scripted fault plan for one FakeTransport worker. The *_after thresholds
-/// count delivered result *entries* (experiments); the *_nth counters are
-/// 1-based over ResultBatch *frames* as the parent receives them. -1
-/// disables a fault.
+/// Scripted fault plan for one FakeTransport victim (see FakeTransport).
+/// The *_after thresholds count delivered result *entries* (experiments);
+/// the *_nth counters are 1-based over ResultBatch *frames* as the parent
+/// receives them. -1 disables a fault.
 struct FakeFaults {
   int kill_after{-1};
   int eof_after{-1};
@@ -201,14 +201,9 @@ std::uint64_t fake_worker_self_detaches();
 
 class SubprocessTransport final : public Transport {
  public:
-  /// fork() mode: each worker is a forked child running serve_worker on the
-  /// inherited study — arbitrary make_params closures work unchanged.
+  /// Each worker is a forked child running serve_worker on the inherited
+  /// study — arbitrary make_params closures work unchanged.
   explicit SubprocessTransport(int workers);
-
-  /// fork()+exec() mode: each worker runs `argv` (e.g. {"lokimeasure",
-  /// "--worker", "--serve"}) with the frame stream on stdin/stdout. The
-  /// study crosses inside the Hello frame, so it needs a wire identity.
-  SubprocessTransport(int workers, std::vector<std::string> argv);
 
   std::string name() const override;
   int worker_count() const override { return workers_; }
@@ -217,7 +212,6 @@ class SubprocessTransport final : public Transport {
 
  private:
   int workers_;
-  std::vector<std::string> argv_;  // empty => fork() mode
   std::shared_ptr<detail::FdRegistry> registry_;
 };
 
@@ -254,12 +248,18 @@ class SshTransport final : public Transport {
 /// In-process transport for tests: each worker is a thread speaking the
 /// worker protocol over in-memory frame queues (including the Hello-framed
 /// study, so wire encode/decode is exercised end to end). Faults are
-/// scripted per worker before the campaign runs. The *_after_results
-/// thresholds count result entries as the parent receives them; the
-/// Nth-batch faults count result-bearing frames (1-based). Workers default
-/// to one result per batch (batch_soft_bytes = 1), so entry counts and
-/// frame counts coincide unless a test raises the batch bound via
-/// set_batch_soft_bytes to exercise multi-result batches.
+/// scripted before the campaign runs, per *victim*: victim k is the k-th
+/// connected link to be sent a Lease, whichever worker slot it occupies. A
+/// scripted fault therefore always lands on a link that has work, however
+/// the handshakes race. Reopened links never claim a victim: the scripted
+/// fault described the process that died, and its replacement is a fresh
+/// one (which also keeps flap tests convergent). victim_slot(k) names the
+/// slot victim k landed on. The *_after_results thresholds count result
+/// entries as the parent receives them; the Nth-batch faults count
+/// result-bearing frames (1-based). Workers default to one result per
+/// batch (batch_soft_bytes = 1), so entry counts and frame counts coincide
+/// unless a test raises the batch bound via set_batch_soft_bytes to
+/// exercise multi-result batches.
 class FakeTransport final : public Transport {
  public:
   explicit FakeTransport(int workers);
@@ -269,10 +269,8 @@ class FakeTransport final : public Transport {
   int worker_count() const override { return workers_; }
   std::unique_ptr<WorkerLink> connect(int index,
                                       const runtime::StudyParams& study) override;
-  /// Honours the refuse_reconnects script, then respawns the worker with a
-  /// CLEAN fault slot: the scripted fault described the process that died,
-  /// and its replacement is a fresh one — which is also what keeps flap
-  /// tests deterministic (the replacement cannot re-trip the same fault).
+  /// Honours the refuse_reconnects script, then respawns the worker; the
+  /// new link claims no victim.
   std::unique_ptr<WorkerLink> reopen(int index,
                                      const runtime::StudyParams& study) override;
 
@@ -280,45 +278,51 @@ class FakeTransport final : public Transport {
   /// workers. Default 1: every result flushes its own batch.
   void set_batch_soft_bytes(std::size_t bytes) { batch_soft_bytes_ = bytes; }
 
-  /// Script a flapping link: the next `n` reopen() calls for `worker` throw
-  /// (connection refused), later ones succeed — "refuse twice, then
-  /// accept" exercises the runner's backoff without any real sockets.
-  void refuse_reconnects(int worker, int n);
+  /// Script a flapping link: the next `n` reopen() calls for the slot
+  /// victim `victim` landed on throw (connection refused), later ones
+  /// succeed — "refuse twice, then accept" exercises the runner's backoff
+  /// without any real sockets.
+  void refuse_reconnects(int victim, int n);
 
   /// SIGKILL equivalent: after `n` results were delivered, the stream ends
   /// (Eof) and the worker thread is torn down; queued frames are lost.
-  void kill_after_results(int worker, int n);
+  void kill_after_results(int victim, int n);
   /// Clean mid-lease close: the stream reports Eof after `n` results while
   /// the worker may still be running.
-  void eof_after_results(int worker, int n);
+  void eof_after_results(int victim, int n);
   /// The worker goes silent after `n` results: no frames, no Eof — the
-  /// parent must detect it via recv timeouts.
-  void hang_after_results(int worker, int n);
+  /// parent must detect it by the silence.
+  void hang_after_results(int victim, int n);
   /// The `nth` result-bearing frame (1-based) arrives corrupted: its first
   /// status byte is clobbered to an out-of-range value, which the batch
   /// decoder must reject with a typed error before any entry escapes.
-  void corrupt_batch(int worker, int nth);
+  void corrupt_batch(int victim, int nth);
   /// The `nth` result-bearing frame (1-based) arrives truncated (its tail
   /// cut mid-payload) — a framing-layer short read the decoder must reject.
-  void truncate_batch(int worker, int nth);
+  void truncate_batch(int victim, int nth);
   /// The `nth` result-bearing frame (1-based) vanishes in transit.
-  void drop_batch(int worker, int nth);
+  void drop_batch(int victim, int nth);
   /// The `nth` result-bearing frame (1-based) is delayed by `by`.
-  void delay_batch(int worker, int nth, std::chrono::milliseconds by);
+  void delay_batch(int victim, int nth, std::chrono::milliseconds by);
   /// Heartbeats past the first `n` vanish in transit (0 = all of them);
   /// result frames still flow. With a large batch bound this makes a busy,
   /// healthy worker look silent — the hung-worker drill.
-  void drop_heartbeats_after(int worker, int n);
+  void drop_heartbeats_after(int victim, int n);
   /// Every delivered heartbeat is stalled by `by` in transit.
-  void delay_heartbeats(int worker, std::chrono::milliseconds by);
+  void delay_heartbeats(int victim, std::chrono::milliseconds by);
+
+  /// The worker slot victim `victim` landed on; -1 while unclaimed.
+  int victim_slot(int victim) const;
 
  private:
-  detail::FakeFaults& fault_slot(int worker);
+  detail::FakeFaults& script(int victim);
+  std::unique_ptr<WorkerLink> spawn(int index, bool claims_victim);
 
   int workers_;
   std::size_t batch_soft_bytes_{1};
-  std::vector<detail::FakeFaults> faults_;
-  std::vector<int> refuse_;
+  std::vector<detail::FakeFaults> scripts_;  // per victim
+  std::vector<int> refuse_;                  // per victim
+  std::vector<int> victim_slots_;  // slot of each claimed victim, in order
   std::vector<std::shared_ptr<detail::FakeWorker>> live_;
 };
 

@@ -685,6 +685,8 @@ HelloFrame decode_hello_frame(const std::vector<std::uint8_t>& frame) {
   HelloFrame hello;
   hello.protocol_version = r.u16();
   hello.heartbeat_interval_ms = r.u32();
+  if (hello.heartbeat_interval_ms == 0)
+    throw DecodeError("worker frame: Hello without a heartbeat interval");
   if (r.boolean()) hello.study = decode_study_params(remaining_bytes(r, frame));
   else r.expect_done();
   return hello;
@@ -905,133 +907,6 @@ std::vector<std::uint8_t> decode_ping_frame(const std::vector<std::uint8_t>& fra
 
 std::vector<std::uint8_t> decode_pong_frame(const std::vector<std::uint8_t>& frame) {
   return decode_payload_frame(frame, WorkerFrame::Pong);
-}
-
-// --- campaign journal records ------------------------------------------------
-
-namespace {
-
-constexpr char kJournalMagic[4] = {'L', 'O', 'K', 'J'};
-
-/// FNV-1a over `size` bytes — 8 self-contained bytes per record is enough
-/// to catch the torn tails and bit flips the journal must survive; the
-/// cache keys inside the records carry the heavyweight (sha256) identity.
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_journal_header() {
-  Writer w;
-  for (const char c : kJournalMagic) w.u8(static_cast<std::uint8_t>(c));
-  w.u16(kJournalVersion);
-  return w.take();
-}
-
-std::size_t decode_journal_header(const std::uint8_t* data, std::size_t size) {
-  Reader r(data, size);
-  for (const char c : kJournalMagic)
-    if (r.u8() != static_cast<std::uint8_t>(c))
-      throw DecodeError("journal: bad magic (not a campaign journal)");
-  const std::uint16_t version = r.u16();
-  if (version != kJournalVersion)
-    throw DecodeError("journal: version " + std::to_string(version) +
-                      ", this build speaks only v" +
-                      std::to_string(kJournalVersion));
-  return r.position();
-}
-
-void encode_journal_record(const JournalEntry& entry,
-                           std::vector<std::uint8_t>& out) {
-  Writer payload;
-  switch (entry.type) {
-    case JournalRecord::CampaignBegin:
-      payload.str(entry.runner_spec);
-      payload.u64(entry.seed);
-      payload.u32(entry.studies);
-      break;
-    case JournalRecord::StudyBegin:
-      payload.u32(entry.study);
-      payload.str(entry.study_name);
-      payload.str(entry.study_digest);
-      payload.u32(entry.experiments);
-      break;
-    case JournalRecord::IndexDone:
-      payload.u32(entry.study);
-      payload.u32(entry.index);
-      payload.str(entry.result_key);
-      break;
-    case JournalRecord::StudyEnd:
-      payload.u32(entry.study);
-      break;
-    case JournalRecord::CampaignEnd:
-      break;
-  }
-  const std::vector<std::uint8_t> body = payload.take();
-
-  Writer w(out);
-  const std::size_t start = out.size();
-  w.u8(static_cast<std::uint8_t>(entry.type));
-  w.u32(static_cast<std::uint32_t>(body.size()));
-  if (!body.empty()) w.bytes(body.data(), body.size());
-  w.u64(fnv1a(out.data() + start, out.size() - start));
-}
-
-JournalEntry decode_journal_record(const std::uint8_t* data, std::size_t size,
-                                   std::size_t& consumed) {
-  Reader r(data, size);
-  const std::uint8_t raw_type = r.u8();
-  const std::uint32_t length = r.u32();
-  // Bound the length before trusting it: a corrupt prefix must not read
-  // (or allocate) past the buffer.
-  if (r.remaining() < static_cast<std::size_t>(length) + 8)
-    throw DecodeError("journal record: truncated (payload of " +
-                      std::to_string(length) + " bytes past end of journal)");
-  const std::size_t payload_start = r.position();
-  r.skip(length);
-  const std::uint64_t stored = r.u64();
-  if (stored != fnv1a(data, payload_start + length))
-    throw DecodeError("journal record: checksum mismatch (torn or corrupt)");
-  if (raw_type < static_cast<std::uint8_t>(JournalRecord::CampaignBegin) ||
-      raw_type > static_cast<std::uint8_t>(JournalRecord::CampaignEnd))
-    throw DecodeError("journal record: unknown type " +
-                      std::to_string(raw_type));
-
-  JournalEntry entry;
-  entry.type = static_cast<JournalRecord>(raw_type);
-  Reader p(data + payload_start, length);
-  switch (entry.type) {
-    case JournalRecord::CampaignBegin:
-      entry.runner_spec = p.str();
-      entry.seed = p.u64();
-      entry.studies = p.u32();
-      break;
-    case JournalRecord::StudyBegin:
-      entry.study = p.u32();
-      entry.study_name = p.str();
-      entry.study_digest = p.str();
-      entry.experiments = p.u32();
-      break;
-    case JournalRecord::IndexDone:
-      entry.study = p.u32();
-      entry.index = p.u32();
-      entry.result_key = p.str();
-      break;
-    case JournalRecord::StudyEnd:
-      entry.study = p.u32();
-      break;
-    case JournalRecord::CampaignEnd:
-      break;
-  }
-  p.expect_done();
-  consumed = r.position();
-  return entry;
 }
 
 }  // namespace loki::runtime

@@ -37,16 +37,16 @@
 //                      LeaseDone    lease finished (possibly early, on error)
 //                      Pong         Ping echo
 //
-// Heartbeat cadence rule (protocol v3): a worker emits a heartbeat whenever
-// `heartbeat_interval` has elapsed since its last write on the channel —
-// between experiments and between batch flushes — so a healthy worker
-// grinding through a slow lease is never silent past the coordinator's
-// hang_timeout. The interval is chosen by the coordinator (default
-// hang_timeout / 4) and shipped in the Hello frame; 0 means "worker
-// default". Every Heartbeat carries the worker's cumulative stats snapshot
-// (experiments completed, EWMA latency, log-scale latency histogram, bytes
-// encoded, batches flushed — runtime/worker_stats.hpp), which the
-// coordinator folds into campaign::FleetTelemetry.
+// Heartbeat cadence rule: a worker emits a heartbeat whenever the Hello's
+// interval has elapsed since its last write on the channel — between
+// experiments and between batch flushes — so a healthy worker grinding
+// through a slow lease is never silent past the coordinator's
+// hang_timeout. The coordinator chooses the interval (hang_timeout / 4);
+// a Hello without one (interval 0) is malformed. Every Heartbeat carries
+// the worker's cumulative stats snapshot (experiments completed, EWMA
+// latency, log-scale latency histogram, bytes encoded, batches flushed —
+// runtime/worker_stats.hpp), which the coordinator folds into
+// campaign::FleetTelemetry.
 //
 // A ResultBatch body is a sequence of self-delimiting entries (no count):
 //
@@ -158,7 +158,9 @@ class ResultInterner {
 /// WorkerStatsSnapshot (the fleet-telemetry plane).
 /// v4: results travel only in ResultBatch frames (the single-result frame,
 /// type 5, is gone) and Lease drops its stride: {id, lo, hi}.
-inline constexpr std::uint16_t kWorkerProtocolVersion = 4;
+/// v5: the Hello's heartbeat interval is required — 0 is a DecodeError, not
+/// "worker default".
+inline constexpr std::uint16_t kWorkerProtocolVersion = 5;
 
 /// First byte of every worker frame payload.
 enum class WorkerFrame : std::uint8_t {
@@ -190,11 +192,11 @@ WireErrorCategory classify_error(const std::exception& e);
 WorkerFrame worker_frame_type(const std::vector<std::uint8_t>& frame);
 
 /// Hello: pass nullptr when the worker already holds the study in memory
-/// (a fork()ed child); exec'd and remote workers get it inside the frame.
-/// `heartbeat_interval_ms` sets the worker's liveness cadence; 0 keeps the
-/// worker's own default (ServeOptions::heartbeat_interval).
+/// (a fork()ed child); exec'd (ssh) workers get it inside the frame.
+/// `heartbeat_interval_ms` sets the worker's liveness cadence and must be
+/// positive: decode_hello_frame rejects 0 with DecodeError.
 std::vector<std::uint8_t> encode_hello_frame(
-    const StudyParams* study, std::uint32_t heartbeat_interval_ms = 0);
+    const StudyParams* study, std::uint32_t heartbeat_interval_ms);
 struct HelloFrame {
   std::uint16_t protocol_version{0};
   std::uint32_t heartbeat_interval_ms{0};
@@ -274,66 +276,6 @@ std::vector<ResultFrame> decode_result_batch_frame(
 std::size_t result_batch_entry_count(const std::vector<std::uint8_t>& frame);
 
 std::vector<std::uint8_t> encode_shutdown_frame();
-
-// --- campaign journal records ------------------------------------------------
-// The write-ahead journal a crash-safe campaign coordinator keeps
-// (campaign/journal.hpp): a 6-byte file header — magic "LOKJ" + u16
-// kJournalVersion — followed by a stream of self-checking records:
-//
-//   u8 type, u32 payload length, payload, u64 FNV-1a checksum
-//
-// The checksum covers the type byte, the length prefix, and the payload, so
-// a torn tail (the crash case the journal exists for) or a flipped bit is
-// detected at the record boundary: decode_journal_record throws DecodeError
-// and the reader treats everything from there on as unwritten. Records are
-// versioned by the header, not individually — any layout change bumps
-// kJournalVersion and old journals are rejected rather than misread.
-
-/// Bump on ANY change to the journal header or a record layout.
-inline constexpr std::uint16_t kJournalVersion = 1;
-
-enum class JournalRecord : std::uint8_t {
-  CampaignBegin = 1,  // runner spec, seed, study count
-  StudyBegin = 2,     // ordinal, name, content digest, experiment count
-  IndexDone = 3,      // ordinal, experiment index, result cache key
-  StudyEnd = 4,       // ordinal
-  CampaignEnd = 5,    // (no payload)
-};
-
-/// One journal record, tagged by `type`; only that record's fields are
-/// meaningful (the rest keep their defaults).
-struct JournalEntry {
-  JournalRecord type{JournalRecord::CampaignBegin};
-  // CampaignBegin
-  std::string runner_spec;
-  std::uint64_t seed{0};
-  std::uint32_t studies{0};
-  // StudyBegin / IndexDone / StudyEnd
-  std::uint32_t study{0};
-  // StudyBegin
-  std::string study_name;
-  std::string study_digest;
-  std::uint32_t experiments{0};
-  // IndexDone
-  std::uint32_t index{0};
-  std::string result_key;
-};
-
-/// The 6-byte file header ("LOKJ" + u16 version).
-std::vector<std::uint8_t> encode_journal_header();
-/// Validate the header at the start of `data`; returns the bytes consumed.
-/// Throws codec::DecodeError on a short buffer, bad magic, or any version
-/// other than kJournalVersion.
-std::size_t decode_journal_header(const std::uint8_t* data, std::size_t size);
-
-/// Append one framed record (type, length, payload, checksum) to `out`.
-void encode_journal_record(const JournalEntry& entry,
-                           std::vector<std::uint8_t>& out);
-/// Decode the record at `data` (up to `size` bytes); `consumed` receives its
-/// framed length. Throws codec::DecodeError on truncation, a checksum
-/// mismatch, an unknown type, or payload/type disagreement.
-JournalEntry decode_journal_record(const std::uint8_t* data, std::size_t size,
-                                   std::size_t& consumed);
 
 std::vector<std::uint8_t> encode_ping_frame(const std::vector<std::uint8_t>& payload);
 std::vector<std::uint8_t> encode_pong_frame(const std::vector<std::uint8_t>& payload);

@@ -1,6 +1,9 @@
 // Durable campaigns: a crashed journaled campaign resumes with a sink
 // sequence byte-identical to an uninterrupted run and zero re-execution of
-// journaled indices; the hardened ResultCache quarantines corrupt entries,
+// journaled indices, and a resume after a torn tail leaves a journal whose
+// own records stay readable; the journal file format survives every tail
+// truncation and every bit flip (load() on real files, no codec access);
+// the hardened ResultCache quarantines corrupt entries,
 // GCs by generation under a byte/entry budget, and throws typed CacheError
 // on store failure. The CLI suite SIGKILLs `lokimeasure --campaign` at
 // several journal offsets and `cmp`s the resumed stdout against a clean run.
@@ -8,10 +11,12 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -289,8 +294,9 @@ TEST(JournalResume, CompletedJournalReplaysEverything) {
   EXPECT_EQ(resumed.summary.cache_hits, 0);
 }
 
-TEST(JournalResume, TruncatedTailIsTreatedAsUnwritten) {
+TEST(JournalResume, ResumeAfterATornTailKeepsItsOwnRecords) {
   const auto study = fault_study("torn", 8);
+  const auto reference = reference_events(study);
   auto cache =
       std::make_shared<campaign::ResultCache>(temp_path("jr-torn-cache"));
   const std::string journal = temp_path("jr-torn-journal");
@@ -301,19 +307,35 @@ TEST(JournalResume, TruncatedTailIsTreatedAsUnwritten) {
   // Tear the last IndexDone record — the on-disk shape of a SIGKILL landing
   // mid-append.
   fs::resize_file(journal, fs::file_size(journal) - 3);
-  const auto state = campaign::CampaignJournal::load(journal);
-  EXPECT_TRUE(state.truncated_tail);
-  ASSERT_EQ(state.progress.size(), 1u);
-  EXPECT_EQ(state.progress[0].done_keys.size(), 4u);
+  const auto torn = campaign::CampaignJournal::load(journal);
+  EXPECT_TRUE(torn.truncated_tail);
+  ASSERT_EQ(torn.progress.size(), 1u);
+  EXPECT_EQ(torn.progress[0].done_keys.size(), 4u);
 
   // Index 4 fell out of the journal but its cache store was durable first
   // (the ordering contract), so the resume serves it as a plain hit.
   auto counting = std::make_shared<CountingRunner>();
   const Recorded resumed = run_journaled(counting, study, cache, journal, true);
-  expect_identical(resumed.events, reference_events(study));
+  expect_identical(resumed.events, reference);
   EXPECT_EQ(resumed.summary.replayed, 4);
   EXPECT_EQ(resumed.summary.cache_hits, 1);
   EXPECT_EQ(counting->executed(), 3);
+
+  // The resume cut the tear off before appending, so the records it wrote
+  // are readable instead of hidden behind the torn bytes.
+  const auto state = campaign::CampaignJournal::load(journal);
+  EXPECT_TRUE(state.campaign_done);
+  EXPECT_FALSE(state.truncated_tail);
+  ASSERT_EQ(state.progress.size(), 1u);
+  EXPECT_TRUE(state.progress[0].ended);
+  EXPECT_EQ(state.progress[0].done_keys.size(),
+            static_cast<std::size_t>(study.experiments));
+
+  // Hence a second resume replays every index and runs none.
+  const Recorded again = run_journaled(std::make_shared<ForbiddenRunner>(),
+                                       study, cache, journal, true);
+  expect_identical(again.events, reference);
+  EXPECT_EQ(again.summary.replayed, study.experiments);
 }
 
 TEST(JournalResume, JournalKilledAtBirthIsAFreshStart) {
@@ -378,6 +400,181 @@ TEST(JournalResume, BuilderRejectsJournalMisconfiguration) {
     EXPECT_THROW(builder.journal(""), ConfigError);
     EXPECT_THROW(builder.journal_group(0), ConfigError);
   }
+}
+
+// --- the file format, through CampaignJournal and load() ---------------------
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes, std::size_t size) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(size));
+}
+
+/// Write a representative journal at `path` — one of every record type,
+/// each durable on its own — and return the file size after the header and
+/// after every record: the record boundaries.
+std::vector<std::uint64_t> write_sample_journal(const std::string& path) {
+  std::vector<std::uint64_t> ends;
+  campaign::CampaignJournal journal = campaign::CampaignJournal::create(
+      path, campaign::CampaignJournal::Options(1));
+  const auto mark = [&] { ends.push_back(fs::file_size(path)); };
+  mark();
+  journal.campaign_begin("remote(fake:2)", 9000, 1);
+  mark();
+  journal.study_begin(0, "demo-coverage", std::string(64, 'a'), 2);
+  mark();
+  journal.index_done(0, 0, std::string(64, 'b'));
+  mark();
+  journal.index_done(0, 1, std::string(64, 'c'));
+  mark();
+  journal.study_end(0);
+  mark();
+  journal.campaign_end();
+  mark();
+  return ends;
+}
+
+/// The last record boundary at or before byte offset `at` (0 inside the
+/// header).
+std::uint64_t boundary_before(const std::vector<std::uint64_t>& ends,
+                              std::uint64_t at) {
+  std::uint64_t last = 0;
+  for (const std::uint64_t end : ends)
+    if (end <= at) last = end;
+  return last;
+}
+
+TEST(JournalFormat, RoundTripsEveryRecordType) {
+  const std::string path = temp_path("jf-roundtrip");
+  write_sample_journal(path);
+  const auto state = campaign::CampaignJournal::load(path);
+  EXPECT_TRUE(state.campaign_begun);
+  EXPECT_TRUE(state.campaign_done);
+  EXPECT_FALSE(state.truncated_tail);
+  EXPECT_EQ(state.intact_bytes, fs::file_size(path));
+  EXPECT_EQ(state.runner_spec, "remote(fake:2)");
+  EXPECT_EQ(state.seed, 9000u);
+  EXPECT_EQ(state.studies, 1u);
+  ASSERT_EQ(state.progress.size(), 1u);
+  EXPECT_EQ(state.progress[0].name, "demo-coverage");
+  EXPECT_EQ(state.progress[0].digest, std::string(64, 'a'));
+  EXPECT_EQ(state.progress[0].experiments, 2u);
+  EXPECT_EQ(state.progress[0].done_keys,
+            (std::vector<std::string>{std::string(64, 'b'),
+                                      std::string(64, 'c')}));
+  EXPECT_TRUE(state.progress[0].ended);
+}
+
+TEST(JournalFormat, BadHeaderIsRejected) {
+  const std::string path = temp_path("jf-header");
+  write_sample_journal(path);
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  // Byte 0 is in the magic, byte 4 in the version word.
+  for (const std::size_t at : {std::size_t{0}, std::size_t{4}}) {
+    std::vector<std::uint8_t> bad = bytes;
+    bad[at] ^= 0xff;
+    write_bytes(path, bad, bad.size());
+    EXPECT_THROW(campaign::CampaignJournal::load(path), ConfigError) << at;
+  }
+  // A header cut short is the killed-at-birth shape, not a foreign file.
+  write_bytes(path, bytes, 3);
+  const auto state = campaign::CampaignJournal::load(path);
+  EXPECT_FALSE(state.campaign_begun);
+  EXPECT_TRUE(state.truncated_tail);
+  EXPECT_EQ(state.intact_bytes, 0u);
+}
+
+// A SIGKILL mid-append leaves a torn tail: every cut of the file must load
+// as its intact record prefix — never as a different record, never a throw.
+TEST(JournalFormat, EveryTruncationKeepsTheIntactPrefix) {
+  const std::string path = temp_path("jf-truncate");
+  const std::vector<std::uint64_t> ends = write_sample_journal(path);
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    write_bytes(path, bytes, cut);
+    campaign::JournalState state;
+    ASSERT_NO_THROW(state = campaign::CampaignJournal::load(path)) << cut;
+    const std::uint64_t intact = boundary_before(ends, cut);
+    EXPECT_EQ(state.intact_bytes, intact) << "cut at " << cut;
+    EXPECT_EQ(state.truncated_tail, cut != intact) << "cut at " << cut;
+    EXPECT_FALSE(state.campaign_done) << "cut at " << cut;
+  }
+}
+
+// Any single bit flip must fail the damaged record's checksum (or, in the
+// header, the file's identity) — bit rot cannot silently alter the replay.
+TEST(JournalFormat, EveryBitFlipIsCaught) {
+  const std::string path = temp_path("jf-flip");
+  const std::vector<std::uint64_t> ends = write_sample_journal(path);
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> flipped = bytes;
+      flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      write_bytes(path, flipped, flipped.size());
+      if (byte < ends.front()) {
+        EXPECT_THROW(campaign::CampaignJournal::load(path), ConfigError)
+            << "header byte " << byte << " bit " << bit;
+        continue;
+      }
+      campaign::JournalState state;
+      ASSERT_NO_THROW(state = campaign::CampaignJournal::load(path))
+          << "byte " << byte << " bit " << bit;
+      EXPECT_TRUE(state.truncated_tail) << "byte " << byte << " bit " << bit;
+      EXPECT_EQ(state.intact_bytes, boundary_before(ends, byte))
+          << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
+// A record whose checksum holds was written as it reads, so a payload that
+// does not fit its type is a malformed journal (ConfigError), not a tear.
+TEST(JournalFormat, ChecksummedRecordThatDoesNotFitItsTypeIsRejected) {
+  const std::string path = temp_path("jf-misfit");
+  const std::vector<std::uint64_t> ends = write_sample_journal(path);
+  const std::vector<std::uint8_t> bytes = read_bytes(path);
+  const auto with_record = [&](std::uint8_t type,
+                               const std::vector<std::uint8_t>& payload) {
+    // Header, CampaignBegin and StudyBegin, then one hand-framed record:
+    // type, u32 length, payload, FNV-1a over all of it.
+    std::vector<std::uint8_t> out(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(ends[2]));
+    const std::size_t start = out.size();
+    out.push_back(type);
+    for (int i = 0; i < 4; ++i)
+      out.push_back(static_cast<std::uint8_t>(payload.size() >> (8 * i)));
+    out.insert(out.end(), payload.begin(), payload.end());
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = start; i < out.size(); ++i) {
+      h ^= out[i];
+      h *= 1099511628211ull;
+    }
+    for (int i = 0; i < 8; ++i)
+      out.push_back(static_cast<std::uint8_t>(h >> (8 * i)));
+    write_bytes(path, out, out.size());
+  };
+  // IndexDone{study 0, index 0, key "k"}: u32, u32, u64 length + bytes.
+  std::vector<std::uint8_t> index_done = {0, 0, 0, 0, 0, 0, 0, 0,
+                                          1, 0, 0, 0, 0, 0, 0, 0, 'k'};
+  with_record(/*IndexDone=*/3, index_done);  // control: fits its type
+  const auto state = campaign::CampaignJournal::load(path);
+  EXPECT_FALSE(state.truncated_tail);
+  ASSERT_EQ(state.progress.size(), 1u);
+  EXPECT_EQ(state.progress[0].done_keys, (std::vector<std::string>{"k"}));
+
+  with_record(/*IndexDone=*/3, {0, 0});  // the study ordinal cut in half
+  EXPECT_THROW(campaign::CampaignJournal::load(path), ConfigError);
+  index_done.push_back(7);  // one trailing byte
+  with_record(/*IndexDone=*/3, index_done);
+  EXPECT_THROW(campaign::CampaignJournal::load(path), ConfigError);
+  with_record(/*unknown type*/ 9, {});
+  EXPECT_THROW(campaign::CampaignJournal::load(path), ConfigError);
 }
 
 // --- hardened cache ----------------------------------------------------------

@@ -3,20 +3,25 @@
 // mid-campaign — completing the campaign with results and a sink event
 // sequence byte-identical to SerialRunner, every experiment emitted exactly
 // once, and the recovery visible in Campaign::Summary (requeue_events /
-// requeued_indices / workers_lost). Also covers the liveness cadence:
-// heartbeats flow *during* a lease, so a slow-but-healthy worker is never
-// mistaken for a hung one, while a worker whose heartbeats stop (and whose
-// batches never flush) is still killed within hang_timeout. Also covers the
+// requeued_indices / workers_lost). FakeTransport faults are scripted per
+// victim (the k-th link to be leased), so every scripted fault lands on a
+// link that has work. Also covers the liveness cadence: heartbeats flow
+// *during* a lease, so a slow-but-healthy worker is never mistaken for a
+// hung one, while a worker whose heartbeats stop (and whose batches never
+// flush) is still killed within hang_timeout — judged on the coordinator's
+// clock, never on a reader's stale recv timeout. Also covers the
 // `remote:`/`procs:` runner specs, hostfile parsing, SshTransport argv
 // construction (plus an end-to-end run through a local ssh shim), and the
 // `lokimeasure` CLI's rejection of the retired worker range mode.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -181,8 +186,55 @@ campaign::RemoteOptions test_options(int lease_size = 2) {
   campaign::RemoteOptions options;
   options.lease_size = lease_size;
   options.hang_timeout = std::chrono::milliseconds(5'000);
-  options.shutdown_grace = std::chrono::milliseconds(500);
   return options;
+}
+
+/// Forwards every WorkerLink call to `inner_`; the fault tests below
+/// override the calls they sabotage.
+class ForwardingLink : public campaign::WorkerLink {
+ public:
+  explicit ForwardingLink(std::unique_ptr<campaign::WorkerLink> inner)
+      : inner_(std::move(inner)) {}
+  void send(const std::vector<std::uint8_t>& frame) override {
+    inner_->send(frame);
+  }
+  campaign::RecvOutcome recv(std::chrono::milliseconds timeout) override {
+    return inner_->recv(timeout);
+  }
+  void kill() override { inner_->kill(); }
+  std::string describe() const override { return inner_->describe(); }
+  bool needs_study_bytes() const override {
+    return inner_->needs_study_bytes();
+  }
+
+ protected:
+  std::unique_ptr<campaign::WorkerLink> inner_;
+};
+
+/// A transport whose links are passed through `wrap` as they connect.
+class WrappingTransport final : public campaign::Transport {
+ public:
+  using Wrap = std::function<std::unique_ptr<campaign::WorkerLink>(
+      std::unique_ptr<campaign::WorkerLink>)>;
+  WrappingTransport(std::shared_ptr<campaign::Transport> inner, Wrap wrap)
+      : inner_(std::move(inner)), wrap_(std::move(wrap)) {}
+  std::string name() const override {
+    return "wrapped(" + inner_->name() + ")";
+  }
+  int worker_count() const override { return inner_->worker_count(); }
+  std::unique_ptr<campaign::WorkerLink> connect(
+      int index, const runtime::StudyParams& study) override {
+    return wrap_(inner_->connect(index, study));
+  }
+
+ private:
+  std::shared_ptr<campaign::Transport> inner_;
+  Wrap wrap_;
+};
+
+bool is_frame_of(const std::vector<std::uint8_t>& frame,
+                 runtime::WorkerFrame type) {
+  return !frame.empty() && frame[0] == static_cast<std::uint8_t>(type);
 }
 
 // --- byte-identity with SerialRunner ----------------------------------------
@@ -272,72 +324,46 @@ TEST(RemoteRunnerFaults, FakeWorkerKilledMidCampaign) {
 }
 
 TEST(RemoteRunnerFaults, SubprocessWorkerSigkilledMidCampaign) {
-  // A decorator transport that SIGKILLs the victim's real process when the
-  // nth ResultBatch frame arrives — and swallows that frame, as if the
-  // worker died mid-send. With batching a whole lease can share one frame,
-  // so delivering it first would leave nothing outstanding to requeue.
-  class ChaosLink final : public campaign::WorkerLink {
+  // SIGKILL the real process behind the first link that delivers a
+  // ResultBatch — whichever worker that is — and swallow that frame, as if
+  // the worker died mid-send. With batching a whole lease can share one
+  // frame, so delivering it first would leave nothing outstanding to
+  // requeue.
+  class ChaosLink final : public ForwardingLink {
    public:
-    ChaosLink(std::unique_ptr<campaign::WorkerLink> inner, int kill_after)
-        : inner_(std::move(inner)), kill_after_(kill_after) {}
-    void send(const std::vector<std::uint8_t>& frame) override {
-      inner_->send(frame);
-    }
+    ChaosLink(std::unique_ptr<campaign::WorkerLink> inner,
+              std::shared_ptr<std::atomic<bool>> fired)
+        : ForwardingLink(std::move(inner)), fired_(std::move(fired)) {}
     campaign::RecvOutcome recv(std::chrono::milliseconds timeout) override {
       campaign::RecvOutcome out = inner_->recv(timeout);
-      const auto carries_results = [](const campaign::RecvOutcome& o) {
-        return o.status == campaign::RecvOutcome::Status::Frame &&
-               !o.frame.empty() &&
-               o.frame[0] == static_cast<std::uint8_t>(
-                                 runtime::WorkerFrame::ResultBatch);
-      };
-      if (carries_results(out) && ++seen_ == kill_after_) {
+      if (out.status == campaign::RecvOutcome::Status::Frame &&
+          is_frame_of(out.frame, runtime::WorkerFrame::ResultBatch) &&
+          !fired_->exchange(true)) {
         inner_->kill();
         out = inner_->recv(timeout);  // the killed worker's frame is lost
       }
       return out;
     }
-    void kill() override { inner_->kill(); }
-    std::string describe() const override { return inner_->describe(); }
-    bool needs_study_bytes() const override {
-      return inner_->needs_study_bytes();
-    }
 
    private:
-    std::unique_ptr<campaign::WorkerLink> inner_;
-    int kill_after_;
-    int seen_{0};
-  };
-  class ChaosTransport final : public campaign::Transport {
-   public:
-    ChaosTransport(std::shared_ptr<campaign::Transport> inner, int victim,
-                   int kill_after)
-        : inner_(std::move(inner)), victim_(victim), kill_after_(kill_after) {}
-    std::string name() const override { return "chaos(" + inner_->name() + ")"; }
-    int worker_count() const override { return inner_->worker_count(); }
-    std::unique_ptr<campaign::WorkerLink> connect(
-        int index, const runtime::StudyParams& study) override {
-      auto link = inner_->connect(index, study);
-      if (index != victim_) return link;
-      return std::make_unique<ChaosLink>(std::move(link), kill_after_);
-    }
-
-   private:
-    std::shared_ptr<campaign::Transport> inner_;
-    int victim_;
-    int kill_after_;
+    std::shared_ptr<std::atomic<bool>> fired_;
   };
 
   const auto study = fault_study("subprocess-kill", 10);
   const auto serial =
       run_recorded(std::make_shared<campaign::SerialRunner>(), study);
 
-  auto transport = std::make_shared<ChaosTransport>(
-      std::make_shared<campaign::SubprocessTransport>(2), /*victim=*/0,
-      /*kill_after=*/1);
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  auto transport = std::make_shared<WrappingTransport>(
+      std::make_shared<campaign::SubprocessTransport>(2),
+      [fired](std::unique_ptr<campaign::WorkerLink> link)
+          -> std::unique_ptr<campaign::WorkerLink> {
+        return std::make_unique<ChaosLink>(std::move(link), fired);
+      });
   const auto remote = run_recorded(
       std::make_shared<campaign::RemoteRunner>(transport, test_options()),
       study);
+  EXPECT_TRUE(fired->load());
   expect_identical_events(serial.events, remote.events);
   expect_exactly_once(remote.events, study.experiments);
   EXPECT_GE(remote.summary.requeue_events, 1);
@@ -366,6 +392,48 @@ TEST(RemoteRunnerFaults, HungWorkerIsTimedOutAndRequeued) {
   EXPECT_GE(remote.summary.workers_lost, 1);
 }
 
+// Regression: a worker is hung only by the coordinator's own clock. A
+// reader's recv timeout that fired while its worker sat idle used to be an
+// event, and when it was handled after that worker had just been handed a
+// lease (a hung peer's, requeued), the busy worker was killed for the
+// silence of its idle spell — and the requeue could cascade through the
+// whole fleet. This link forces the race: right after each Lease it
+// carries, its next recv reports a Timeout. The lone worker must survive.
+TEST(RemoteRunnerFaults, StaleRecvTimeoutAfterALeaseDoesNotKillTheWorker) {
+  class StaleTimeoutLink final : public ForwardingLink {
+   public:
+    using ForwardingLink::ForwardingLink;
+    void send(const std::vector<std::uint8_t>& frame) override {
+      inner_->send(frame);
+      if (is_frame_of(frame, runtime::WorkerFrame::Lease)) stale_ = true;
+    }
+    campaign::RecvOutcome recv(std::chrono::milliseconds timeout) override {
+      if (stale_.exchange(false))
+        return {campaign::RecvOutcome::Status::Timeout, {}};
+      return inner_->recv(timeout);
+    }
+
+   private:
+    std::atomic<bool> stale_{false};
+  };
+
+  const auto study = fault_study("stale-timeout", 6);
+  const auto serial =
+      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
+  auto transport = std::make_shared<WrappingTransport>(
+      std::make_shared<campaign::FakeTransport>(1),
+      [](std::unique_ptr<campaign::WorkerLink> link)
+          -> std::unique_ptr<campaign::WorkerLink> {
+        return std::make_unique<StaleTimeoutLink>(std::move(link));
+      });
+  const auto remote = run_recorded(
+      std::make_shared<campaign::RemoteRunner>(transport, test_options(1)),
+      study);
+  expect_identical_events(serial.events, remote.events);
+  EXPECT_EQ(remote.summary.workers_lost, 0);
+  EXPECT_EQ(remote.summary.requeue_events, 0);
+}
+
 TEST(RemoteRunnerFaults, WedgeBetweenLastResultAndLeaseDoneIsStillHung) {
   // The nastiest hang: the worker delivers every Result of its lease, then
   // freezes before LeaseDone. Nothing is outstanding to requeue, but the
@@ -376,7 +444,7 @@ TEST(RemoteRunnerFaults, WedgeBetweenLastResultAndLeaseDoneIsStillHung) {
       run_recorded(std::make_shared<campaign::SerialRunner>(), study);
 
   auto transport = std::make_shared<campaign::FakeTransport>(1);
-  // lease_size 2 => worker 0's first lease is exactly 2 indices; hanging
+  // lease_size 2 => victim 0's first lease is exactly 2 indices; hanging
   // after 2 results withholds precisely the LeaseDone frame.
   transport->hang_after_results(0, 2);
   campaign::RemoteOptions options = test_options();
@@ -474,7 +542,10 @@ TEST(RemoteRunnerFaults, DelayedResultIsJustSlow) {
 // one lease spans many experiments and the batch bound is large enough
 // that no ResultBatch flushes early — without heartbeats the coordinator
 // would hear nothing for the whole lease. hang_timeout is calibrated from
-// the measured serial wall time, so the lease provably outlasts it.
+// the measured serial wall time, so the lease provably outlasts it; the
+// coordinator asks for a heartbeat every hang_timeout / 4. A first span
+// larger than the autotuner's cap is used as given, so each lease really
+// is as long as configured.
 
 TEST(RemoteRunnerLiveness, SlowLeaseHealthyWorkerOutlivesHangTimeout) {
   const auto study = slow_study("slow-healthy", 320);
@@ -492,16 +563,12 @@ TEST(RemoteRunnerLiveness, SlowLeaseHealthyWorkerOutlivesHangTimeout) {
   transport->set_batch_soft_bytes(8u << 20);  // one flush, at lease end
   campaign::RemoteOptions options;
   options.lease_size = study.experiments;  // the whole study in one lease
-  options.autotune_lease = false;
-  options.shutdown_grace = std::chrono::milliseconds(500);
   // The lease's wall time tracks the serial run (same machine, same
   // experiments), so a timeout of a quarter of it is comfortably inside
-  // the lease, and the heartbeat interval sits far below the timeout. The
+  // the lease, and the heartbeat interval sits well below the timeout. The
   // floor keeps scheduler noise from starving a genuinely healthy beat.
   options.hang_timeout = std::max(std::chrono::milliseconds(150),
                                   std::chrono::milliseconds(serial_wall / 4));
-  options.heartbeat_interval =
-      std::max(std::chrono::milliseconds(10), options.hang_timeout / 8);
   const auto remote = run_recorded(
       std::make_shared<campaign::RemoteRunner>(transport, options), study);
   expect_identical_events(serial.events, remote.events);
@@ -512,7 +579,7 @@ TEST(RemoteRunnerLiveness, SlowLeaseHealthyWorkerOutlivesHangTimeout) {
 
 TEST(RemoteRunnerLiveness, HeartbeatStarvedWorkerIsStillKilledWithinTimeout) {
   // The dual guarantee: the cadence must not *hide* genuinely hung
-  // workers. Worker 0 computes happily but its heartbeats all vanish in
+  // workers. Victim 0 computes happily but its heartbeats all vanish in
   // transit, and its batch never flushes early — from the coordinator's
   // chair it is indistinguishable from a wedge, and must be killed within
   // hang_timeout and its whole lease requeued to the survivor.
@@ -529,15 +596,11 @@ TEST(RemoteRunnerLiveness, HeartbeatStarvedWorkerIsStillKilledWithinTimeout) {
   transport->drop_heartbeats_after(0, 0);  // no heartbeat ever arrives
   campaign::RemoteOptions options;
   options.lease_size = study.experiments / 2;  // one lease per worker
-  options.autotune_lease = false;
-  options.shutdown_grace = std::chrono::milliseconds(500);
   // Each worker's lease is about half the serial wall; an eighth of the
   // serial wall leaves the silent worker several timeouts short of its
-  // lease end while the healthy one beats every hang_timeout / 8.
+  // lease end while the healthy one beats every hang_timeout / 4.
   options.hang_timeout = std::max(std::chrono::milliseconds(150),
                                   std::chrono::milliseconds(serial_wall / 8));
-  options.heartbeat_interval =
-      std::max(std::chrono::milliseconds(10), options.hang_timeout / 8);
   const auto remote = run_recorded(
       std::make_shared<campaign::RemoteRunner>(transport, options), study);
   expect_identical_events(serial.events, remote.events);
@@ -605,7 +668,7 @@ TEST(RemoteRunnerBatchFaults, DroppedBatchIsRequeuedWithoutLosingTheWorker) {
       run_recorded(std::make_shared<campaign::SerialRunner>(), study);
   auto transport = std::make_shared<campaign::FakeTransport>(2);
   transport->set_batch_soft_bytes(8u << 20);
-  // Worker 0's FIRST lease batch vanishes (its heartbeats and LeaseDone
+  // Victim 0's FIRST lease batch vanishes (its heartbeats and LeaseDone
   // still arrive) — deterministic, unlike a later batch, which depends on
   // the lease-scheduling race between the two workers.
   transport->drop_batch(0, 1);
@@ -662,12 +725,9 @@ TEST(RemoteRunnerFaults, AllWorkersLostThrows) {
 
 // --- transport reconnect ------------------------------------------------------
 
-/// Backoff tuned for tests: quick first retry, quick growth cap.
 campaign::RemoteOptions reconnect_options(int attempts, int lease_size = 3) {
   campaign::RemoteOptions options = test_options(lease_size);
   options.reconnect_attempts = attempts;
-  options.reconnect_backoff = std::chrono::milliseconds(20);
-  options.reconnect_backoff_max = std::chrono::milliseconds(200);
   return options;
 }
 
@@ -685,7 +745,7 @@ TEST(RemoteRunnerReconnect, FlappingWorkerRejoins) {
   // the reconnect assertion below cannot race the survivor finishing first.
   transport->kill_after_results(0, 2);
   transport->kill_after_results(1, 4);
-  transport->refuse_reconnects(0, 2);  // and worker 0's link flaps first
+  transport->refuse_reconnects(0, 2);  // and victim 0's slot flaps first
   const auto remote = run_recorded(
       std::make_shared<campaign::RemoteRunner>(transport,
                                                reconnect_options(5)),
@@ -757,19 +817,6 @@ TEST(RemoteRunnerReconnect, RejectsBadReconnectOptions) {
   negative.reconnect_attempts = -1;
   EXPECT_THROW(campaign::RemoteRunner(
                    std::make_shared<campaign::FakeTransport>(1), negative),
-               ConfigError);
-  campaign::RemoteOptions zero_backoff;
-  zero_backoff.reconnect_attempts = 3;
-  zero_backoff.reconnect_backoff = std::chrono::milliseconds(0);
-  EXPECT_THROW(campaign::RemoteRunner(
-                   std::make_shared<campaign::FakeTransport>(1), zero_backoff),
-               ConfigError);
-  campaign::RemoteOptions inverted_cap;
-  inverted_cap.reconnect_attempts = 3;
-  inverted_cap.reconnect_backoff = std::chrono::milliseconds(500);
-  inverted_cap.reconnect_backoff_max = std::chrono::milliseconds(100);
-  EXPECT_THROW(campaign::RemoteRunner(
-                   std::make_shared<campaign::FakeTransport>(1), inverted_cap),
                ConfigError);
 }
 
@@ -846,9 +893,6 @@ TEST(RemoteRunnerAutotune, GrowsLeasesForFastExperimentsAndStaysIdentical) {
       run_recorded(std::make_shared<campaign::SerialRunner>(), study);
 
   campaign::RemoteOptions options = test_options(1);  // start at span 1
-  options.autotune_lease = true;
-  options.lease_target = std::chrono::milliseconds(250);
-  options.max_lease_size = 8;
   auto runner = std::make_shared<campaign::RemoteRunner>(
       std::make_shared<campaign::FakeTransport>(2), options);
   const auto remote = run_recorded(runner, study);
@@ -859,20 +903,10 @@ TEST(RemoteRunnerAutotune, GrowsLeasesForFastExperimentsAndStaysIdentical) {
   expect_exactly_once(remote.events, study.experiments);
 
   // Millisecond experiments against a 250ms target: the multiplicative
-  // rule has to have grown the span, and the bound has to have held.
+  // rule has to have grown the span, and the 64 cap has to have held.
   const campaign::RunnerTelemetry telemetry = runner->telemetry();
   EXPECT_GT(telemetry.final_lease_size, 1);
-  EXPECT_LE(telemetry.final_lease_size, options.max_lease_size);
-}
-
-TEST(RemoteRunnerAutotune, DisabledKeepsTheConfiguredSpan) {
-  const auto study = fault_study("autotune-off", 6);
-  campaign::RemoteOptions options = test_options(2);
-  options.autotune_lease = false;
-  auto runner = std::make_shared<campaign::RemoteRunner>(
-      std::make_shared<campaign::FakeTransport>(2), options);
-  run_recorded(runner, study);
-  EXPECT_EQ(runner->telemetry().final_lease_size, 2);
+  EXPECT_LE(telemetry.final_lease_size, 64);
 }
 
 TEST(RemoteRunnerAutotune, SurvivesWorkerLossMidCampaign) {
@@ -880,12 +914,11 @@ TEST(RemoteRunnerAutotune, SurvivesWorkerLossMidCampaign) {
   const auto serial =
       run_recorded(std::make_shared<campaign::SerialRunner>(), study);
 
-  // Two workers so the faulty one cannot be starved of leases; it dies at
-  // its very first delivered result, mid-lease or not.
+  // The first leased link dies at its very first delivered result,
+  // mid-lease or not; the survivor finishes.
   auto transport = std::make_shared<campaign::FakeTransport>(2);
-  transport->kill_after_results(1, 1);
+  transport->kill_after_results(0, 1);
   campaign::RemoteOptions options = test_options(1);
-  options.max_lease_size = 8;
   auto runner = std::make_shared<campaign::RemoteRunner>(transport, options);
   const auto remote = run_recorded(runner, study);
 
@@ -893,7 +926,7 @@ TEST(RemoteRunnerAutotune, SurvivesWorkerLossMidCampaign) {
   expect_exactly_once(remote.events, study.experiments);
   EXPECT_GE(remote.summary.workers_lost, 1);
   EXPECT_GE(runner->telemetry().final_lease_size, 1);
-  EXPECT_LE(runner->telemetry().final_lease_size, options.max_lease_size);
+  EXPECT_LE(runner->telemetry().final_lease_size, 64);
 }
 
 // --- options and construction ------------------------------------------------
@@ -905,19 +938,13 @@ TEST(RemoteRunnerConfig, RejectsBadConstruction) {
   EXPECT_THROW(campaign::RemoteRunner(
                    std::make_shared<campaign::FakeTransport>(1), bad_lease),
                ConfigError);
+  campaign::RemoteOptions bad_hang;
+  bad_hang.hang_timeout = std::chrono::milliseconds(0);
+  EXPECT_THROW(campaign::RemoteRunner(
+                   std::make_shared<campaign::FakeTransport>(1), bad_hang),
+               ConfigError);
   EXPECT_THROW(campaign::FakeTransport(0), ConfigError);
   EXPECT_THROW(campaign::SubprocessTransport(0), ConfigError);
-  EXPECT_THROW(campaign::SubprocessTransport(2, {}), ConfigError);
-  campaign::RemoteOptions bad_max;
-  bad_max.max_lease_size = 0;
-  EXPECT_THROW(campaign::RemoteRunner(
-                   std::make_shared<campaign::FakeTransport>(1), bad_max),
-               ConfigError);
-  campaign::RemoteOptions bad_target;
-  bad_target.lease_target = std::chrono::milliseconds(0);
-  EXPECT_THROW(campaign::RemoteRunner(
-                   std::make_shared<campaign::FakeTransport>(1), bad_target),
-               ConfigError);
 }
 
 // --- runner specs, hostfiles, ssh argv ---------------------------------------

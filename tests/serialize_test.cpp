@@ -373,11 +373,12 @@ TEST(WorkerFrames, HelloCarriesOrOmitsTheStudy) {
     return sample_params(300 + static_cast<std::uint64_t>(k));
   };
 
-  const auto with = runtime::encode_hello_frame(&study);
+  // The coordinator's heartbeat cadence rides inside the Hello.
+  const auto with = runtime::encode_hello_frame(&study, 1250);
   EXPECT_EQ(runtime::worker_frame_type(with), runtime::WorkerFrame::Hello);
   const runtime::HelloFrame hello = runtime::decode_hello_frame(with);
   EXPECT_EQ(hello.protocol_version, runtime::kWorkerProtocolVersion);
-  EXPECT_EQ(hello.heartbeat_interval_ms, 0u);  // 0 = worker-side default
+  EXPECT_EQ(hello.heartbeat_interval_ms, 1250u);
   ASSERT_TRUE(hello.study.has_value());
   EXPECT_EQ(hello.study->name, "framed");
   EXPECT_EQ(hello.study->experiments, 2);
@@ -385,12 +386,18 @@ TEST(WorkerFrames, HelloCarriesOrOmitsTheStudy) {
     EXPECT_EQ(runtime::encode_experiment_params(hello.study->make_params(k)),
               runtime::encode_experiment_params(study.make_params(k)));
 
-  const auto without = runtime::encode_hello_frame(nullptr);
+  const auto without = runtime::encode_hello_frame(nullptr, 1);
   EXPECT_FALSE(runtime::decode_hello_frame(without).study.has_value());
+  EXPECT_EQ(runtime::decode_hello_frame(without).heartbeat_interval_ms, 1u);
 
-  // The coordinator's heartbeat cadence rides inside the Hello.
-  const auto paced = runtime::encode_hello_frame(nullptr, 1250);
-  EXPECT_EQ(runtime::decode_hello_frame(paced).heartbeat_interval_ms, 1250u);
+  // There is no "worker default" cadence: a Hello without an interval is
+  // malformed, with or without a study.
+  EXPECT_THROW(
+      runtime::decode_hello_frame(runtime::encode_hello_frame(&study, 0)),
+      codec::DecodeError);
+  EXPECT_THROW(
+      runtime::decode_hello_frame(runtime::encode_hello_frame(nullptr, 0)),
+      codec::DecodeError);
 }
 
 TEST(WorkerFrames, HeartbeatCarriesWorkerStats) {
@@ -740,141 +747,6 @@ TEST(PipeIoCorruption, GarbageBetweenFramesIsRejected) {
   RawStream stream(bytes);
   EXPECT_EQ(util::read_frame(stream.fd()), (std::vector<std::uint8_t>{5, 5, 5}));
   EXPECT_THROW(util::read_frame(stream.fd()), codec::DecodeError);
-}
-
-// --- campaign journal records -------------------------------------------------
-
-/// A representative journal: header + one of every record type.
-std::vector<std::uint8_t> sample_journal() {
-  std::vector<std::uint8_t> bytes = runtime::encode_journal_header();
-  runtime::JournalEntry begin;
-  begin.type = runtime::JournalRecord::CampaignBegin;
-  begin.runner_spec = "remote(fake:2)";
-  begin.seed = 9000;
-  begin.studies = 1;
-  runtime::encode_journal_record(begin, bytes);
-  runtime::JournalEntry study;
-  study.type = runtime::JournalRecord::StudyBegin;
-  study.study = 0;
-  study.study_name = "demo-coverage";
-  study.study_digest = std::string(64, 'a');
-  study.experiments = 2;
-  runtime::encode_journal_record(study, bytes);
-  runtime::JournalEntry done;
-  done.type = runtime::JournalRecord::IndexDone;
-  done.study = 0;
-  done.index = 0;
-  done.result_key = std::string(64, 'b');
-  runtime::encode_journal_record(done, bytes);
-  runtime::JournalEntry end;
-  end.type = runtime::JournalRecord::StudyEnd;
-  end.study = 0;
-  runtime::encode_journal_record(end, bytes);
-  runtime::JournalEntry fin;
-  fin.type = runtime::JournalRecord::CampaignEnd;
-  runtime::encode_journal_record(fin, bytes);
-  return bytes;
-}
-
-TEST(JournalRecords, RoundTripsEveryRecordType) {
-  const std::vector<std::uint8_t> bytes = sample_journal();
-  std::size_t offset = runtime::decode_journal_header(bytes.data(), bytes.size());
-  std::vector<runtime::JournalEntry> entries;
-  while (offset < bytes.size()) {
-    std::size_t consumed = 0;
-    entries.push_back(runtime::decode_journal_record(
-        bytes.data() + offset, bytes.size() - offset, consumed));
-    offset += consumed;
-  }
-  ASSERT_EQ(entries.size(), 5u);
-  EXPECT_EQ(entries[0].type, runtime::JournalRecord::CampaignBegin);
-  EXPECT_EQ(entries[0].runner_spec, "remote(fake:2)");
-  EXPECT_EQ(entries[0].seed, 9000u);
-  EXPECT_EQ(entries[0].studies, 1u);
-  EXPECT_EQ(entries[1].type, runtime::JournalRecord::StudyBegin);
-  EXPECT_EQ(entries[1].study_name, "demo-coverage");
-  EXPECT_EQ(entries[1].study_digest, std::string(64, 'a'));
-  EXPECT_EQ(entries[1].experiments, 2u);
-  EXPECT_EQ(entries[2].type, runtime::JournalRecord::IndexDone);
-  EXPECT_EQ(entries[2].index, 0u);
-  EXPECT_EQ(entries[2].result_key, std::string(64, 'b'));
-  EXPECT_EQ(entries[3].type, runtime::JournalRecord::StudyEnd);
-  EXPECT_EQ(entries[4].type, runtime::JournalRecord::CampaignEnd);
-}
-
-TEST(JournalRecords, BadHeaderIsRejected) {
-  std::vector<std::uint8_t> bytes = runtime::encode_journal_header();
-  bytes[0] ^= 0xff;  // magic
-  EXPECT_THROW(runtime::decode_journal_header(bytes.data(), bytes.size()),
-               codec::DecodeError);
-  std::vector<std::uint8_t> versioned = runtime::encode_journal_header();
-  versioned[4] ^= 0xff;  // version word
-  EXPECT_THROW(
-      runtime::decode_journal_header(versioned.data(), versioned.size()),
-      codec::DecodeError);
-  EXPECT_THROW(runtime::decode_journal_header(bytes.data(), 3),
-               codec::DecodeError);
-}
-
-// A SIGKILL mid-append leaves a torn tail: every truncation point of the
-// final record must decode as "no record here" (DecodeError), never as a
-// different record or a crash.
-TEST(JournalRecords, EveryTruncationOfTheTailIsRejected) {
-  const std::vector<std::uint8_t> bytes = sample_journal();
-  const std::size_t header = runtime::decode_journal_header(bytes.data(),
-                                                            bytes.size());
-  // Find the last record's start by walking the full journal.
-  std::size_t offset = header;
-  std::size_t last_start = header;
-  while (offset < bytes.size()) {
-    std::size_t consumed = 0;
-    last_start = offset;
-    runtime::decode_journal_record(bytes.data() + offset,
-                                   bytes.size() - offset, consumed);
-    offset += consumed;
-  }
-  for (std::size_t cut = last_start + 1; cut < bytes.size(); ++cut) {
-    std::size_t consumed = 0;
-    EXPECT_THROW(runtime::decode_journal_record(bytes.data() + last_start,
-                                                cut - last_start, consumed),
-                 codec::DecodeError)
-        << "cut at " << cut;
-  }
-}
-
-// Any single bit flip inside a record must fail its checksum (or its
-// structural decode) — bit rot cannot silently alter the replay.
-TEST(JournalRecords, BitFlipsAreDetected) {
-  runtime::JournalEntry done;
-  done.type = runtime::JournalRecord::IndexDone;
-  done.study = 3;
-  done.index = 17;
-  done.result_key = std::string(64, 'c');
-  std::vector<std::uint8_t> record;
-  runtime::encode_journal_record(done, record);
-  for (std::size_t byte = 0; byte < record.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> flipped = record;
-      flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      std::size_t consumed = 0;
-      bool rejected = false;
-      try {
-        const runtime::JournalEntry decoded = runtime::decode_journal_record(
-            flipped.data(), flipped.size(), consumed);
-        // A flip in the length field can make the record claim more bytes
-        // than exist (DecodeError above) — it can never round-trip to a
-        // *different* accepted record.
-        EXPECT_EQ(decoded.study, done.study);
-        EXPECT_EQ(decoded.index, done.index);
-        EXPECT_EQ(decoded.result_key, done.result_key);
-        ADD_FAILURE() << "flip byte " << byte << " bit " << bit
-                      << " silently accepted";
-      } catch (const codec::DecodeError&) {
-        rejected = true;
-      }
-      EXPECT_TRUE(rejected) << "byte " << byte << " bit " << bit;
-    }
-  }
 }
 
 TEST(Digest, Sha256KnownVectors) {

@@ -1,9 +1,9 @@
 // Transport conformance: one parameterized suite run against every
-// campaign::Transport backend (FakeTransport, SubprocessTransport in fork
-// and exec mode, SshTransport through a local shim), driving the worker
-// frame protocol by hand — handshake, lease round-trip, a lease outside the
-// study, large frames, abrupt close, double close — so a future backend
-// plugs into ready-made coverage.
+// campaign::Transport backend (FakeTransport, SubprocessTransport, and
+// SshTransport through a local shim that execs `lokimeasure --worker
+// --serve`), driving the worker frame protocol by hand — handshake, lease
+// round-trip, a lease outside the study, large frames, abrupt close, double
+// close — so a future backend plugs into ready-made coverage.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -40,6 +40,9 @@ struct RegisterApps {
 const RegisterApps kRegistered;
 
 constexpr std::chrono::milliseconds kRecvTimeout{10'000};
+/// Heartbeat interval for hand-driven Hellos: far longer than any test
+/// lease, so no unscripted heartbeat interleaves with the expected frames.
+constexpr std::uint32_t kHeartbeatMs = 60'000;
 
 runtime::StudyParams tiny_study(int experiments = 4) {
   runtime::StudyParams study;
@@ -88,15 +91,6 @@ std::vector<TransportFactory> factories() {
                         workers);
                   }});
   list.push_back(
-      {"subprocess_exec",
-       [](int workers) -> std::shared_ptr<campaign::Transport> {
-         const std::string bin = lokimeasure_bin();
-         if (bin.empty()) return nullptr;
-         return std::make_shared<campaign::SubprocessTransport>(
-             workers,
-             std::vector<std::string>{bin, "--worker", "--serve"});
-       }});
-  list.push_back(
       {"ssh_shim", [](int workers) -> std::shared_ptr<campaign::Transport> {
          const std::string bin = lokimeasure_bin();
          if (bin.empty()) return nullptr;
@@ -137,7 +131,7 @@ class TransportConformance : public testing::TestWithParam<TransportFactory> {
 
   void handshake() {
     link_->send(runtime::encode_hello_frame(
-        link_->needs_study_bytes() ? &study_ : nullptr));
+        link_->needs_study_bytes() ? &study_ : nullptr, kHeartbeatMs));
     const RecvOutcome out = link_->recv(kRecvTimeout);
     ASSERT_EQ(out.status, RecvOutcome::Status::Frame);
     const runtime::HelloAckFrame ack =
@@ -294,7 +288,7 @@ TEST_P(TransportConformance, TwoWorkersAreIndependent) {
   auto link1 = transport_->connect(1, study_);
   handshake();
   link1->send(runtime::encode_hello_frame(
-      link1->needs_study_bytes() ? &study_ : nullptr));
+      link1->needs_study_bytes() ? &study_ : nullptr, kHeartbeatMs));
   {
     const RecvOutcome out = link1->recv(kRecvTimeout);
     ASSERT_EQ(out.status, RecvOutcome::Status::Frame);
@@ -324,7 +318,7 @@ TEST(FakeTransportJoinDiscipline, OwnerJoinsEveryWorkerThread) {
     // Ordering 1: the link dies first, while the worker thread may still
     // be serving; the transport (owner) must join it on reconnect.
     auto link = transport.connect(0, study);
-    link->send(runtime::encode_hello_frame(&study));
+    link->send(runtime::encode_hello_frame(&study, kHeartbeatMs));
     link.reset();  // closes the worker's stdin mid-conversation
     link = transport.connect(0, study);  // joins the predecessor thread
 
@@ -338,7 +332,7 @@ TEST(FakeTransportJoinDiscipline, OwnerJoinsEveryWorkerThread) {
     // Ordering 3: a second worker is spun up and both links are released
     // before the transport goes away; ~FakeTransport joins both threads.
     auto other = transport.connect(1, study);
-    other->send(runtime::encode_hello_frame(&study));
+    other->send(runtime::encode_hello_frame(&study, kHeartbeatMs));
     link.reset();
     other.reset();
   }  // ~FakeTransport: owner-side join of every live worker thread

@@ -12,9 +12,8 @@
 //                  [--cache DIR] [--experiments N] [--seed S]
 //
 // 3. Worker: speak the worker frame protocol (Hello/Lease/ResultBatch/...,
-//    runtime/serialize.hpp) on stdin/stdout — what RemoteRunner's exec'd
-//    SubprocessTransport and SshTransport run. The study arrives inside the
-//    Hello frame:
+//    runtime/serialize.hpp) on stdin/stdout — what RemoteRunner's
+//    SshTransport workers run. The study arrives inside the Hello frame:
 //      lokimeasure --worker --serve
 #include <cstdio>
 #include <cstdint>
