@@ -301,8 +301,6 @@ Campaign::Summary Campaign::run() {
       telemetry_after.requeued_indices - telemetry_before.requeued_indices;
   summary.workers_lost =
       telemetry_after.workers_lost - telemetry_before.workers_lost;
-  summary.reconnects =
-      telemetry_after.reconnects - telemetry_before.reconnects;
   summary.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -422,10 +420,6 @@ CampaignBuilder& CampaignBuilder::runner(std::shared_ptr<Runner> runner) {
   if (!runner) throw ConfigError("null runner");
   runner_ = std::move(runner);
   return *this;
-}
-
-CampaignBuilder& CampaignBuilder::parallelism(int workers) {
-  return runner(make_runner(workers));
 }
 
 CampaignBuilder& CampaignBuilder::sink(std::shared_ptr<ResultSink> sink) {

@@ -8,7 +8,7 @@
 //
 //   Campaign c = CampaignBuilder()
 //                    .sink(measure)
-//                    .parallelism(4)
+//                    .runner(campaign::parse_runner_spec("threads:4"))
 //                    .study("coverage")
 //                    .experiments(20)
 //                    .generator(make_params)
@@ -57,9 +57,6 @@ class Campaign {
     /// straight from the cache by journaled key, without probing, running,
     /// or re-validating. Zero on a non-resumed run.
     int replayed{0};
-    /// Worker links reconnected after a loss (RemoteRunner with reconnect
-    /// enabled). Zero elsewhere.
-    int reconnects{0};
     /// Fault recovery on fallible runners (RemoteRunner): lease requeue
     /// events, the experiment indices those events sent back to the queue
     /// (one event salvaging 5 indices counts 1 event, 5 indices), and
@@ -151,10 +148,9 @@ class CampaignBuilder {
   /// Add a pre-built runtime-layer study.
   CampaignBuilder& add(runtime::StudyParams study);
 
-  /// Execution strategy; default SerialRunner.
+  /// Execution strategy; default SerialRunner. parse_runner_spec
+  /// (campaign/runner.hpp) builds one from a spec string.
   CampaignBuilder& runner(std::shared_ptr<Runner> runner);
-  /// Sugar for runner(make_runner(workers)).
-  CampaignBuilder& parallelism(int workers);
 
   /// Attach a streaming observer (any number).
   CampaignBuilder& sink(std::shared_ptr<ResultSink> sink);

@@ -21,7 +21,6 @@
 #include "util/codec.hpp"
 #include "util/error.hpp"
 #include "util/mutex.hpp"
-#include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace loki::campaign {
@@ -41,21 +40,13 @@ constexpr int kMaxLeaseSize = 64;
 /// How long teardown waits for workers to exit after Shutdown before
 /// killing them.
 constexpr std::chrono::milliseconds kShutdownGrace{2'000};
-/// Reconnect backoff: the first wait, doubled per failed attempt up to the
-/// cap (each wait then jittered).
-constexpr std::chrono::milliseconds kReconnectBackoff{100};
-constexpr std::chrono::milliseconds kReconnectBackoffMax{5'000};
 
 /// What a reader thread observed on its link. Eof and Corrupt are terminal:
-/// the reader pushes one and exits. `epoch` is the link generation the
-/// reader was spawned for — a reconnect bumps the worker's epoch, so late
-/// events from the replaced link's reader are recognized as stale instead
-/// of being charged against the fresh link.
+/// the reader pushes one and exits.
 struct Event {
   enum class Kind { Frame, Eof, Corrupt };
   int worker{-1};
   Kind kind{Kind::Eof};
-  int epoch{0};
   std::vector<std::uint8_t> frame;
   std::string detail;
 };
@@ -103,33 +94,19 @@ struct Chunk {
   int hi{0};
 };
 
-/// One lost worker awaiting its next reopen attempt (exponential backoff
-/// with jitter). Lives on the engine's scheduling thread only.
-struct PendingReconnect {
-  int worker{0};
-  int attempts_left{0};
-  std::chrono::milliseconds delay{0};
-  Clock::time_point next_try;
-};
-
+/// One worker slot: a single link for the whole study. A lost link is never
+/// replaced — the slot stays dead and the survivors take over its work.
 struct WorkerState {
   std::unique_ptr<WorkerLink> link;
   std::thread reader;
   bool alive{false};       // link usable (spawned, not lost)
   bool handshaken{false};  // HelloAck received
   bool idle{false};        // handshaken and not holding a lease
-  /// Link generation: bumped by every reconnect; events stamped with an
-  /// older epoch belong to a replaced link and are ignored (except for
-  /// reader-exit accounting).
-  int epoch{0};
-  /// Set while a reopened link's HelloAck is pending, so the ack site can
-  /// count the reconnect as complete.
-  bool rejoining{false};
   std::uint32_t lease_id{0};
   std::set<int> outstanding;    // leased indices without a Result yet
   /// Engine-clock start of the current silence: the latest of the last
-  /// handled frame, the last lease send and the (re)connect. A worker that
-  /// owes a frame is hung once hang_timeout has passed since then.
+  /// handled frame, the last lease send and the connect. A worker that owes
+  /// a frame is hung once hang_timeout has passed since then.
   Clock::time_point quiet_since;
   /// Worker-reported EWMA per-experiment latency from the latest Heartbeat
   /// (µs; 0 until the first heartbeat carries stats) — the autotuner's one
@@ -192,28 +169,22 @@ class Engine {
       WorkerState& ws = workers_[static_cast<std::size_t>(w)];
       if (!ws.alive) continue;
       ++readers_started_;
-      ws.reader = std::thread([this, w, link = ws.link.get(),
-                               epoch = ws.epoch] {
-        reader_loop(w, link, epoch);
-      });
+      ws.reader = std::thread(
+          [this, w, link = ws.link.get()] { reader_loop(w, link); });
     }
 
     while (!done()) {
-      attempt_due_reconnects();
       drain();
       assign();
-      // Losing the whole fleet is fatal only once no reconnect is pending:
-      // with attempts left, the campaign stalls (the queue holds everything
-      // requeued) and resumes the moment one reopen succeeds.
-      if (!done() && live_count() == 0 && reconnects_pending_.empty())
+      if (!done() && live_count() == 0)
         throw std::runtime_error(
             "remote runner: study '" + study_.name + "': all " +
             std::to_string(spawn) + " workers lost with " +
             std::to_string(unfinished()) + " experiments unfinished (" +
             std::to_string(telemetry_.requeues) + " requeues)");
       if (done()) break;
-      // Wake at the next hang or reconnect deadline even if no worker ever
-      // produces another event (a wedged fleet, the zero-survivors stall).
+      // Wake at the next hang deadline even if no worker ever produces
+      // another event (a wedged fleet).
       const std::optional<Clock::time_point> wake = next_deadline();
       std::optional<Event> event = wake.has_value()
                                        ? events_.pop_until(*wake)
@@ -280,26 +251,26 @@ class Engine {
 
   /// Silence is the engine's call (lose_hung_workers), so a recv timeout
   /// is no event: the reader just waits again.
-  void reader_loop(int w, WorkerLink* link, int epoch) {
+  void reader_loop(int w, WorkerLink* link) {
     for (;;) {
       RecvOutcome out;
       try {
         out = link->recv(options_.hang_timeout);
       } catch (const codec::DecodeError& e) {
-        events_.push({w, Event::Kind::Corrupt, epoch, {}, e.what()});
+        events_.push({w, Event::Kind::Corrupt, {}, e.what()});
         return;
       } catch (const std::exception& e) {
-        events_.push({w, Event::Kind::Eof, epoch, {}, e.what()});
+        events_.push({w, Event::Kind::Eof, {}, e.what()});
         return;
       }
       switch (out.status) {
         case RecvOutcome::Status::Frame:
-          events_.push({w, Event::Kind::Frame, epoch, std::move(out.frame), {}});
+          events_.push({w, Event::Kind::Frame, std::move(out.frame), {}});
           break;
         case RecvOutcome::Status::Timeout:
           break;
         case RecvOutcome::Status::Eof:
-          events_.push({w, Event::Kind::Eof, epoch, {}, {}});
+          events_.push({w, Event::Kind::Eof, {}, {}});
           return;
       }
     }
@@ -308,16 +279,6 @@ class Engine {
   // --- event handling --------------------------------------------------------
 
   void handle(const Event& event) {
-    if (event.epoch !=
-        workers_[static_cast<std::size_t>(event.worker)].epoch) {
-      // A replaced link's reader speaking after the reconnect took the
-      // slot. Its terminal event still closes out the reader accounting;
-      // everything else is noise from a link already given up on.
-      if (event.kind == Event::Kind::Eof ||
-          event.kind == Event::Kind::Corrupt)
-        ++readers_finished_;
-      return;
-    }
     switch (event.kind) {
       case Event::Kind::Frame:
         on_frame(event.worker, event.frame);
@@ -357,16 +318,6 @@ class Engine {
                 " — refusing to mix");
           ws.handshaken = true;
           ws.idle = true;
-          if (ws.rejoining) {
-            // The reconnect is complete only now — a reopened link whose
-            // worker never acks is just another loss, not a reconnect.
-            ws.rejoining = false;
-            ++telemetry_.reconnects;
-            WorkerTelemetry& wt =
-                telemetry_.workers[static_cast<std::size_t>(w)];
-            ++wt.reconnects;
-            wt.lost = false;
-          }
           break;
         }
         case WorkerFrame::Heartbeat:
@@ -476,6 +427,19 @@ class Engine {
     }
   }
 
+  /// The earliest hang deadline among the workers that owe a frame: the
+  /// moment the engine must act without an event. nullopt when only an
+  /// event can make progress.
+  std::optional<Clock::time_point> next_deadline() const {
+    std::optional<Clock::time_point> next;
+    for (const WorkerState& ws : workers_) {
+      if (!ws.owes_frame()) continue;
+      const Clock::time_point t = ws.quiet_since + options_.hang_timeout;
+      if (!next.has_value() || t < *next) next = t;
+    }
+    return next;
+  }
+
   /// Kill every worker that owes a frame and has been silent for
   /// hang_timeout on the engine's clock. Runs only when the event queue has
   /// drained, so a frame that arrived but is not yet handled can never make
@@ -511,115 +475,6 @@ class Engine {
       note_requeue(w, requeue_salvageable(ws));
       ws.outstanding.clear();
     }
-    // Requeue first, then (maybe) schedule the reopen: survivors start on
-    // the salvaged indices immediately; the slot rejoins whenever the
-    // backoff schedule lands a successful reopen.
-    if (options_.reconnect_attempts > 0) schedule_reconnect(w);
-  }
-
-  // --- reconnect -------------------------------------------------------------
-
-  /// 75%..125% of `delay`, so a fleet lost to one blip does not hammer the
-  /// transport in lockstep. Deterministic: the jitter stream has a fixed seed.
-  std::chrono::milliseconds jittered(std::chrono::milliseconds delay) {
-    const double factor = 0.75 + 0.5 * reconnect_rng_.next_double();
-    return std::chrono::milliseconds(std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(static_cast<double>(delay.count()) *
-                                     factor)));
-  }
-
-  void schedule_reconnect(int w) {
-    PendingReconnect pending;
-    pending.worker = w;
-    pending.attempts_left = options_.reconnect_attempts;
-    pending.delay = kReconnectBackoff;
-    pending.next_try = Clock::now() + jittered(pending.delay);
-    reconnects_pending_.push_back(pending);
-  }
-
-  /// The earliest moment the engine must act without an event: a pending
-  /// reconnect attempt or a silent worker's hang deadline. nullopt when
-  /// only an event can make progress.
-  std::optional<Clock::time_point> next_deadline() const {
-    std::optional<Clock::time_point> next;
-    const auto consider = [&next](Clock::time_point t) {
-      if (!next.has_value() || t < *next) next = t;
-    };
-    for (const PendingReconnect& pending : reconnects_pending_)
-      consider(pending.next_try);
-    for (const WorkerState& ws : workers_)
-      if (ws.owes_frame()) consider(ws.quiet_since + options_.hang_timeout);
-    return next;
-  }
-
-  void attempt_due_reconnects() {
-    const auto now = Clock::now();
-    for (auto it = reconnects_pending_.begin();
-         it != reconnects_pending_.end();) {
-      if (it->next_try > now) {
-        ++it;
-        continue;
-      }
-      if (try_reconnect(it->worker)) {
-        it = reconnects_pending_.erase(it);
-        continue;
-      }
-      if (--it->attempts_left <= 0) {
-        std::fprintf(stderr,
-                     "remote runner: study '%s': giving up on worker %d "
-                     "after %d reconnect attempts\n",
-                     study_.name.c_str(), it->worker,
-                     options_.reconnect_attempts);
-        it = reconnects_pending_.erase(it);
-        continue;
-      }
-      it->delay = std::min(it->delay * 2, kReconnectBackoffMax);
-      it->next_try = now + jittered(it->delay);
-      ++it;
-    }
-  }
-
-  /// One reopen attempt for worker `w`'s slot. On success the slot holds a
-  /// fresh link with a fresh reader (new epoch) and a pending handshake;
-  /// on failure the slot is left dead for the caller's backoff loop.
-  bool try_reconnect(int w) {
-    WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-    // The old reader exited promptly after lose_worker's kill(); join it so
-    // the replacement can take the slot.
-    if (ws.reader.joinable()) ws.reader.join();
-    std::unique_ptr<WorkerLink> link;
-    try {
-      link = transport_.reopen(w, study_);
-    } catch (const std::exception&) {
-      return false;  // refused: the caller backs off and retries
-    }
-    ws.link = std::move(link);
-    try {
-      ws.link->send(hello_for(*ws.link));
-    } catch (const std::exception&) {
-      ws.link->kill();
-      return false;
-    }
-    ws.alive = true;
-    ws.handshaken = false;
-    ws.idle = false;
-    ws.rejoining = true;
-    ws.outstanding.clear();
-    ws.lease_id = 0;
-    ws.quiet_since = Clock::now();
-    ws.ewma_latency_us = 0.0;
-    ++ws.epoch;
-    WorkerTelemetry& wt = telemetry_.workers[static_cast<std::size_t>(w)];
-    wt.describe = ws.link->describe();
-    wt.last_seen = ws.quiet_since;
-    std::fprintf(stderr, "remote runner: study '%s': reconnected %s\n",
-                 study_.name.c_str(), ws.link->describe().c_str());
-    ++readers_started_;
-    ws.reader = std::thread([this, w, link = ws.link.get(),
-                             epoch = ws.epoch] {
-      reader_loop(w, link, epoch);
-    });
-    return true;
   }
 
   /// Requeue this worker's outstanding indices that the campaign still
@@ -795,9 +650,6 @@ class Engine {
   /// experiments share machine/state/event dictionaries, so the decode hot
   /// path pays the string allocations once per distinct header.
   runtime::ResultInterner interner_;
-  /// Lost workers awaiting reopen attempts; engine thread only.
-  std::vector<PendingReconnect> reconnects_pending_;
-  Rng reconnect_rng_{0};
   std::uint32_t lease_seq_{0};
   int next_emit_{0};
   int fail_min_{kNoFailure};
@@ -821,16 +673,11 @@ RemoteRunner::RemoteRunner(std::shared_ptr<Transport> transport,
                       std::to_string(options_.lease_size));
   if (options_.hang_timeout.count() <= 0)
     throw ConfigError("RemoteRunner: hang_timeout must be positive");
-  if (options_.reconnect_attempts < 0)
-    throw ConfigError("RemoteRunner: reconnect_attempts must be >= 0, got " +
-                      std::to_string(options_.reconnect_attempts));
 }
 
 std::string RemoteRunner::name() const {
   return "remote(" + transport_->name() + ")";
 }
-
-int RemoteRunner::parallelism() const { return transport_->worker_count(); }
 
 void RemoteRunner::run_study(const runtime::StudyParams& study,
                              const EmitFn& emit) {

@@ -20,13 +20,13 @@
 //     requeued, the worker stays in rotation.
 // Silence is judged on the coordinator's own clock: a worker is hung once
 // hang_timeout has passed since the latest of its last frame, its lease
-// send, and its (re)connect — never on a reader's stale recv timeout.
+// send, and its connect — never on a reader's stale recv timeout.
 // Requeue/lost counts surface through Runner::telemetry() and
-// Campaign::Summary. With Options::reconnect_attempts > 0, a lost worker's
-// slot is reopened through the transport (exponential backoff with jitter);
-// a rejoined worker re-handshakes and pulls leases again. When the last
-// worker dies with work remaining and no reconnect is pending, the runner
-// throws std::runtime_error.
+// Campaign::Summary. Each worker slot holds one link for the whole study: a
+// lost worker stays lost, and the survivors drain its requeued indices. When
+// the last worker dies with work remaining, the runner throws
+// std::runtime_error — so a worker that crashes on the same experiment every
+// time fails the study instead of looping.
 //
 // Contract (matching SerialRunner / ThreadPoolRunner):
 //   * emit(k, result) exactly once per index, in increasing k, on the
@@ -63,19 +63,6 @@ struct RemoteOptions {
   /// several chances per window. Must comfortably exceed the slowest single
   /// experiment.
   std::chrono::milliseconds hang_timeout{30'000};
-  /// Reconnect policy: after a worker link is lost (EOF, hang-kill, corrupt
-  /// stream), try Transport::reopen up to this many times before writing
-  /// the slot off. 0 (the default) disables reconnection — a lost worker
-  /// stays lost. The budget is per loss: a worker that rejoins and dies
-  /// again gets a fresh set of attempts. Attempts wait 100 ms, doubling per
-  /// failure up to 5 s, each jittered to 75%..125% with a fixed-seed
-  /// util::Rng so a fleet lost to one blip does not retry in lockstep
-  /// (reconnect timing never reaches the results). Requeued indices are NOT
-  /// held back for the reconnect — survivors keep draining the queue, and
-  /// the rejoined worker simply pulls the next lease; with no survivors the
-  /// campaign stalls (rather than aborting) until an attempt succeeds or
-  /// the budget runs out.
-  int reconnect_attempts{0};
 };
 
 class RemoteRunner final : public Runner {
@@ -84,7 +71,6 @@ class RemoteRunner final : public Runner {
                         RemoteOptions options = {});
 
   std::string name() const override;
-  int parallelism() const override;
   void run_study(const runtime::StudyParams& study, const EmitFn& emit) override;
   RunnerTelemetry telemetry() const override { return telemetry_; }
 

@@ -177,11 +177,6 @@ void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
   }
 }
 
-std::shared_ptr<Runner> make_runner(int parallelism) {
-  if (parallelism <= 1) return std::make_shared<SerialRunner>();
-  return std::make_shared<ThreadPoolRunner>(parallelism);
-}
-
 std::shared_ptr<Runner> parse_runner_spec(const std::string& spec) {
   const auto bad = [&spec]() -> ConfigError {
     return ConfigError(
@@ -213,8 +208,7 @@ std::shared_ptr<Runner> parse_runner_spec(const std::string& spec) {
     return std::make_shared<RemoteRunner>(std::make_shared<SshTransport>(
         parse_hostfile(read_file(path), path)));
   }
-  // Bare integer: the historical `[workers]` CLI argument.
-  return make_runner(workers_of(view));
+  throw bad();
 }
 
 }  // namespace loki::campaign

@@ -53,11 +53,8 @@ struct WorkerTelemetry {
   int lease_size{0};
   /// Requeue events attributed to this worker's leases.
   int requeues{0};
-  /// Times this worker's link was reopened after a loss (reconnect policy,
-  /// campaign/remote_runner.hpp).
-  int reconnects{0};
-  /// True once the coordinator declared this worker lost. Cleared again by
-  /// a successful reconnect.
+  /// True once the coordinator declared this worker lost. A lost worker's
+  /// slot stays lost for the rest of the study.
   bool lost{false};
   /// True while the worker holds an active lease.
   bool busy{false};
@@ -77,11 +74,7 @@ struct FleetTelemetry {
   /// event covering 5 unfinished indices counts 1 requeue, 5 indices).
   int requeued_indices{0};
   /// Worker links that died mid-study (crash, hang-kill, corrupt stream).
-  /// A reconnected worker still counts here — the link really was lost.
   int workers_lost{0};
-  /// Worker links reopened after a loss (Transport::reopen succeeded and
-  /// the replacement completed its handshake).
-  int reconnects{0};
   /// Lease span in effect when the last study finished — where the
   /// autotuner (campaign/remote_runner.hpp) converged from observed
   /// per-experiment latency. 0 for runners without leases.
@@ -109,8 +102,6 @@ class Runner {
   virtual ~Runner();
 
   virtual std::string name() const = 0;
-  /// Number of experiments this runner executes concurrently.
-  virtual int parallelism() const = 0;
 
   /// Execute experiments 0..study.experiments-1. Generated params are
   /// validated (ConfigError names the study and index) before running.
@@ -127,7 +118,6 @@ class Runner {
 class SerialRunner final : public Runner {
  public:
   std::string name() const override { return "serial"; }
-  int parallelism() const override { return 1; }
   void run_study(const runtime::StudyParams& study, const EmitFn& emit) override;
 };
 
@@ -150,15 +140,11 @@ class ThreadPoolRunner final : public Runner {
   explicit ThreadPoolRunner(int workers);
 
   std::string name() const override;
-  int parallelism() const override { return workers_; }
   void run_study(const runtime::StudyParams& study, const EmitFn& emit) override;
 
  private:
   int workers_;
 };
-
-/// Convenience: 1 worker selects SerialRunner, more select ThreadPoolRunner.
-std::shared_ptr<Runner> make_runner(int parallelism);
 
 /// One runner-selection grammar for every CLI surface (lokimeasure,
 /// examples, benches):
@@ -170,9 +156,8 @@ std::shared_ptr<Runner> make_runner(int parallelism);
 ///                    queue (campaign/remote_runner.hpp)
 ///   "remote:FILE"    RemoteRunner over SshTransport, one worker per
 ///                    hostfile line ('#' comments, blanks ignored)
-///   "N"              make_runner(N) — the legacy bare-integer spelling
 ///
-/// Throws ConfigError on anything else (including N < 1).
+/// Throws ConfigError on anything else (including N < 1 and a bare "N").
 std::shared_ptr<Runner> parse_runner_spec(const std::string& spec);
 
 }  // namespace loki::campaign

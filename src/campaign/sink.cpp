@@ -222,27 +222,25 @@ void StatusSink::render(bool final_view) {
       const runtime::LatencyHistogram& h = wt.latest.histogram;
       const char* state = wt.lost ? "lost" : (wt.busy ? "busy" : "idle");
       line("  w%zu %-16s %4s  %6llu done %7.1f/s  p50 %s p95 %s p99 %s  "
-           "lease %d  requeues %d  reconnects %d  seen %.1fs ago",
+           "lease %d  requeues %d  seen %.1fs ago",
            w, wt.describe.empty() ? "(unconnected)" : wt.describe.c_str(),
            state,
            static_cast<unsigned long long>(wt.latest.experiments_completed),
            rate, format_us(h.quantile_us(0.50)).c_str(),
            format_us(h.quantile_us(0.95)).c_str(),
            format_us(h.quantile_us(0.99)).c_str(), wt.lease_size, wt.requeues,
-           wt.reconnects,
            std::chrono::duration<double>(now - wt.last_seen).count());
     }
   }
   const runtime::WorkerStatsSnapshot merged = fleet.fleet_snapshot();
   line("fleet%s: %llu done  p50 %s p95 %s p99 %s  requeues %d (%d indices)  "
-       "lost %d  reconnects %d  lease %d",
+       "lost %d  lease %d",
        final_view ? " (final)" : "",
        static_cast<unsigned long long>(merged.experiments_completed),
        format_us(merged.histogram.quantile_us(0.50)).c_str(),
        format_us(merged.histogram.quantile_us(0.95)).c_str(),
        format_us(merged.histogram.quantile_us(0.99)).c_str(), fleet.requeues,
-       fleet.requeued_indices, fleet.workers_lost, fleet.reconnects,
-       fleet.final_lease_size);
+       fleet.requeued_indices, fleet.workers_lost, fleet.final_lease_size);
   std::fflush(out_);
   lines_up_ = lines;
   last_render_ = now;

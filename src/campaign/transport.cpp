@@ -160,49 +160,15 @@ void close_parent_side_in_child(const Pipes& p,
   for (const int fd : sibling_fds) ::close(fd);
 }
 
-/// fork()+exec() a worker command with the frame stream on stdin/stdout.
-std::unique_ptr<WorkerLink> spawn_exec(
-    const std::vector<std::string>& argv, const std::string& describe,
-    const std::shared_ptr<detail::FdRegistry>& registry) {
-  if (argv.empty()) throw ConfigError("transport: empty worker argv");
-  ignore_sigpipe_once();
-  const Pipes p = make_pipes();
-  const std::vector<int> siblings = registry->snapshot();
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    const int err = errno;
-    ::close(p.parent_send);
-    ::close(p.parent_recv);
-    ::close(p.child_send);
-    ::close(p.child_recv);
-    errno = err;
-    throw_errno("fork");
-  }
-  if (pid == 0) {
-    close_parent_side_in_child(p, siblings);
-    if (::dup2(p.child_recv, STDIN_FILENO) < 0 ||
-        ::dup2(p.child_send, STDOUT_FILENO) < 0)
-      ::_exit(127);
-    ::close(p.child_recv);
-    ::close(p.child_send);
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
-    ::execvp(cargv[0], cargv.data());
-    ::_exit(127);  // exec failed; the parent sees EOF at handshake time
-  }
-  ::close(p.child_recv);
-  ::close(p.child_send);
-  return std::make_unique<PipeLink>(pid, p.parent_send, p.parent_recv,
-                                    describe + " pid " + std::to_string(pid),
-                                    /*needs_study=*/true, registry);
-}
-
-/// fork() a worker that serves the inherited study in-process — no exec,
-/// no wire identity requirement.
-std::unique_ptr<WorkerLink> spawn_fork(
-    const runtime::StudyParams& study, const std::string& describe,
+/// fork() a worker wired to the parent by a fresh pipe pair. In the child,
+/// every parent-side fd is closed and `body(recv_fd, send_fd)` runs; its
+/// return value is the exit status, and an escaping exception (a protocol
+/// violation, a dead parent pipe) exits 1. _exit, not exit: the child
+/// shares the parent's stdio buffers and must not flush them a second time
+/// (nor run atexit handlers).
+std::unique_ptr<WorkerLink> spawn_worker(
+    const std::function<int(int recv_fd, int send_fd)>& body,
+    const std::string& describe, bool needs_study,
     const std::shared_ptr<detail::FdRegistry>& registry) {
   ignore_sigpipe_once();
   const Pipes p = make_pipes();
@@ -219,24 +185,18 @@ std::unique_ptr<WorkerLink> spawn_fork(
   }
   if (pid == 0) {
     close_parent_side_in_child(p, siblings);
-    int exit_code = 0;
+    int exit_code = 1;
     try {
-      FdFrameChannel channel(p.child_recv, p.child_send);
-      serve_worker(channel, &study);
+      exit_code = body(p.child_recv, p.child_send);
     } catch (...) {
-      exit_code = 1;  // protocol violation or dead parent pipe
     }
-    ::close(p.child_recv);
-    ::close(p.child_send);
-    // _exit, not exit: the child shares the parent's stdio buffers and must
-    // not flush them a second time (nor run atexit handlers).
     ::_exit(exit_code);
   }
   ::close(p.child_recv);
   ::close(p.child_send);
   return std::make_unique<PipeLink>(pid, p.parent_send, p.parent_recv,
                                     describe + " pid " + std::to_string(pid),
-                                    /*needs_study=*/false, registry);
+                                    needs_study, registry);
 }
 
 }  // namespace
@@ -256,8 +216,16 @@ std::string SubprocessTransport::name() const {
 
 std::unique_ptr<WorkerLink> SubprocessTransport::connect(
     int index, const runtime::StudyParams& study) {
-  return spawn_fork(study, "subprocess worker " + std::to_string(index),
-                    registry_);
+  // The child serves the inherited study in-process: no exec, no wire
+  // identity requirement.
+  return spawn_worker(
+      [&study](int recv_fd, int send_fd) {
+        FdFrameChannel channel(recv_fd, send_fd);
+        serve_worker(channel, &study);
+        return 0;
+      },
+      "subprocess worker " + std::to_string(index), /*needs_study=*/false,
+      registry_);
 }
 
 // --- SshTransport ------------------------------------------------------------
@@ -305,9 +273,25 @@ std::vector<std::string> SshTransport::worker_argv(int index) const {
 
 std::unique_ptr<WorkerLink> SshTransport::connect(
     int index, const runtime::StudyParams&) {
-  return spawn_exec(worker_argv(index),
-                    "ssh worker " + hosts_.at(static_cast<std::size_t>(index)),
-                    registry_);
+  // The exec argv is built before fork(), so the child only dup2()s the
+  // frame stream onto stdin/stdout and execs.
+  const std::vector<std::string> argv = worker_argv(index);
+  std::vector<char*> cargv;
+  cargv.reserve(argv.size() + 1);
+  for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
+  cargv.push_back(nullptr);
+  return spawn_worker(
+      [&cargv](int recv_fd, int send_fd) {
+        if (::dup2(recv_fd, STDIN_FILENO) < 0 ||
+            ::dup2(send_fd, STDOUT_FILENO) < 0)
+          return 127;
+        ::close(recv_fd);
+        ::close(send_fd);
+        ::execvp(cargv[0], cargv.data());
+        return 127;  // exec failed; the parent sees EOF at handshake time
+      },
+      "ssh worker " + hosts_.at(static_cast<std::size_t>(index)),
+      /*needs_study=*/true, registry_);
 }
 
 // --- FakeTransport -----------------------------------------------------------
@@ -403,8 +387,8 @@ class WorkerQueueChannel final : public FrameChannel {
 
 class FakeLink final : public WorkerLink {
  public:
-  /// `claim` (empty for a reopened link) runs when the first Lease goes
-  /// out and returns the victim's fault script this link adopts.
+  /// `claim` runs when the first Lease goes out and returns the victim's
+  /// fault script this link adopts.
   FakeLink(std::shared_ptr<FakeWorker> w, int index,
            std::function<detail::FakeFaults()> claim)
       : w_(std::move(w)), index_(index), claim_(std::move(claim)) {}
@@ -533,7 +517,6 @@ class FakeLink final : public WorkerLink {
 FakeTransport::FakeTransport(int workers)
     : workers_(workers),
       scripts_(static_cast<std::size_t>(workers)),
-      refuse_(static_cast<std::size_t>(workers), 0),
       live_(static_cast<std::size_t>(workers)) {
   if (workers < 1)
     throw ConfigError("FakeTransport: workers must be >= 1, got " +
@@ -553,16 +536,11 @@ std::string FakeTransport::name() const {
 
 std::unique_ptr<WorkerLink> FakeTransport::connect(
     int index, const runtime::StudyParams&) {
-  return spawn(index, /*claims_victim=*/true);
-}
-
-std::unique_ptr<WorkerLink> FakeTransport::spawn(int index,
-                                                 bool claims_victim) {
   if (index < 0 || index >= workers_)
     throw ConfigError("FakeTransport: worker index " + std::to_string(index) +
                       " out of range");
   if (auto& old = live_[static_cast<std::size_t>(index)]; old)
-    old->stop_and_join();  // a reconnect replaces the previous worker
+    old->stop_and_join();  // the slot's worker from an earlier connect
   auto worker = std::make_shared<FakeWorker>();
   const ServeOptions serve_options{batch_soft_bytes_};
   worker->thread = std::thread([worker, serve_options] {
@@ -579,33 +557,11 @@ std::unique_ptr<WorkerLink> FakeTransport::spawn(int index,
     worker->cv.notify_all();
   });
   live_[static_cast<std::size_t>(index)] = worker;
-  std::function<detail::FakeFaults()> claim;
-  if (claims_victim)
-    claim = [this, index] {
-      const std::size_t victim = victim_slots_.size();
-      victim_slots_.push_back(index);
-      return victim < scripts_.size() ? scripts_[victim] : detail::FakeFaults{};
-    };
-  return std::make_unique<FakeLink>(worker, index, std::move(claim));
-}
-
-std::unique_ptr<WorkerLink> FakeTransport::reopen(int index,
-                                                  const runtime::StudyParams&) {
-  for (std::size_t victim = 0; victim < victim_slots_.size(); ++victim) {
-    if (victim < refuse_.size() && victim_slots_[victim] == index &&
-        refuse_[victim] > 0) {
-      --refuse_[victim];
-      throw std::runtime_error("FakeTransport: worker " +
-                               std::to_string(index) +
-                               " refused reconnect (scripted)");
-    }
-  }
-  return spawn(index, /*claims_victim=*/false);
-}
-
-void FakeTransport::refuse_reconnects(int victim, int n) {
-  script(victim);  // range check
-  refuse_[static_cast<std::size_t>(victim)] = n;
+  return std::make_unique<FakeLink>(worker, index, [this, index] {
+    const std::size_t victim = victim_slots_.size();
+    victim_slots_.push_back(index);
+    return victim < scripts_.size() ? scripts_[victim] : detail::FakeFaults{};
+  });
 }
 
 int FakeTransport::victim_slot(int victim) const {

@@ -90,16 +90,6 @@ class Transport {
   /// spawn failure (the caller decides whether losing one worker is fatal).
   virtual std::unique_ptr<WorkerLink> connect(
       int index, const runtime::StudyParams& study) = 0;
-
-  /// Re-establish worker `index`'s link after a loss: a fresh spawn of the
-  /// same worker slot (new process, new handshake). The default simply
-  /// connect()s again — right for subprocess and ssh backends, where the
-  /// old process is gone and a respawn IS the reconnect. Throws on failure;
-  /// the caller (RemoteRunner's reconnect policy) retries with backoff.
-  virtual std::unique_ptr<WorkerLink> reopen(
-      int index, const runtime::StudyParams& study) {
-    return connect(index, study);
-  }
 };
 
 /// Worker-side view of the same duplex channel — what serve_worker speaks,
@@ -251,15 +241,12 @@ class SshTransport final : public Transport {
 /// scripted before the campaign runs, per *victim*: victim k is the k-th
 /// connected link to be sent a Lease, whichever worker slot it occupies. A
 /// scripted fault therefore always lands on a link that has work, however
-/// the handshakes race. Reopened links never claim a victim: the scripted
-/// fault described the process that died, and its replacement is a fresh
-/// one (which also keeps flap tests convergent). victim_slot(k) names the
-/// slot victim k landed on. The *_after_results thresholds count result
-/// entries as the parent receives them; the Nth-batch faults count
-/// result-bearing frames (1-based). Workers default to one result per
-/// batch (batch_soft_bytes = 1), so entry counts and frame counts coincide
-/// unless a test raises the batch bound via set_batch_soft_bytes to
-/// exercise multi-result batches.
+/// the handshakes race. victim_slot(k) names the slot victim k landed on.
+/// The *_after_results thresholds count result entries as the parent
+/// receives them; the Nth-batch faults count result-bearing frames
+/// (1-based). Workers default to one result per batch (batch_soft_bytes =
+/// 1), so entry counts and frame counts coincide unless a test raises the
+/// batch bound via set_batch_soft_bytes to exercise multi-result batches.
 class FakeTransport final : public Transport {
  public:
   explicit FakeTransport(int workers);
@@ -267,22 +254,14 @@ class FakeTransport final : public Transport {
 
   std::string name() const override;
   int worker_count() const override { return workers_; }
+  /// Spawns the slot's worker thread, first joining the one a previous
+  /// study's connect left there.
   std::unique_ptr<WorkerLink> connect(int index,
                                       const runtime::StudyParams& study) override;
-  /// Honours the refuse_reconnects script, then respawns the worker; the
-  /// new link claims no victim.
-  std::unique_ptr<WorkerLink> reopen(int index,
-                                     const runtime::StudyParams& study) override;
 
   /// Worker-side ResultBatch flush bound for subsequently connected
   /// workers. Default 1: every result flushes its own batch.
   void set_batch_soft_bytes(std::size_t bytes) { batch_soft_bytes_ = bytes; }
-
-  /// Script a flapping link: the next `n` reopen() calls for the slot
-  /// victim `victim` landed on throw (connection refused), later ones
-  /// succeed — "refuse twice, then accept" exercises the runner's backoff
-  /// without any real sockets.
-  void refuse_reconnects(int victim, int n);
 
   /// SIGKILL equivalent: after `n` results were delivered, the stream ends
   /// (Eof) and the worker thread is torn down; queued frames are lost.
@@ -316,12 +295,10 @@ class FakeTransport final : public Transport {
 
  private:
   detail::FakeFaults& script(int victim);
-  std::unique_ptr<WorkerLink> spawn(int index, bool claims_victim);
 
   int workers_;
   std::size_t batch_soft_bytes_{1};
   std::vector<detail::FakeFaults> scripts_;  // per victim
-  std::vector<int> refuse_;                  // per victim
   std::vector<int> victim_slots_;  // slot of each claimed victim, in order
   std::vector<std::shared_ptr<detail::FakeWorker>> live_;
 };

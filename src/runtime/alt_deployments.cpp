@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "spec/reserved.hpp"
 #include "util/error.hpp"
 
 namespace loki::runtime {
@@ -15,26 +14,22 @@ CentralizedDeployment::CentralizedDeployment(sim::World& world,
                                              sim::HostId daemon_host,
                                              const StudyDictionary& dict,
                                              const CostModel& costs, Params params,
-                                             const ReservedStudyIds* reserved)
+                                             const ReservedStudyIds& reserved)
     : world_(world),
       daemon_host_(daemon_host),
       costs_(costs),
       params_(params),
-      crash_state_id_(reserved != nullptr
-                          ? reserved->crash_state
-                          : dict.state_index(std::string(spec::kStateCrash))),
+      crash_state_id_(reserved.crash_state),
       nodes_(dict.machine_count(), nullptr) {}
 
 void CentralizedDeployment::reset(sim::HostId daemon_host,
                                   const StudyDictionary& dict,
                                   const CostModel& costs, Params params,
-                                  const ReservedStudyIds* reserved) {
+                                  const ReservedStudyIds& reserved) {
   daemon_host_ = daemon_host;
   costs_ = costs;
   params_ = params;
-  crash_state_id_ = reserved != nullptr
-                        ? reserved->crash_state
-                        : dict.state_index(std::string(spec::kStateCrash));
+  crash_state_id_ = reserved.crash_state;
   daemon_pid_ = sim::ProcessId{};
   nodes_.assign(dict.machine_count(), nullptr);
   dropped_ = 0;
@@ -148,21 +143,17 @@ void CentralizedDeployment::request_state_updates(LokiNode& node) {
 DirectDeployment::DirectDeployment(sim::World& world,
                                    const StudyDictionary& dict,
                                    const CostModel& costs,
-                                   const ReservedStudyIds* reserved)
+                                   const ReservedStudyIds& reserved)
     : world_(world),
       costs_(costs),
-      exit_state_id_(reserved != nullptr
-                         ? reserved->exit_state
-                         : dict.state_index(std::string(spec::kStateExit))),
+      exit_state_id_(reserved.exit_state),
       peers_(dict.machine_count(), nullptr) {}
 
 void DirectDeployment::reset(const StudyDictionary& dict,
                              const CostModel& costs,
-                             const ReservedStudyIds* reserved) {
+                             const ReservedStudyIds& reserved) {
   costs_ = costs;
-  exit_state_id_ = reserved != nullptr
-                       ? reserved->exit_state
-                       : dict.state_index(std::string(spec::kStateExit));
+  exit_state_id_ = reserved.exit_state;
   peers_.assign(dict.machine_count(), nullptr);
   dropped_ = 0;
   connect_cost = microseconds(300);  // the declaration's default initializer

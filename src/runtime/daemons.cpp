@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "spec/reserved.hpp"
 #include "util/error.hpp"
 
 namespace loki::runtime {
@@ -330,26 +329,17 @@ void LocalDaemon::check_experiment_end() {
 PartiallyDistributedDeployment::PartiallyDistributedDeployment(
     sim::World& world, std::vector<sim::HostId> hosts,
     const StudyDictionary& dict, const CostModel& costs, FabricParams params,
-    const ReservedStudyIds* reserved)
+    const ReservedStudyIds& reserved)
     : world_(world),
       hosts_(std::move(hosts)),
       dict_(dict),
       costs_(costs),
-      params_(params) {
+      params_(params),
+      // The study interned these once for every experiment; copying a flat
+      // u32 vector beats one map lookup per machine per experiment.
+      crash_state_id_(reserved.crash_state),
+      crash_event_idx_(reserved.crash_event_idx) {
   LOKI_REQUIRE(!hosts_.empty(), "fabric needs at least one host");
-  if (reserved != nullptr) {
-    // Compile-once path: the study interned these once for every
-    // experiment; copying a flat u32 vector beats one map lookup per
-    // machine per experiment.
-    crash_state_id_ = reserved->crash_state;
-    crash_event_idx_ = reserved->crash_event_idx;
-  } else {
-    crash_state_id_ = dict_.state_index(std::string(spec::kStateCrash));
-    crash_event_idx_.reserve(dict_.machine_count());
-    for (const std::string& machine : dict_.machines())
-      crash_event_idx_.push_back(
-          dict_.event_index(machine, std::string(spec::kEventCrash)));
-  }
   recorders_.assign(dict_.machine_count(), nullptr);
   for (const sim::HostId h : hosts_)
     daemons_.push_back(std::make_unique<LocalDaemon>(world_, h, *this));
@@ -357,17 +347,13 @@ PartiallyDistributedDeployment::PartiallyDistributedDeployment(
 
 void PartiallyDistributedDeployment::reset(
     const std::vector<sim::HostId>& hosts, const CostModel& costs,
-    FabricParams params, const ReservedStudyIds* reserved) {
+    FabricParams params, const ReservedStudyIds& reserved) {
   LOKI_REQUIRE(!hosts.empty(), "fabric needs at least one host");
   hosts_ = hosts;
   costs_ = costs;
   params_ = params;
-  if (reserved != nullptr) {
-    crash_state_id_ = reserved->crash_state;
-    crash_event_idx_ = reserved->crash_event_idx;
-  }
-  // Same study by contract: the ids derived from the dictionary are
-  // unchanged, so without a fresh reserved block the cached ones stand.
+  crash_state_id_ = reserved.crash_state;
+  crash_event_idx_ = reserved.crash_event_idx;
   std::fill(recorders_.begin(), recorders_.end(), nullptr);
   dropped_ = 0;
   if (daemons_.size() == hosts_.size()) {

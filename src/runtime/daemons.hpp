@@ -110,14 +110,13 @@ struct FabricParams {
 
 class PartiallyDistributedDeployment final : public Deployment {
  public:
-  /// `reserved` points at the study's pre-interned reserved ids
-  /// (CompiledStudy::reserved()); nullptr interns them here — the
-  /// compile-per-experiment compatibility path.
+  /// `reserved` is the study's pre-interned reserved-id block
+  /// (CompiledStudy::reserved()).
   PartiallyDistributedDeployment(sim::World& world,
                                  std::vector<sim::HostId> hosts,
                                  const StudyDictionary& dict,
                                  const CostModel& costs, FabricParams params,
-                                 const ReservedStudyIds* reserved = nullptr);
+                                 const ReservedStudyIds& reserved);
 
   /// Return to as-constructed state for a new experiment of the same study
   /// (the dictionary reference is unchanged by contract; the pool that
@@ -125,7 +124,7 @@ class PartiallyDistributedDeployment final : public Deployment {
   /// params, resets the pooled local daemons in place — reallocating them
   /// only when the host count changed — and clears the per-run callbacks.
   void reset(const std::vector<sim::HostId>& hosts, const CostModel& costs,
-             FabricParams params, const ReservedStudyIds* reserved = nullptr);
+             FabricParams params, const ReservedStudyIds& reserved);
 
   /// Start the local daemons (spawn + interconnect). Must run before nodes.
   void start_daemons();

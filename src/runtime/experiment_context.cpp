@@ -127,11 +127,11 @@ void ExperimentRun::build_deployment() {
       if (pool_.fabric == nullptr) {
         pool_.fabric = std::make_unique<PartiallyDistributedDeployment>(
             world_, host_ids_, study_.dict(), params_.costs, params_.fabric,
-            &study_.reserved());
+            study_.reserved());
         ++builds_;
       } else {
         pool_.fabric->reset(host_ids_, params_.costs, params_.fabric,
-                            &study_.reserved());
+                            study_.reserved());
       }
       fabric_ = pool_.fabric.get();
       for (std::size_t i = 0; i < params_.nodes.size(); ++i)
@@ -163,12 +163,12 @@ void ExperimentRun::build_deployment() {
       if (pool_.centralized == nullptr) {
         pool_.centralized = std::make_unique<CentralizedDeployment>(
             world_, host_ids_.front(), study_.dict(), params_.costs,
-            CentralizedDeployment::Params{}, &study_.reserved());
+            CentralizedDeployment::Params{}, study_.reserved());
         ++builds_;
       } else {
         pool_.centralized->reset(host_ids_.front(), study_.dict(),
                                  params_.costs, CentralizedDeployment::Params{},
-                                 &study_.reserved());
+                                 study_.reserved());
       }
       pool_.centralized->start_daemon();
       deployment_ = pool_.centralized.get();
@@ -177,10 +177,10 @@ void ExperimentRun::build_deployment() {
     case TransportDesign::Direct: {
       if (pool_.direct == nullptr) {
         pool_.direct = std::make_unique<DirectDeployment>(
-            world_, study_.dict(), params_.costs, &study_.reserved());
+            world_, study_.dict(), params_.costs, study_.reserved());
         ++builds_;
       } else {
-        pool_.direct->reset(study_.dict(), params_.costs, &study_.reserved());
+        pool_.direct->reset(study_.dict(), params_.costs, study_.reserved());
       }
       deployment_ = pool_.direct.get();
       break;

@@ -58,6 +58,14 @@ std::optional<std::uint32_t> parse_u32(std::string_view s) {
   return v;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  s = trim(s);
+  std::uint64_t v{};
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 std::optional<double> parse_f64(std::string_view s) {
   s = trim(s);
   double v{};

@@ -24,6 +24,7 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Parse helpers returning nullopt on malformed input (never throw).
 std::optional<std::int64_t> parse_i64(std::string_view s);
 std::optional<std::uint32_t> parse_u32(std::string_view s);
+std::optional<std::uint64_t> parse_u64(std::string_view s);
 std::optional<double> parse_f64(std::string_view s);
 
 /// Join with a separator, e.g. join({"a","b"}, ", ") == "a, b".

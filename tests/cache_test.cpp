@@ -106,7 +106,6 @@ std::string temp_dir(const std::string& tag) {
 class ForbiddenRunner final : public campaign::Runner {
  public:
   std::string name() const override { return "forbidden"; }
-  int parallelism() const override { return 1; }
   void run_study(const runtime::StudyParams& study,
                  const campaign::EmitFn&) override {
     throw LogicError("ForbiddenRunner invoked for study '" + study.name + "'");
@@ -242,16 +241,13 @@ TEST(RunnerSpec, ParsesEveryBackend) {
   // processes — the only process runner.
   EXPECT_EQ(campaign::parse_runner_spec("procs:5")->name(),
             "remote(subprocess:5)");
-  EXPECT_EQ(campaign::parse_runner_spec("procs:5")->parallelism(), 5);
-  // Legacy bare integers keep working.
-  EXPECT_EQ(campaign::parse_runner_spec("1")->name(), "serial");
-  EXPECT_EQ(campaign::parse_runner_spec("4")->name(), "thread-pool(4)");
 }
 
 TEST(RunnerSpec, RejectsMalformedSpecs) {
+  // A bare worker count ("1", "4") names no runner.
   for (const char* bad :
        {"", "serial:2", "threads:", "threads:0", "procs:-1", "procs:x",
-        "static-procs:2", "remote:", "fibers:2", "2.5"})
+        "static-procs:2", "remote:", "fibers:2", "2.5", "1", "4"})
     EXPECT_THROW(campaign::parse_runner_spec(bad), ConfigError) << bad;
   // remote: with a missing hostfile fails with the path in the message.
   EXPECT_THROW(campaign::parse_runner_spec("remote:/no/such/hostfile"),

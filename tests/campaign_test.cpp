@@ -264,12 +264,6 @@ TEST(Runners, ThreadPoolRejectsZeroWorkers) {
   EXPECT_THROW(campaign::ThreadPoolRunner(0), ConfigError);
 }
 
-TEST(Runners, MakeRunnerSelectsImplementation) {
-  EXPECT_EQ(campaign::make_runner(1)->name(), "serial");
-  EXPECT_EQ(campaign::make_runner(3)->name(), "thread-pool(3)");
-  EXPECT_EQ(campaign::make_runner(3)->parallelism(), 3);
-}
-
 TEST(Runners, FailureEmitsSerialPrefixThenThrows) {
   // Experiment 3's generator throws (instantly, while 0-2 are still
   // running on other workers). SerialRunner semantics must hold: the
@@ -377,7 +371,9 @@ TEST(Sinks, MeasureSinkMatchesBatchPipeline) {
   auto sink = std::make_shared<campaign::MeasureSink>();
   sink->measure("cov", coverage_measure());
   CampaignBuilder builder;
-  builder.add(study).parallelism(4).sink(sink);
+  builder.add(study)
+      .runner(campaign::parse_runner_spec("threads:4"))
+      .sink(sink);
   builder.build().run();
 
   ASSERT_NE(sink->values("cov"), nullptr);

@@ -361,7 +361,7 @@ TEST(CampaignE2E, CoverageStudyProducesPlausibleEstimate) {
   sink->measure("study1", coverage);
   CampaignBuilder()
       .sink(sink)
-      .parallelism(4)
+      .runner(campaign::parse_runner_spec("threads:4"))
       .study("study1")
       .experiments(15)
       .generator([](int k) {

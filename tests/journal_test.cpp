@@ -93,7 +93,6 @@ std::string temp_path(const std::string& tag) {
 class ForbiddenRunner final : public campaign::Runner {
  public:
   std::string name() const override { return "forbidden"; }
-  int parallelism() const override { return 1; }
   void run_study(const runtime::StudyParams& study,
                  const campaign::EmitFn&) override {
     throw LogicError("ForbiddenRunner invoked for study '" + study.name + "'");
@@ -106,7 +105,6 @@ class ForbiddenRunner final : public campaign::Runner {
 class CountingRunner final : public campaign::Runner {
  public:
   std::string name() const override { return "counting-serial"; }
-  int parallelism() const override { return 1; }
   void run_study(const runtime::StudyParams& study,
                  const campaign::EmitFn& emit) override {
     campaign::SerialRunner serial;

@@ -12,7 +12,8 @@
 // clock, never on a reader's stale recv timeout. Also covers the
 // `remote:`/`procs:` runner specs, hostfile parsing, SshTransport argv
 // construction (plus an end-to-end run through a local ssh shim), and the
-// `lokimeasure` CLI's rejection of the retired worker range mode.
+// `lokimeasure` CLI's rejection of the retired worker range mode and of
+// malformed numeric flags.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -288,7 +289,7 @@ TEST(RemoteRunner, MoreWorkersThanLeases) {
   expect_identical_events(serial.events, remote.events);
 }
 
-TEST(RemoteRunner, TwoStudiesReconnectWorkers) {
+TEST(RemoteRunner, TwoStudiesConnectFreshWorkers) {
   const std::vector<runtime::StudyParams> studies = {
       fault_study("first", 4, 31'000), fault_study("second", 4, 32'000)};
   const auto serial =
@@ -723,101 +724,41 @@ TEST(RemoteRunnerFaults, AllWorkersLostThrows) {
   EXPECT_EQ(runner.telemetry().workers_lost, 2);
 }
 
-// --- transport reconnect ------------------------------------------------------
+// A poison experiment: every real forked worker that runs index 3 dies on
+// it. Each slot holds one link for the whole study, so the first death
+// requeues index 3 to the survivor, the survivor dies on it too, and the
+// study fails with "all workers lost" — at once, not after hang_timeout,
+// and never by respawning workers that die on the same index forever.
+TEST(RemoteRunnerFaults, DeterministicWorkerCrashFailsFast) {
+  runtime::StudyParams study = fault_study("poison", 8, 43'000);
+  auto inner = study.make_params;
+  study.make_params = [inner](int k) {
+    if (k == 3) ::_exit(3);  // forked workers only: the parent never generates
+    return inner(k);
+  };
+  campaign::RemoteOptions options = test_options(1);
+  options.hang_timeout = std::chrono::milliseconds(30'000);
+  campaign::RemoteRunner runner(
+      std::make_shared<campaign::SubprocessTransport>(2), options);
 
-campaign::RemoteOptions reconnect_options(int attempts, int lease_size = 3) {
-  campaign::RemoteOptions options = test_options(lease_size);
-  options.reconnect_attempts = attempts;
-  return options;
-}
-
-// A worker dies mid-lease, the link flaps (two refused reopens), then the
-// replacement rejoins, re-handshakes, and pulls leases again — campaign
-// byte-identical to serial, reconnect visible in the telemetry.
-TEST(RemoteRunnerReconnect, FlappingWorkerRejoins) {
-  const auto study = fault_study("fake-flap", 12);
-  const auto serial =
-      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
-
-  auto transport = std::make_shared<campaign::FakeTransport>(2);
-  // Both original processes die before the study can complete (2 + 4 < 12
-  // results), so finishing at all REQUIRES at least one successful rejoin —
-  // the reconnect assertion below cannot race the survivor finishing first.
-  transport->kill_after_results(0, 2);
-  transport->kill_after_results(1, 4);
-  transport->refuse_reconnects(0, 2);  // and victim 0's slot flaps first
-  const auto remote = run_recorded(
-      std::make_shared<campaign::RemoteRunner>(transport,
-                                               reconnect_options(5)),
-      study);
-  expect_identical_events(serial.events, remote.events);
-  expect_exactly_once(remote.events, study.experiments);
-  EXPECT_GE(remote.summary.workers_lost, 1);
-  EXPECT_GE(remote.summary.reconnects, 1);
-}
-
-// Every reopen refused: the campaign degrades to the surviving worker and
-// still completes byte-identically, with zero successful reconnects.
-TEST(RemoteRunnerReconnect, RefuseAllDegradesToSurvivors) {
-  const auto study = fault_study("fake-refused", 10);
-  const auto serial =
-      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
-
-  auto transport = std::make_shared<campaign::FakeTransport>(2);
-  transport->kill_after_results(0, 2);
-  transport->refuse_reconnects(0, 1'000'000);  // more than any budget
-  const auto remote = run_recorded(
-      std::make_shared<campaign::RemoteRunner>(transport,
-                                               reconnect_options(3)),
-      study);
-  expect_identical_events(serial.events, remote.events);
-  EXPECT_GE(remote.summary.workers_lost, 1);
-  EXPECT_EQ(remote.summary.reconnects, 0);
-}
-
-// Sole worker lost and every reopen refused: once the attempt budget runs
-// dry the fleet really is gone, and the campaign aborts like it always did.
-TEST(RemoteRunnerReconnect, SingleWorkerRefuseAllThrows) {
-  const auto study = fault_study("fake-lonely-flap", 8);
-  auto transport = std::make_shared<campaign::FakeTransport>(1);
-  transport->kill_after_results(0, 1);
-  transport->refuse_reconnects(0, 1'000'000);
-  campaign::RemoteRunner runner(transport, reconnect_options(2));
+  std::vector<int> emitted;
+  const auto t0 = std::chrono::steady_clock::now();
   try {
-    runner.run_study(study, [](int, ExperimentResult&&) {});
+    runner.run_study(study, [&](int k, ExperimentResult&&) {
+      emitted.push_back(k);
+    });
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("all 1 workers lost"),
+    EXPECT_NE(std::string(e.what()).find("all 2 workers lost"),
               std::string::npos)
         << e.what();
   }
-}
-
-// Sole worker lost, reopen refused twice, then accepted: the campaign
-// *stalls* through the flap instead of aborting, then completes
-// byte-identically — the zero-survivors reconnect path.
-TEST(RemoteRunnerReconnect, SoleWorkerFlapRecovers) {
-  const auto study = fault_study("fake-lonely-rejoin", 6);
-  const auto serial =
-      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
-
-  auto transport = std::make_shared<campaign::FakeTransport>(1);
-  transport->kill_after_results(0, 2);
-  transport->refuse_reconnects(0, 2);
-  const auto remote = run_recorded(
-      std::make_shared<campaign::RemoteRunner>(transport,
-                                               reconnect_options(5)),
-      study);
-  expect_identical_events(serial.events, remote.events);
-  EXPECT_GE(remote.summary.reconnects, 1);
-}
-
-TEST(RemoteRunnerReconnect, RejectsBadReconnectOptions) {
-  campaign::RemoteOptions negative;
-  negative.reconnect_attempts = -1;
-  EXPECT_THROW(campaign::RemoteRunner(
-                   std::make_shared<campaign::FakeTransport>(1), negative),
-               ConfigError);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, options.hang_timeout / 3);
+  // Only an in-order prefix below the poison index reached emit.
+  ASSERT_LE(emitted.size(), 3u);
+  for (std::size_t i = 0; i < emitted.size(); ++i)
+    EXPECT_EQ(emitted[i], static_cast<int>(i));
+  EXPECT_EQ(runner.telemetry().workers_lost, 2);
 }
 
 // --- failure-prefix semantics across the wire --------------------------------
@@ -967,7 +908,6 @@ TEST(RemoteSpec, RemoteRunnerSpecReadsHostfile) {
   write_file(path, "# two workers\nalpha\nbeta\n");
   const auto runner = campaign::parse_runner_spec("remote:" + path);
   EXPECT_EQ(runner->name(), "remote(ssh:2)");
-  EXPECT_EQ(runner->parallelism(), 2);
 }
 
 TEST(RemoteSpec, SshWorkerArgv) {
@@ -1035,6 +975,29 @@ TEST(RetiredCliModes, WorkerRangeModeIsAConfigError) {
   // bare --serve remains, and the study arrives in the Hello frame.
   rejects("--worker study.bin 0 6", "--worker takes only --serve");
   rejects("--worker --serve study.bin", "--worker takes only --serve");
+}
+
+TEST(CliNumericFlags, MalformedNumbersAreConfigErrors) {
+  const std::string bin = lokimeasure_bin();
+  if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
+
+  const std::string dir = temp_dir("numeric");
+  const std::string err = dir + "/err.txt";
+  // Prefix parsing would run 2 experiments for "2abc", and unsigned
+  // wrap-around would run seed 18446744073709551615 for "-1". Both must
+  // exit 1 with a ConfigError that names the flag.
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--experiments", "2abc"}, {"--seed", "-1"}}) {
+    EXPECT_EQ(run_command("'" + bin + "' --campaign " + flag + " " + value +
+                          " > /dev/null 2> '" + err + "'"),
+              1)
+        << flag << " " << value;
+    EXPECT_NE(read_file(err).find(flag + " needs a number, got '" + value +
+                                  "'"),
+              std::string::npos)
+        << read_file(err);
+  }
 }
 
 }  // namespace

@@ -303,8 +303,8 @@ TEST_P(TransportConformance, TwoWorkersAreIndependent) {
 }
 
 TEST(FakeTransportJoinDiscipline, OwnerJoinsEveryWorkerThread) {
-  // Regression for the PR-4 FakeWorker trap: the worker thread must be
-  // joined by its owner via stop_and_join (reconnect, kill, transport
+  // Regression for the FakeWorker trap: the worker thread must be joined
+  // by its owner via stop_and_join (the slot's next connect, transport
   // destruction), never torn down by its own lambda's last shared_ptr
   // release — a thread destroying its own FakeWorker can only detach,
   // leaving an unsynchronized thread behind (the pattern the TSan job
@@ -316,14 +316,15 @@ TEST(FakeTransportJoinDiscipline, OwnerJoinsEveryWorkerThread) {
     campaign::FakeTransport transport(2);
 
     // Ordering 1: the link dies first, while the worker thread may still
-    // be serving; the transport (owner) must join it on reconnect.
+    // be serving; the transport (owner) must join it when the slot is
+    // connected again (as the next study does).
     auto link = transport.connect(0, study);
     link->send(runtime::encode_hello_frame(&study, kHeartbeatMs));
     link.reset();  // closes the worker's stdin mid-conversation
     link = transport.connect(0, study);  // joins the predecessor thread
 
     // Ordering 2: kill() ends the stream but the thread outlives the link;
-    // again the owner joins at reconnect time.
+    // again the owner joins at the slot's next connect.
     link->kill();
     EXPECT_EQ(link->recv(kRecvTimeout).status, RecvOutcome::Status::Eof);
     link.reset();

@@ -144,6 +144,10 @@ TEST(Strings, ParseNumbers) {
   EXPECT_FALSE(parse_i64("").has_value());
   EXPECT_EQ(parse_u32("7").value(), 7u);
   EXPECT_FALSE(parse_u32("-1").has_value());
+  EXPECT_EQ(parse_u64("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_FALSE(parse_u64("18446744073709551616").has_value());
+  EXPECT_FALSE(parse_u64("-1").has_value());
+  EXPECT_FALSE(parse_u64("2abc").has_value());
   EXPECT_DOUBLE_EQ(parse_f64("2.5").value(), 2.5);
 }
 

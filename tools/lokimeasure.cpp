@@ -17,7 +17,9 @@
 //      lokimeasure --worker --serve
 #include <cstdio>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,24 +60,26 @@ std::string flag_value(const std::vector<std::string>& args, std::size_t& i,
   return args[i];
 }
 
-/// stoi/stoull with the flag name in the error instead of a bare "stoi".
-template <typename Fn>
-auto numeric(const char* flag, const std::string& value, Fn convert) {
-  try {
-    return convert(value);
-  } catch (const std::exception&) {
-    throw ConfigError(std::string(flag) + " needs a number, got '" + value +
-                      "'");
-  }
+/// Numeric flag values are parsed whole: a trailing suffix ("2abc"), a
+/// sign on an unsigned flag ("-1") or an out-of-range value is a
+/// ConfigError naming the flag, never a truncated or wrapped number.
+[[noreturn]] void bad_number(const char* flag, const std::string& value) {
+  throw ConfigError(std::string(flag) + " needs a number, got '" + value +
+                    "'");
 }
 
 int int_arg(const char* flag, const std::string& value) {
-  return numeric(flag, value, [](const std::string& v) { return std::stoi(v); });
+  const std::optional<std::int64_t> v = parse_i64(value);
+  if (!v.has_value() || *v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max())
+    bad_number(flag, value);
+  return static_cast<int>(*v);
 }
 
 std::uint64_t u64_arg(const char* flag, const std::string& value) {
-  return numeric(flag, value,
-                 [](const std::string& v) { return std::stoull(v); });
+  const std::optional<std::uint64_t> v = parse_u64(value);
+  if (!v.has_value()) bad_number(flag, value);
+  return *v;
 }
 
 /// The demo campaign: black's leader fault with restarts, the §5.8
@@ -228,13 +232,12 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   if (summary.replayed > 0)
     std::fprintf(stderr, "resume: replayed=%d of %d\n", summary.replayed,
                  summary.experiments);
-  if (summary.requeue_events > 0 || summary.workers_lost > 0 ||
-      summary.reconnects > 0)
+  if (summary.requeue_events > 0 || summary.workers_lost > 0)
     std::fprintf(stderr,
                  "fault recovery: requeue_events=%d requeued_indices=%d "
-                 "workers_lost=%d reconnects=%d\n",
+                 "workers_lost=%d\n",
                  summary.requeue_events, summary.requeued_indices,
-                 summary.workers_lost, summary.reconnects);
+                 summary.workers_lost);
   return 0;
 }
 
