@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "apps/election.hpp"
+#include "common/bench_json.hpp"
 #include "campaign/campaign.hpp"
 #include "measure/campaign_measure.hpp"
 #include "measure/study_measure.hpp"
@@ -122,27 +123,6 @@ StudyOutcome run_study(const runtime::StudyParams& study,
 StudyOutcome run_study(const runtime::StudyParams& study,
                        const measure::StudyMeasure& m) {
   return run_study(study, m, g_runner_spec);
-}
-
-/// Write the backend timings as google-benchmark JSON (the subset
-/// bench_compare.py reads: name / run_type / real_time / time_unit).
-void write_bench_json(const std::string& path,
-                      const std::vector<std::pair<std::string, double>>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "tab_ch5_campaign: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                 "\"real_time\": %.3f, \"time_unit\": \"ms\"}%s\n",
-                 rows[i].first.c_str(), rows[i].second * 1e3,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 std::string g_bench_json_path;
@@ -287,11 +267,15 @@ int main(int argc, char** argv) {
   std::printf("  results identical: %s\n", identical ? "yes" : "NO - BUG");
 
   if (!g_bench_json_path.empty()) {
-    write_bench_json(g_bench_json_path,
-                     {{"campaign_study1/serial", serial.wall_seconds},
-                      {"campaign_study1/threads:4", threaded.wall_seconds},
-                      {"campaign_study1/procs:4", sharded.wall_seconds}});
-    std::fprintf(stderr, "wrote %s\n", g_bench_json_path.c_str());
+    if (bench::write_bench_json(
+            g_bench_json_path,
+            {{"campaign_study1/serial", serial.wall_seconds},
+             {"campaign_study1/threads:4", threaded.wall_seconds},
+             {"campaign_study1/procs:4", sharded.wall_seconds}}))
+      std::fprintf(stderr, "wrote %s\n", g_bench_json_path.c_str());
+    else
+      std::fprintf(stderr, "tab_ch5_campaign: cannot write %s\n",
+                   g_bench_json_path.c_str());
   }
   return identical ? 0 : 1;
 }

@@ -36,15 +36,15 @@ runtime::StudyParams bench_study(int experiments) {
   return study;
 }
 
-// The full worker loop, in process: the study is "inherited" (nullptr-study
-// Hello, the fork() shape), so the measured work is protocol dispatch, the
-// experiments themselves, and result encoding — no study decode per
-// iteration. The arg is ServeOptions::batch_soft_bytes: 1 byte flushes every
+// The full worker loop, in process: the studies are "inherited" (a Hello
+// without studies, the fork() shape), so the measured work is protocol
+// dispatch, the experiments themselves, and result encoding — no study
+// decode per iteration. The arg is ServeOptions::batch_soft_bytes: 1 byte flushes every
 // result in its own batch (the chattiest shape), 64 KiB accumulates a whole
 // lease per frame (the production default).
 void BM_WorkerLoop(benchmark::State& state) {
   constexpr int kExperiments = 4;
-  const auto study = bench_study(kExperiments);
+  const std::vector<runtime::StudyParams> studies{bench_study(kExperiments)};
 
   campaign::ServeOptions options;
   options.batch_soft_bytes = static_cast<std::size_t>(state.range(0));
@@ -55,6 +55,7 @@ void BM_WorkerLoop(benchmark::State& state) {
   const auto hello = runtime::encode_hello_frame(nullptr, 7'500);
   runtime::LeaseFrame lease;
   lease.id = 1;
+  lease.study = 0;
   lease.lo = 0;
   lease.hi = kExperiments;
   const auto lease_frame = runtime::encode_lease_frame(lease);
@@ -68,7 +69,7 @@ void BM_WorkerLoop(benchmark::State& state) {
     channel.push(hello);
     channel.push(lease_frame);
     channel.push(shutdown);
-    campaign::serve_worker(channel, &study, options);
+    campaign::serve_worker(channel, &studies, options);
     for (const auto& frame : channel.written()) {
       if (runtime::worker_frame_type(frame) ==
           runtime::WorkerFrame::ResultBatch) {
@@ -140,8 +141,8 @@ void BM_ResultDecode(benchmark::State& state) {
 BENCHMARK(BM_ResultDecode)->Unit(benchmark::kMicrosecond);
 
 // The coordinator's actual decode configuration: one ResultInterner per
-// study, so every result after the first hits the memoized timeline
-// headers instead of re-parsing them. A multi-entry batch measures the
+// campaign run, so every result after a header's first hits the memoized
+// timeline headers instead of re-parsing them. A multi-entry batch measures the
 // steady state (hit path) rather than the first-result miss.
 void BM_ResultBatchDecodeInterned(benchmark::State& state) {
   const auto study = bench_study(8);

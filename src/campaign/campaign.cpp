@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <set>
 #include <utility>
@@ -13,140 +14,6 @@
 namespace loki::campaign {
 
 namespace {
-
-/// The miss sub-study reports errors with *its* compact indices; append the
-/// original coordinates so a maintainer can reproduce the right experiment.
-/// Worded as "first unemitted" because a runner-infrastructure failure
-/// (fork exhaustion, a dead pipe) also lands here without any experiment
-/// of its own. Preserves the type for the campaign's exception families.
-[[noreturn]] void rethrow_with_original_index(
-    const runtime::StudyParams& study, int original_index) {
-  const auto annotate = [&](const char* what) {
-    return std::string(what) + " [cache-first: first unemitted miss was " +
-           experiment_context(study, original_index) + "]";
-  };
-  try {
-    throw;
-  } catch (const ConfigError& e) {
-    throw ConfigError(annotate(e.what()));
-  } catch (const LogicError& e) {
-    throw LogicError(annotate(e.what()));
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(annotate(e.what()));
-  }
-  // Anything else propagates unannotated via the rethrow above.
-}
-
-/// Cache-first execution of one study: serve hits, run misses as a compact
-/// sub-study through the real runner, and interleave both streams so emit
-/// observes exactly the serial sequence — including the failure-prefix
-/// semantics: if (sub-)experiment k fails, every completed index below k
-/// (cached or fresh) is emitted before the exception propagates.
-///
-/// Memory stays O(1) results: only the 64-char keys and the miss list are
-/// materialized up front; each hit is generated, validated, read, and
-/// emitted lazily at its turn (generators are deterministic per index, the
-/// standard campaign contract).
-///
-/// `start` skips indices below it entirely (no probe, no validation) — the
-/// resume path replays those from the journal before calling in here. When
-/// `journal` is set, every index is journaled (IndexDone, write-ahead of
-/// its emit); for fresh results this sits *after* the durable cache store,
-/// the ordering the whole resume guarantee rests on.
-void run_study_cache_first(Runner& runner, ResultCache& cache,
-                           const runtime::StudyParams& study,
-                           const EmitFn& emit, int& cache_hits, int start,
-                           CampaignJournal* journal, std::uint32_t ordinal) {
-  const int n = study.experiments;
-  if (n <= 0 || start >= n) return;
-  std::vector<std::string> keys(static_cast<std::size_t>(n));
-  std::vector<int> missing;
-  for (int k = start; k < n; ++k) {
-    // One generator call per index, all on this thread — emit_cached_below
-    // runs inside the runner's emit callback, where another make_params
-    // call would race the runner's own (gen_mu-serialized) generator use.
-    runtime::ExperimentParams params = study.make_params(k);
-    keys[static_cast<std::size_t>(k)] = runtime::experiment_cache_key(params);
-    if (cache.contains(keys[static_cast<std::size_t>(k)])) {
-      // Hits skip run_experiment, not validation; a config mistake on a
-      // cached index surfaces here, before anything runs, rather than at
-      // its serial emit position.
-      validate_experiment_params(params, experiment_context(study, k));
-    } else {
-      missing.push_back(k);  // the runner validates misses itself
-    }
-  }
-
-  // Write-ahead emit: the journal learns about an index before any sink
-  // does, so a crash mid-emit resumes by re-emitting it from the cache.
-  const auto journal_and_emit = [&](int k, runtime::ExperimentResult&& result) {
-    if (journal != nullptr)
-      journal->index_done(ordinal, static_cast<std::uint32_t>(k),
-                          keys[static_cast<std::size_t>(k)]);
-    emit(k, std::move(result));
-  };
-
-  int next_emit = start;
-  const auto emit_cached_below = [&](int bound) {
-    while (next_emit < bound) {
-      // Advance first: if the read or a sink throws here, the index counts
-      // as delivered and is never re-emitted by a later flush.
-      const int k = next_emit++;
-      std::optional<runtime::ExperimentResult> result =
-          cache.lookup(keys[static_cast<std::size_t>(k)]);
-      if (!result.has_value())
-        throw std::runtime_error(
-            "ResultCache: entry for " + experiment_context(study, k) +
-            " disappeared or went undecodable mid-study (key " +
-            keys[static_cast<std::size_t>(k)] +
-            "); a concurrent eviction? re-run the campaign");
-      ++cache_hits;
-      journal_and_emit(k, std::move(*result));
-    }
-  };
-
-  if (!missing.empty()) {
-    runtime::StudyParams sub;
-    sub.name = study.name;
-    sub.experiments = static_cast<int>(missing.size());
-    sub.make_params = [&study, &missing](int j) {
-      return study.make_params(missing[static_cast<std::size_t>(j)]);
-    };
-    int fresh_done = 0;
-    bool interleave_failed = false;
-    try {
-      runner.run_study(sub, [&](int j, runtime::ExperimentResult&& result) {
-        const int k = missing[static_cast<std::size_t>(j)];
-        try {
-          emit_cached_below(k);
-          // Ordering contract: durable store (fsync + rename inside), then
-          // the journal record, then the sinks. See campaign/journal.hpp.
-          cache.store(keys[static_cast<std::size_t>(k)], result);
-          journal_and_emit(k, std::move(result));
-        } catch (...) {
-          interleave_failed = true;
-          throw;
-        }
-        next_emit = k + 1;
-        ++fresh_done;
-      });
-    } catch (...) {
-      // A failure of our own interleave (a sink or a cached index) already
-      // delivered the serial prefix; propagate it untouched. A runner
-      // failure is sub-index fresh_done (the runner contract): cached
-      // entries below the failing original index complete the serial
-      // prefix, then the error is annotated with its original coordinates.
-      if (interleave_failed) throw;
-      if (fresh_done < static_cast<int>(missing.size())) {
-        const int failing = missing[static_cast<std::size_t>(fresh_done)];
-        emit_cached_below(failing);
-        rethrow_with_original_index(study, failing);
-      }
-      throw;
-    }
-  }
-  emit_cached_below(n);
-}
 
 /// Check one journaled study against the campaign it is being resumed into.
 /// Name, experiment count, and content digest must all agree — a journal
@@ -172,6 +39,264 @@ void validate_resumed_study(const JournalState::StudyProgress& journaled,
   if (journaled.digest != digest)
     mismatch("digest", digest, journaled.digest);
 }
+
+/// Campaign::run's one delivery cursor. It hands the runner the plan one
+/// study at a time (next), takes the runner's results (emit), and delivers
+/// everything in serial order: journal replay, cache hits, fresh results,
+/// the StudyBegin / IndexDone / StudyEnd records, on_study_begin and
+/// on_study_done. After every pull and every fresh result it advances as
+/// far as it can without a runner result, so hits stream out as soon as
+/// everything before them is delivered; it stops at the first planned index
+/// the runner has not emitted yet, or at a study whose plan is not pulled.
+///
+/// Cache-first probing happens in next(), when the runner first asks for a
+/// study: one generator call per index, on the runner's calling thread
+/// (the Runner contract), so a generator never races a runner's own use of
+/// it. Memory stays O(keys): each hit is read and emitted at its turn.
+///
+/// When `journal` is set, every index is journaled (IndexDone, write-ahead
+/// of its emit); for fresh results this sits *after* the durable cache
+/// store, the ordering the whole resume guarantee rests on.
+class Delivery {
+ public:
+  Delivery(const std::vector<runtime::StudyParams>& studies,
+           ResultCache* cache, CampaignJournal* journal,
+           const JournalState& state,
+           const std::vector<std::shared_ptr<ResultSink>>& sinks,
+           Campaign::Summary& summary)
+      : studies_(studies),
+        cache_(cache),
+        journal_(journal),
+        state_(state),
+        sinks_(sinks),
+        summary_(summary) {}
+
+  /// The runner's NextFn: probe the next study, deliver what that unblocks,
+  /// and hand over its misses. A probe failure (a generator or a validation
+  /// error on a cached index) ends the plan; finish() raises it at its
+  /// serial position, once everything before the study is delivered.
+  std::optional<StudyPlan> next() {
+    if (pulled_ == studies_.size() || probe_error_ != nullptr)
+      return std::nullopt;
+    try {
+      plans_.push_back(probe(pulled_));
+    } catch (...) {
+      probe_error_ = std::current_exception();
+      return std::nullopt;
+    }
+    StudyPlan plan{static_cast<int>(pulled_++), plans_.back().runs};
+    advance();
+    return plan;
+  }
+
+  /// The runner's EmitFn: a fresh result for the planned index the cursor
+  /// rests on.
+  void emit(int study, int index, runtime::ExperimentResult&& result) {
+    guarded([&] {
+      if (study_ >= pulled_ || static_cast<std::size_t>(study) != study_ ||
+          index != index_ || run_ >= plans_[study_].runs.size() ||
+          plans_[study_].runs[run_].lo > index)
+        throw LogicError("runner emitted study " + std::to_string(study) +
+                         " index " + std::to_string(index) +
+                         " out of plan order");
+      ++index_;
+      if (cache_ != nullptr) {
+        const std::string& key =
+            plans_[study_].keys[static_cast<std::size_t>(index)];
+        // Ordering contract: durable store (fsync + rename inside), then
+        // the journal record, then the sinks. See campaign/journal.hpp.
+        cache_->store(key, result);
+        journal_index(index, key);
+      }
+      deliver(index, std::move(result));
+    });
+    advance();
+  }
+
+  /// Deliver everything that needs no further runner result.
+  void advance() {
+    guarded([&] {
+      while (study_ < studies_.size()) {
+        if (!begun_) begin_study();
+        if (study_ >= pulled_) return;
+        const int n = studies_[study_].experiments;
+        PulledStudy& plan = plans_[study_];
+        while (index_ < n) {
+          if (index_ < plan.replay_from) {
+            replay();
+            continue;
+          }
+          while (run_ < plan.runs.size() && plan.runs[run_].hi <= index_)
+            ++run_;
+          if (run_ < plan.runs.size() && plan.runs[run_].lo <= index_)
+            return;  // a planned index: the runner's to emit
+          deliver_hit();
+        }
+        end_study();
+      }
+    });
+  }
+
+  /// After the runner returned: deliver the rest, then raise a deferred
+  /// probe failure, or a runner that skipped part of its plan.
+  void finish(const Runner& runner) {
+    advance();
+    if (probe_error_ != nullptr) std::rethrow_exception(probe_error_);
+    if (study_ != studies_.size())
+      throw LogicError("runner '" + runner.name() +
+                       "' returned before executing its whole plan");
+  }
+
+  /// True once a delivery of our own (a sink, the cache, the journal)
+  /// threw: the serial prefix ends there, and nothing more is delivered.
+  bool failed() const { return failed_; }
+
+ private:
+  /// One pulled study: content keys (cache-first only), the journaled
+  /// prefix to replay, and the misses handed to the runner.
+  struct PulledStudy {
+    std::vector<std::string> keys;
+    int replay_from{0};
+    std::vector<IndexRun> runs;
+  };
+
+  template <class F>
+  void guarded(F&& body) {
+    try {
+      body();
+    } catch (...) {
+      failed_ = true;
+      throw;
+    }
+  }
+
+  const JournalState::StudyProgress* journaled(std::size_t ordinal) const {
+    return ordinal < state_.progress.size() ? &state_.progress[ordinal]
+                                            : nullptr;
+  }
+
+  PulledStudy probe(std::size_t ordinal) const {
+    const runtime::StudyParams& study = studies_[ordinal];
+    const int n = study.experiments;
+    PulledStudy plan;
+    if (const JournalState::StudyProgress* j = journaled(ordinal))
+      plan.replay_from = static_cast<int>(j->done_keys.size());
+    if (cache_ == nullptr) {
+      if (plan.replay_from < n) plan.runs.push_back({plan.replay_from, n});
+      return plan;
+    }
+    plan.keys.resize(static_cast<std::size_t>(n));
+    for (int k = plan.replay_from; k < n; ++k) {
+      const runtime::ExperimentParams params = study.make_params(k);
+      std::string& key = plan.keys[static_cast<std::size_t>(k)];
+      key = runtime::experiment_cache_key(params);
+      if (cache_->contains(key)) {
+        // Hits skip run_experiment, not validation; a config mistake on a
+        // cached index surfaces before anything of its study runs.
+        validate_experiment_params(params, experiment_context(study, k));
+      } else if (!plan.runs.empty() && plan.runs.back().hi == k) {
+        ++plan.runs.back().hi;
+      } else {
+        plan.runs.push_back({k, k + 1});
+      }
+    }
+    return plan;
+  }
+
+  void begin_study() {
+    const runtime::StudyParams& study = studies_[study_];
+    begun_ = true;
+    info_ = StudyInfo{study.name, static_cast<int>(study_), study.experiments};
+    for (const auto& sink : sinks_) sink->on_study_begin(info_);
+    if (journal_ != nullptr && journaled(study_) == nullptr)
+      journal_->study_begin(static_cast<std::uint32_t>(study_), study.name,
+                            study_digest(study),
+                            static_cast<std::uint32_t>(study.experiments));
+  }
+
+  void end_study() {
+    const JournalState::StudyProgress* j = journaled(study_);
+    if (journal_ != nullptr && !(j != nullptr && j->ended))
+      journal_->study_end(static_cast<std::uint32_t>(study_));
+    plans_[study_] = PulledStudy{};  // its keys are spent
+    ++study_;
+    index_ = 0;
+    run_ = 0;
+    begun_ = false;
+    for (const auto& sink : sinks_) sink->on_study_done(info_);
+  }
+
+  /// Replay one journaled index straight from the cache by its journaled
+  /// key: no probing, no re-validation, no re-journaling — the record is
+  /// already durable. The entry MUST exist: IndexDone is only ever written
+  /// after the durable store, so a miss means the cache was pruned behind
+  /// the journal's back.
+  void replay() {
+    // Advance first: if the read or a sink throws here, the index counts
+    // as delivered and is never re-emitted by a later advance.
+    const int k = index_++;
+    const std::string& key =
+        journaled(study_)->done_keys[static_cast<std::size_t>(k)];
+    std::optional<runtime::ExperimentResult> result = cache_->lookup(key);
+    if (!result.has_value())
+      throw std::runtime_error(
+          "campaign resume: journaled " +
+          experiment_context(studies_[study_], k) +
+          " is missing from the cache (key " + key +
+          "); journal and cache have diverged — delete the journal to "
+          "start over");
+    ++summary_.replayed;
+    deliver(k, std::move(*result));
+  }
+
+  void deliver_hit() {
+    const int k = index_++;
+    const std::string& key = plans_[study_].keys[static_cast<std::size_t>(k)];
+    std::optional<runtime::ExperimentResult> result = cache_->lookup(key);
+    if (!result.has_value())
+      throw std::runtime_error(
+          "ResultCache: entry for " + experiment_context(studies_[study_], k) +
+          " disappeared or went undecodable mid-study (key " + key +
+          "); a concurrent eviction? re-run the campaign");
+    ++summary_.cache_hits;
+    journal_index(k, key);
+    deliver(k, std::move(*result));
+  }
+
+  /// Write-ahead emit: the journal learns about an index before any sink
+  /// does, so a crash mid-emit resumes by re-emitting it from the cache.
+  void journal_index(int k, const std::string& key) {
+    if (journal_ != nullptr)
+      journal_->index_done(static_cast<std::uint32_t>(study_),
+                           static_cast<std::uint32_t>(k), key);
+  }
+
+  void deliver(int k, runtime::ExperimentResult&& result) {
+    ++summary_.experiments;
+    if (result.completed) ++summary_.completed;
+    if (result.timed_out) ++summary_.timed_out;
+    for (const auto& sink : sinks_) sink->on_experiment(info_, k, result);
+  }
+
+  const std::vector<runtime::StudyParams>& studies_;
+  ResultCache* cache_;
+  CampaignJournal* journal_;
+  const JournalState& state_;
+  const std::vector<std::shared_ptr<ResultSink>>& sinks_;
+  Campaign::Summary& summary_;
+
+  std::vector<PulledStudy> plans_;  // one per pulled study, by ordinal
+  std::size_t pulled_{0};
+  std::exception_ptr probe_error_;
+  // The cursor: the next undelivered index of study_, the first of its
+  // runs that may still hold it, and whether study_ has begun.
+  std::size_t study_{0};
+  int index_{0};
+  std::size_t run_{0};
+  bool begun_{false};
+  StudyInfo info_;
+  bool failed_{false};
+};
 
 }  // namespace
 
@@ -228,55 +353,24 @@ Campaign::Summary Campaign::run() {
 
   for (const auto& sink : sinks_) sink->on_campaign_begin(summary.studies);
 
+  Delivery delivery(studies_, cache_.get(), jptr, state, sinks_, summary);
   try {
-    for (std::size_t i = 0; i < studies_.size(); ++i) {
-      const runtime::StudyParams& study = studies_[i];
-      const StudyInfo info{study.name, static_cast<int>(i), study.experiments};
-      for (const auto& sink : sinks_) sink->on_study_begin(info);
-      const EmitFn deliver = [&](int k, runtime::ExperimentResult&& result) {
-        ++summary.experiments;
-        if (result.completed) ++summary.completed;
-        if (result.timed_out) ++summary.timed_out;
-        for (const auto& sink : sinks_) sink->on_experiment(info, k, result);
-      };
-      const JournalState::StudyProgress* journaled =
-          i < state.progress.size() ? &state.progress[i] : nullptr;
-      if (jptr != nullptr && journaled == nullptr)
-        jptr->study_begin(static_cast<std::uint32_t>(i), study.name,
-                          study_digest(study),
-                          static_cast<std::uint32_t>(study.experiments));
-      int replay_from = 0;
-      if (journaled != nullptr) {
-        // Replay the journaled prefix straight from the cache by journaled
-        // key: no probing, no re-validation, no re-journaling — these
-        // records are already durable. The entries MUST exist: IndexDone is
-        // only ever written after the durable store, so a miss here means
-        // the cache was pruned behind the journal's back.
-        replay_from = static_cast<int>(journaled->done_keys.size());
-        for (int k = 0; k < replay_from; ++k) {
-          std::optional<runtime::ExperimentResult> result = cache_->lookup(
-              journaled->done_keys[static_cast<std::size_t>(k)]);
-          if (!result.has_value())
-            throw std::runtime_error(
-                "campaign resume: journaled " + experiment_context(study, k) +
-                " is missing from the cache (key " +
-                journaled->done_keys[static_cast<std::size_t>(k)] +
-                "); journal and cache have diverged — delete the journal to "
-                "start over");
-          ++summary.replayed;
-          deliver(k, std::move(*result));
-        }
-      }
-      if (cache_)
-        run_study_cache_first(*runner_, *cache_, study, deliver,
-                              summary.cache_hits, replay_from, jptr,
-                              static_cast<std::uint32_t>(i));
-      else
-        runner_->run_study(study, deliver);
-      if (jptr != nullptr && !(journaled != nullptr && journaled->ended))
-        jptr->study_end(static_cast<std::uint32_t>(i));
-      for (const auto& sink : sinks_) sink->on_study_done(info);
+    try {
+      runner_->run(
+          studies_, [&] { return delivery.next(); },
+          [&](int study, int index, runtime::ExperimentResult&& result) {
+            delivery.emit(study, index, std::move(result));
+          });
+    } catch (...) {
+      // A failure of our own delivery (a sink, the cache, the journal)
+      // already delivered the serial prefix; propagate it untouched. A
+      // runner failure comes after every planned index before the failing
+      // one was emitted (the Runner contract): deliver the hits below it,
+      // then propagate.
+      if (!delivery.failed()) delivery.advance();
+      throw;
     }
+    delivery.finish(*runner_);
   } catch (...) {
     // An aborting campaign (a throwing sink, a lost fleet, a full disk)
     // still flushes its buffered IndexDone records: the maximal journaled

@@ -34,9 +34,12 @@ using Clock = std::chrono::steady_clock;
 constexpr int kNoFailure = std::numeric_limits<int>::max();
 
 /// Lease autotuning: a lease should take about kLeaseTarget, and the tuner
-/// grows spans no further than kMaxLeaseSize.
+/// grows spans no further than kMaxLeaseSize. The cap also bounds the
+/// coordinator's memory: a fleet of N workers keeps up to N + 1 spans of
+/// results in flight (see Engine::window), most of them decoded in the
+/// reorder buffer.
 constexpr std::chrono::milliseconds kLeaseTarget{250};
-constexpr int kMaxLeaseSize = 64;
+constexpr int kMaxLeaseSize = 32;
 /// How long teardown waits for workers to exit after Shutdown before
 /// killing them.
 constexpr std::chrono::milliseconds kShutdownGrace{2'000};
@@ -88,13 +91,25 @@ class EventQueue {
   std::deque<Event> events_ LOKI_GUARDED_BY(mu_);
 };
 
-/// A contiguous index range [lo, hi) awaiting a worker.
+/// A run of campaign-wide positions [lo, hi) awaiting a worker. Positions
+/// number the planned indices in plan order across every pulled study, so
+/// position order is the serial emit order.
 struct Chunk {
   int lo{0};
   int hi{0};
 };
 
-/// One worker slot: a single link for the whole study. A lost link is never
+/// Indices [lo, hi) of study `study`, placed at positions [pos, end()): one
+/// IndexRun of a pulled plan, or one lease sliced out of such a run.
+struct Segment {
+  int study{0};
+  int lo{0};
+  int hi{0};
+  int pos{0};
+  int end() const { return pos + (hi - lo); }
+};
+
+/// One worker slot: a single link for the whole run. A lost link is never
 /// replaced — the slot stays dead and the survivors take over its work.
 struct WorkerState {
   std::unique_ptr<WorkerLink> link;
@@ -103,7 +118,8 @@ struct WorkerState {
   bool handshaken{false};  // HelloAck received
   bool idle{false};        // handshaken and not holding a lease
   std::uint32_t lease_id{0};
-  std::set<int> outstanding;    // leased indices without a Result yet
+  Segment lease;                // the current (or last) lease
+  std::set<int> outstanding;    // leased positions without a result yet
   /// Engine-clock start of the current silence: the latest of the last
   /// handled frame, the last lease send and the connect. A worker that owes
   /// a frame is hung once hang_timeout has passed since then.
@@ -122,34 +138,38 @@ struct WorkerState {
   bool owes_frame() const { return alive && (!handshaken || !idle); }
 };
 
-/// One run_study execution: a single-threaded event loop over per-worker
-/// reader threads. All state below is touched only by the calling thread;
-/// readers communicate exclusively through the EventQueue.
+/// One Runner::run execution: a single-threaded event loop over per-worker
+/// reader threads, and one fleet for the whole campaign. The plan is pulled
+/// ahead of the leases (see lookahead), so study k+1 is leased while study
+/// k drains. All state below is touched only by the calling thread; readers
+/// communicate exclusively through the EventQueue.
 class Engine {
  public:
   Engine(Transport& transport, const RemoteOptions& options,
-         const runtime::StudyParams& study, const EmitFn& emit,
-         RunnerTelemetry& telemetry)
+         const std::vector<runtime::StudyParams>& studies, const NextFn& next,
+         const EmitFn& emit, RunnerTelemetry& telemetry)
       : transport_(transport),
         options_(options),
-        study_(study),
+        studies_(studies),
+        next_(next),
         emit_(emit),
         telemetry_(telemetry),
-        n_(study.experiments),
         lease_now_(options.lease_size) {}
 
   void run() {
-    if (n_ <= 0) return;
-    // One contiguous range; assign() slices leases of the current span off
-    // its head, so the autotuner can retarget the span between leases.
-    queue_.push_back({0, n_});
+    // Enough of the plan for every worker's first lease, or all of it. A
+    // plan the runner never has to execute (every index cached or
+    // replayed) connects no fleet at all.
+    pull_until(lookahead(transport_.worker_count()));
+    if (pending_ == 0) return;
     const int spawn = std::min(transport_.worker_count(),
-                               (n_ + lease_now_ - 1) / lease_now_);
-    // Fresh per-worker telemetry slots for this study; the cumulative
+                               (pending_ + lease_now_ - 1) / lease_now_);
+    // Fresh per-worker telemetry slots for this run's fleet; the cumulative
     // counters (requeues, requeued_indices, workers_lost) carry over so
     // Campaign::Summary's before/after delta stays meaningful.
     telemetry_.workers.assign(static_cast<std::size_t>(spawn),
                               WorkerTelemetry{});
+    telemetry_.final_lease_size = lease_now_;
 
     struct TeardownGuard {
       Engine& engine;
@@ -162,9 +182,9 @@ class Engine {
     workers_.resize(static_cast<std::size_t>(spawn));
     for (int w = 0; w < spawn; ++w) connect_worker(w);
     if (live_count() == 0)
-      throw std::runtime_error("remote runner: study '" + study_.name +
-                               "': no workers could be started over " +
-                               transport_.name());
+      throw std::runtime_error(
+          "remote runner: no workers could be started over " +
+          transport_.name());
     for (int w = 0; w < spawn; ++w) {
       WorkerState& ws = workers_[static_cast<std::size_t>(w)];
       if (!ws.alive) continue;
@@ -178,9 +198,9 @@ class Engine {
       assign();
       if (!done() && live_count() == 0)
         throw std::runtime_error(
-            "remote runner: study '" + study_.name + "': all " +
-            std::to_string(spawn) + " workers lost with " +
-            std::to_string(unfinished()) + " experiments unfinished (" +
+            "remote runner: all " + std::to_string(spawn) +
+            " workers lost with " + std::to_string(unfinished()) +
+            " planned experiments unfinished (" +
             std::to_string(telemetry_.requeues) + " requeues)");
       if (done()) break;
       // Wake at the next hang deadline even if no worker ever produces
@@ -197,8 +217,7 @@ class Engine {
 
     guard.armed = false;
     teardown();
-    telemetry_.final_lease_size = lease_now_;
-    if (fail_min_ != kNoFailure)
+    if (fail_pos_ != kNoFailure)
       runtime::rethrow_wire_error(fail_category_, fail_message_);
   }
 
@@ -209,7 +228,7 @@ class Engine {
     WorkerState& ws = workers_[static_cast<std::size_t>(w)];
     WorkerTelemetry& wt = telemetry_.workers[static_cast<std::size_t>(w)];
     try {
-      ws.link = transport_.connect(w, study_);
+      ws.link = transport_.connect(w, studies_);
     } catch (const std::exception&) {
       ++telemetry_.workers_lost;
       wt.lost = true;
@@ -231,16 +250,16 @@ class Engine {
     }
   }
 
-  /// The Hello for `link`, encoded once per study: with the study for a
-  /// worker that needs its bytes, without for a fork()ed one. It asks for a
-  /// heartbeat every hang_timeout / 4, several chances per timeout window.
+  /// The Hello for `link`, encoded once per run: with every study for a
+  /// worker that needs their bytes, without for a fork()ed one. It asks for
+  /// a heartbeat every hang_timeout / 4, several chances per timeout window.
   const std::vector<std::uint8_t>& hello_for(const WorkerLink& link) {
-    const bool with_study = link.needs_study_bytes();
+    const bool with_studies = link.needs_study_bytes();
     std::vector<std::uint8_t>& hello =
-        with_study ? hello_with_study_ : hello_inherited_;
+        with_studies ? hello_with_studies_ : hello_inherited_;
     if (hello.empty())
       hello = runtime::encode_hello_frame(
-          with_study ? &study_ : nullptr,
+          with_studies ? &studies_ : nullptr,
           static_cast<std::uint32_t>(std::clamp<std::int64_t>(
               (options_.hang_timeout / 4).count(), 1,
               std::numeric_limits<std::uint32_t>::max())));
@@ -349,15 +368,22 @@ class Engine {
     }
   }
 
+  /// A result belongs to the worker's current lease (a worker serves one
+  /// lease at a time and its frames arrive in order), which places its
+  /// index at a campaign-wide position.
   void on_result(WorkerState& ws, runtime::ResultFrame&& result) {
-    const int index = static_cast<int>(result.index);
-    if (index < 0 || index >= n_)
-      throw codec::DecodeError("result index " + std::to_string(index) +
-                               " outside study");
-    ws.outstanding.erase(index);
+    if (result.index < static_cast<std::uint32_t>(ws.lease.lo) ||
+        result.index >= static_cast<std::uint32_t>(ws.lease.hi))
+      throw codec::DecodeError(
+          "result index " + std::to_string(result.index) + " outside lease [" +
+          std::to_string(ws.lease.lo) + ", " + std::to_string(ws.lease.hi) +
+          ") of study " + std::to_string(ws.lease.study));
+    const int pos =
+        ws.lease.pos + (static_cast<int>(result.index) - ws.lease.lo);
+    ws.outstanding.erase(pos);
     if (!result.ok) {
-      if (index < fail_min_) {
-        fail_min_ = index;
+      if (pos < fail_pos_) {
+        fail_pos_ = pos;
         fail_category_ = result.category;
         fail_message_ = result.message;
       }
@@ -365,8 +391,8 @@ class Engine {
     }
     // Exactly-once emission: a requeued lease can reproduce an index that
     // already arrived from the original worker before it died.
-    if (index < next_emit_ || buffer_.contains(index)) return;
-    buffer_.emplace(index, std::move(result.result));
+    if (pos < next_emit_ || buffer_.contains(pos)) return;
+    buffer_.emplace(pos, std::move(result.result));
   }
 
   /// Fold one heartbeat's stats into this worker's telemetry slot: latest
@@ -414,7 +440,7 @@ class Engine {
   /// (never below 1). Leases already in flight are unaffected, and results
   /// are byte-identical for every span (the safety argument for tuning at
   /// all). A worker whose lease completed no experiment has no EWMA yet and
-  /// leaves the span alone.
+  /// leaves the span alone. One span serves the whole campaign.
   void autotune(const WorkerState& ws) {
     if (ws.ewma_latency_us <= 0.0) return;
     const std::chrono::duration<double, std::micro> projected(
@@ -425,6 +451,7 @@ class Engine {
     } else if (projected > kLeaseTarget * 2) {
       lease_now_ = std::max(lease_now_ / 2, 1);
     }
+    telemetry_.final_lease_size = lease_now_;
   }
 
   /// The earliest hang deadline among the workers that owe a frame: the
@@ -467,9 +494,8 @@ class Engine {
     wt.busy = false;
     // Diagnostics go to stderr (the campaign-output convention): a lost
     // worker must leave a cause and an identity, not just a counter.
-    std::fprintf(stderr, "remote runner: study '%s': lost %s: %s\n",
-                 study_.name.c_str(), ws.link->describe().c_str(),
-                 reason.c_str());
+    std::fprintf(stderr, "remote runner: lost %s: %s\n",
+                 ws.link->describe().c_str(), reason.c_str());
     ws.link->kill();  // the reader unblocks with Eof and exits
     if (!ws.outstanding.empty()) {
       note_requeue(w, requeue_salvageable(ws));
@@ -477,31 +503,66 @@ class Engine {
     }
   }
 
-  /// Requeue this worker's outstanding indices that the campaign still
-  /// needs (below any known failure), as contiguous runs at the front of
-  /// the queue. Returns how many indices were salvaged.
+  /// Requeue this worker's outstanding positions that the campaign still
+  /// needs (below any known failure), as contiguous runs. Returns how many
+  /// indices were salvaged.
   int requeue_salvageable(WorkerState& ws) {
-    std::vector<int> needed;
-    for (const int k : ws.outstanding)
-      if (k < fail_min_) needed.push_back(k);
-    if (needed.empty()) return 0;
     std::vector<Chunk> runs;
-    for (const int k : needed) {
-      if (!runs.empty() && runs.back().hi == k) ++runs.back().hi;
-      else runs.push_back({k, k + 1});
+    for (const int pos : ws.outstanding) {
+      if (pos >= fail_pos_) break;  // the set is sorted
+      if (!runs.empty() && runs.back().hi == pos) ++runs.back().hi;
+      else runs.push_back({pos, pos + 1});
     }
     // Sorted insertion keeps the queue ordered by lo at all times, so the
-    // head is the globally lowest pending index. assign() only examines
+    // head is the globally lowest pending position. assign() only examines
     // the head; if requeues merely pushed to the front, a later loss's
-    // higher-index chunks could bury an earlier loss's low chunk behind an
+    // higher chunks could bury an earlier loss's low chunk behind an
     // out-of-window head and deadlock the campaign.
+    int salvaged = 0;
     for (const Chunk& run : runs) {
-      const auto pos = std::lower_bound(
+      const auto at = std::lower_bound(
           queue_.begin(), queue_.end(), run,
           [](const Chunk& a, const Chunk& b) { return a.lo < b.lo; });
-      queue_.insert(pos, run);
+      queue_.insert(at, run);
+      salvaged += run.hi - run.lo;
     }
-    return static_cast<int>(needed.size());
+    pending_ += salvaged;
+    return salvaged;
+  }
+
+  // --- the pulled plan -------------------------------------------------------
+
+  /// Pull study plans until `want` positions are pending or the plan is
+  /// exhausted. Nothing more is pulled once an experiment failed: the
+  /// campaign ends at that failure.
+  void pull_until(int want) {
+    while (!plan_done_ && fail_pos_ == kNoFailure && pending_ < want) {
+      const std::optional<StudyPlan> plan = next_();
+      if (!plan.has_value()) {
+        plan_done_ = true;
+        break;
+      }
+      for (const IndexRun& run : plan->runs) {
+        const Segment segment{plan->study, run.lo, run.hi, planned_};
+        segments_.push_back(segment);
+        // Every queued position sits below planned_, so appending keeps
+        // the queue sorted; leases never straddle a segment (see assign).
+        if (!queue_.empty() && queue_.back().hi == segment.pos)
+          queue_.back().hi = segment.end();
+        else
+          queue_.push_back({segment.pos, segment.end()});
+        pending_ += segment.end() - segment.pos;
+        planned_ = segment.end();
+      }
+    }
+  }
+
+  /// The pulled segment holding position `pos` (< planned_).
+  const Segment& segment_at(int pos) const {
+    const auto after = std::upper_bound(
+        segments_.begin(), segments_.end(), pos,
+        [](int p, const Segment& s) { return p < s.pos; });
+    return *std::prev(after);
   }
 
   // --- scheduling ------------------------------------------------------------
@@ -512,8 +573,18 @@ class Engine {
     return live;
   }
 
+  /// Backpressure: how far past the drain cursor a lease may start, so the
+  /// reorder buffer stays O(workers * lease span) even when one early lease
+  /// is slow. A worker that finishes its lease takes the next one as soon
+  /// as the lowest lease has delivered its first batch.
+  int window() const { return live_count() * lease_now_; }
+
+  /// How many positions to keep pulled ahead: twice each worker's span, so
+  /// the taper (see assign) slices full spans until the plan runs dry.
+  int lookahead(int workers) const { return 2 * workers * lease_now_; }
+
   int unfinished() const {
-    const int stop = fail_min_ == kNoFailure ? n_ : fail_min_;
+    const int stop = std::min(fail_pos_, planned_);
     int have = 0;
     for (const auto& entry : buffer_) have += entry.first < stop ? 1 : 0;
     return stop - next_emit_ - have;
@@ -522,11 +593,11 @@ class Engine {
   bool done() const {
     // A failure aborts as soon as the serial prefix is emitted — workers
     // still mid-lease are torn down, not awaited.
-    if (fail_min_ != kNoFailure) return next_emit_ >= fail_min_;
-    if (next_emit_ < n_) return false;
+    if (fail_pos_ != kNoFailure) return next_emit_ >= fail_pos_;
+    if (!plan_done_ || next_emit_ < planned_) return false;
     // Every result is in; now wait for each live worker's trailing
-    // Heartbeat + LeaseDone so the telemetry ledger is exact at study end
-    // (per-worker experiments_completed sums to the study total). A worker
+    // Heartbeat + LeaseDone so the telemetry ledger is exact at the end
+    // (per-worker experiments_completed sums to the run's total). A worker
     // wedged before its LeaseDone is still bounded by its hang deadline.
     for (const WorkerState& ws : workers_)
       if (ws.alive && !ws.idle) return false;
@@ -534,13 +605,16 @@ class Engine {
   }
 
   void drain() {
-    const int stop = fail_min_ == kNoFailure ? n_ : fail_min_;
+    const int stop = std::min(fail_pos_, planned_);
     while (next_emit_ < stop) {
       auto it = buffer_.find(next_emit_);
       if (it == buffer_.end()) break;
       auto node = buffer_.extract(it);
-      const int k = next_emit_++;
-      emit_(k, std::move(node.mapped()));
+      const Segment& segment = segment_at(next_emit_);
+      const int study = segment.study;
+      const int index = segment.lo + (next_emit_ - segment.pos);
+      ++next_emit_;
+      emit_(study, index, std::move(node.mapped()));
     }
   }
 
@@ -548,39 +622,52 @@ class Engine {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       WorkerState& ws = workers_[w];
       if (!ws.alive || !ws.idle) continue;
+      // Keep the plan pulled ahead, so the next study is leased while this
+      // one drains.
+      pull_until(lookahead(live_count()));
       // Drop work at/past a known failure before looking at the head.
-      while (!queue_.empty() && queue_.front().lo >= fail_min_)
+      while (!queue_.empty() && queue_.front().lo >= fail_pos_) {
+        pending_ -= queue_.front().hi - queue_.front().lo;
         queue_.pop_front();
+      }
       if (queue_.empty()) return;
-      // Backpressure: never lease further than `window` past the drain
-      // cursor, so the reorder buffer stays O(workers * lease span) even
-      // when one early lease is slow. A stale out-of-window head cannot
-      // stall the campaign: once the busy workers drain, next_emit has
-      // caught up to the lowest pending index, which is the head.
-      const int window = std::max(2 * live_count() * lease_now_, lease_now_);
-      if (queue_.front().lo >= next_emit_ + window) continue;
-      // Slice one lease of the current span off the head chunk. The slice
-      // is validated before the queue is touched, so an empty slice can
-      // never silently drop indices from the queue.
+      // A stale out-of-window head cannot stall the campaign: once the busy
+      // workers drain, next_emit has caught up to the lowest pending
+      // position, which is the head.
+      if (queue_.front().lo >= next_emit_ + window()) continue;
+      // Slice one lease off the head chunk, inside one segment. Taper: at
+      // most a 1 / (2 * live) share of the pending positions, so the
+      // campaign's last leases spread over the fleet instead of parking
+      // idle workers behind one full span. While the plan is not exhausted,
+      // the lookahead keeps enough pending that the share is a full span.
       Chunk& head = queue_.front();
-      const Chunk chunk{head.lo,
-                        std::min({head.hi, head.lo + lease_now_,
-                                  fail_min_ == kNoFailure ? n_ : fail_min_})};
-      if (chunk.hi <= chunk.lo) return;  // unreachable: head.lo < fail_min_
-      if (chunk.hi >= head.hi)
+      const Segment& segment = segment_at(head.lo);
+      const int share = 2 * live_count();
+      const int span = std::min(lease_now_, (pending_ + share - 1) / share);
+      const int hi =
+          std::min({head.hi, head.lo + span, segment.end(), fail_pos_});
+      if (hi <= head.lo) return;  // unreachable: head.lo < fail_pos_
+      const Segment lease{segment.study,
+                          segment.lo + (head.lo - segment.pos),
+                          segment.lo + (hi - segment.pos), head.lo};
+      pending_ -= hi - head.lo;
+      if (hi >= head.hi)
         queue_.pop_front();
       else
-        head.lo = chunk.hi;
+        head.lo = hi;
       ws.lease_id = ++lease_seq_;
-      for (int k = chunk.lo; k < chunk.hi; ++k) ws.outstanding.insert(k);
+      ws.lease = lease;
+      for (int pos = lease.pos; pos < lease.end(); ++pos)
+        ws.outstanding.insert(pos);
       try {
         ws.link->send(runtime::encode_lease_frame(
-            {ws.lease_id, static_cast<std::uint32_t>(chunk.lo),
-             static_cast<std::uint32_t>(chunk.hi)}));
+            {ws.lease_id, static_cast<std::uint32_t>(lease.study),
+             static_cast<std::uint32_t>(lease.lo),
+             static_cast<std::uint32_t>(lease.hi)}));
         ws.idle = false;
         ws.quiet_since = Clock::now();
         WorkerTelemetry& wt = telemetry_.workers[w];
-        wt.lease_size = chunk.hi - chunk.lo;
+        wt.lease_size = lease.hi - lease.lo;
         wt.busy = true;
       } catch (const std::exception& e) {
         lose_worker(static_cast<int>(w),
@@ -632,27 +719,33 @@ class Engine {
 
   Transport& transport_;
   const RemoteOptions& options_;
-  const runtime::StudyParams& study_;
+  const std::vector<runtime::StudyParams>& studies_;
+  const NextFn& next_;
   const EmitFn& emit_;
   RunnerTelemetry& telemetry_;
-  const int n_;
   /// Current lease span: options.lease_size, then adapted by autotune()
   /// between leases.
   int lease_now_;
 
   EventQueue events_;
   std::vector<WorkerState> workers_;
+  /// The pulled plan: every segment in position order, the positions
+  /// planned so far, and whether next() has run dry.
+  std::vector<Segment> segments_;
+  int planned_{0};
+  bool plan_done_{false};
   std::deque<Chunk> queue_;
-  std::map<int, runtime::ExperimentResult> buffer_;
-  std::vector<std::uint8_t> hello_with_study_;
+  int pending_{0};  // positions in queue_
+  std::map<int, runtime::ExperimentResult> buffer_;  // keyed by position
+  std::vector<std::uint8_t> hello_with_studies_;
   std::vector<std::uint8_t> hello_inherited_;
-  /// Memoizes decoded timeline headers across this study's results: most
+  /// Memoizes decoded timeline headers across this run's results: most
   /// experiments share machine/state/event dictionaries, so the decode hot
   /// path pays the string allocations once per distinct header.
   runtime::ResultInterner interner_;
   std::uint32_t lease_seq_{0};
-  int next_emit_{0};
-  int fail_min_{kNoFailure};
+  int next_emit_{0};  // the drain cursor, a position
+  int fail_pos_{kNoFailure};
   runtime::WireErrorCategory fail_category_{runtime::WireErrorCategory::Runtime};
   std::string fail_message_;
   int readers_started_{0};
@@ -679,16 +772,16 @@ std::string RemoteRunner::name() const {
   return "remote(" + transport_->name() + ")";
 }
 
-void RemoteRunner::run_study(const runtime::StudyParams& study,
-                             const EmitFn& emit) {
-  Engine engine(*transport_, options_, study, emit, telemetry_);
+void RemoteRunner::run(const std::vector<runtime::StudyParams>& studies,
+                        const NextFn& next, const EmitFn& emit) {
+  Engine engine(*transport_, options_, studies, next, emit, telemetry_);
   engine.run();
 }
 
 // --- serve_worker ------------------------------------------------------------
 
 void serve_worker(FrameChannel& channel,
-                  const runtime::StudyParams* inherited_study,
+                  const std::vector<runtime::StudyParams>* inherited_studies,
                   const ServeOptions& options) {
   std::optional<std::vector<std::uint8_t>> first = channel.read();
   if (!first.has_value()) return;  // parent vanished before the handshake
@@ -701,14 +794,18 @@ void serve_worker(FrameChannel& channel,
         "serve_worker: parent speaks worker protocol v" +
         std::to_string(hello.protocol_version) + ", this build v" +
         std::to_string(runtime::kWorkerProtocolVersion));
-  const runtime::StudyParams* study =
-      hello.study.has_value() ? &*hello.study : inherited_study;
+  const std::vector<runtime::StudyParams>* studies =
+      hello.studies.has_value() ? &*hello.studies : inherited_studies;
+  if (studies == nullptr)
+    throw std::runtime_error(
+        "serve_worker: the Hello carried no studies and none were inherited");
   channel.write(runtime::encode_hello_ack_frame(
       static_cast<std::uint64_t>(::getpid())));
 
-  // The worker's study is fixed at Hello time, so one resettable context
-  // serves every lease: the first experiment compiles the study, all later
-  // ones (across all leases) reuse the compiled tables and the world slabs.
+  // The worker's studies are fixed at Hello time, so one resettable context
+  // serves every lease: a study's first experiment compiles it, all later
+  // ones (across all leases) reuse the compiled tables and the world slabs,
+  // and a structurally different study recompiles inside run().
   runtime::ExperimentContext context;
   // One batch buffer for the whole serve loop: results are encoded straight
   // into it (no per-result temporary), and once it has grown to the largest
@@ -735,14 +832,20 @@ void serve_worker(FrameChannel& channel,
     switch (runtime::worker_frame_type(*frame)) {
       case WorkerFrame::Lease: {
         const runtime::LeaseFrame lease = runtime::decode_lease_frame(*frame);
-        // Fail closed: never call the generator at an index the study does
-        // not declare. The parent sees EOF and requeues the lease.
-        if (study != nullptr &&
-            lease.hi > static_cast<std::uint32_t>(study->experiments))
+        // Fail closed: never call a generator at a study or an index the
+        // campaign does not declare. The parent sees EOF and requeues the
+        // lease.
+        if (lease.study >= studies->size())
+          throw std::runtime_error(
+              "serve_worker: lease names study " + std::to_string(lease.study) +
+              " of a campaign with " + std::to_string(studies->size()) +
+              " studies");
+        const runtime::StudyParams& study = (*studies)[lease.study];
+        if (lease.hi > static_cast<std::uint32_t>(study.experiments))
           throw std::runtime_error(
               "serve_worker: lease [" + std::to_string(lease.lo) + ", " +
-              std::to_string(lease.hi) + ") outside study '" + study->name +
-              "' of " + std::to_string(study->experiments) + " experiments");
+              std::to_string(lease.hi) + ") outside study '" + study.name +
+              "' of " + std::to_string(study.experiments) + " experiments");
         write(runtime::encode_heartbeat_frame(lease.id, stats));
         runtime::begin_result_batch(batch);
         for (std::uint32_t k = lease.lo; k < lease.hi; ++k) {
@@ -751,13 +854,9 @@ void serve_worker(FrameChannel& channel,
           const Clock::time_point started = Clock::now();
           const std::size_t batch_before = batch.size();
           try {
-            if (study == nullptr)
-              throw ConfigError(
-                  "serve_worker: no study — the Hello frame carried none and "
-                  "none was inherited");
-            runtime::ExperimentParams params = study->make_params(index);
+            runtime::ExperimentParams params = study.make_params(index);
             validate_experiment_params(params,
-                                       experiment_context(*study, index));
+                                       experiment_context(study, index));
             const runtime::ExperimentResult result = context.run(params);
             runtime::append_result_ok_entry(batch, k, result);
           } catch (const std::exception& e) {

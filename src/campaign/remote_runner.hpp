@@ -2,12 +2,19 @@
 // Transport (campaign/transport.hpp).
 //
 // RemoteRunner replaces static round-robin sharding with dynamic work-queue
-// sharding: the study's indices are split into small leases, idle workers
-// pull the next lease, and the parent reassembles results into the serial
-// emit order. Because run_experiment is deterministic in its params, a
-// lease that is re-run after a worker died produces byte-identical results,
-// so crash recovery never perturbs the campaign's output — the
-// serial == threads == procs == remote identity invariant survives faults.
+// sharding: the campaign's planned indices are split into small leases,
+// idle workers pull the next lease, and the parent reassembles results into
+// the serial emit order. One fleet serves the whole Campaign::run: it is
+// connected and handshaken once, every worker holds every study (fork()ed
+// workers inherit them, exec'd workers get them in the Hello), each Lease
+// names its study, and the plan is pulled ahead of the leases, so study k+1
+// is leased while study k drains. Near the end of the plan, leases taper to
+// a share of what is left so the last ones spread over the fleet.
+//
+// Because run_experiment is deterministic in its params, a lease that is
+// re-run after a worker died produces byte-identical results, so crash
+// recovery never perturbs the campaign's output — the serial == threads ==
+// procs == remote identity invariant survives faults.
 //
 // Failure handling, per worker:
 //   * stream EOF (crash, SIGKILL, ssh drop) -> outstanding lease indices
@@ -22,26 +29,28 @@
 // hang_timeout has passed since the latest of its last frame, its lease
 // send, and its connect — never on a reader's stale recv timeout.
 // Requeue/lost counts surface through Runner::telemetry() and
-// Campaign::Summary. Each worker slot holds one link for the whole study: a
-// lost worker stays lost, and the survivors drain its requeued indices. When
-// the last worker dies with work remaining, the runner throws
-// std::runtime_error — so a worker that crashes on the same experiment every
-// time fails the study instead of looping.
+// Campaign::Summary. Each worker slot holds one link for the whole run: a
+// lost worker stays lost for the rest of the campaign, and the survivors
+// drain its requeued indices. When the last worker dies with work
+// remaining, the runner throws std::runtime_error — so a worker that
+// crashes on the same experiment every time fails the campaign instead of
+// looping.
 //
-// Contract (matching SerialRunner / ThreadPoolRunner):
-//   * emit(k, result) exactly once per index, in increasing k, on the
-//     calling thread;
-//   * failure-prefix semantics: if experiment k itself fails (generator,
-//     validation, run), the completed prefix 0..k-1 is emitted, then k's
-//     exception is rehydrated by wire category and rethrown; no index past
-//     k is emitted. Worker *loss* is not an experiment failure — it is
-//     recovered by requeueing.
+// Contract (the Runner contract of campaign/runner.hpp):
+//   * emit(s, k, result) exactly once per planned (s, k), in increasing
+//     (s, k), on the calling thread;
+//   * failure-prefix semantics: if planned experiment (s, k) itself fails
+//     (generator, validation, run), every planned index before it is
+//     emitted, then its exception is rehydrated by wire category and
+//     rethrown; nothing past it is emitted. Worker *loss* is not an
+//     experiment failure — it is recovered by requeueing.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "campaign/runner.hpp"
 #include "campaign/transport.hpp"
@@ -50,12 +59,14 @@ namespace loki::campaign {
 
 struct RemoteOptions {
   /// Indices in each worker's first lease. After every cleanly completed
-  /// lease the span follows the worker's heartbeat EWMA latency: it
-  /// doubles, up to 64, while a lease would finish in under half of 250 ms,
-  /// and halves, down to 1, when one would overrun 500 ms. A larger first
-  /// span is used as given (the tuner only grows spans up to 64). Small
-  /// leases shrink the requeue blast radius; large ones amortize frame
-  /// round-trips. Lease geometry never reaches the results.
+  /// lease the campaign-wide span follows the worker's heartbeat EWMA
+  /// latency: it doubles, up to 32, while a lease would finish in under
+  /// half of 250 ms, and halves, down to 1, when one would overrun 500 ms.
+  /// A larger first span is used as given (the tuner only grows spans up to
+  /// 32). Near the end of the plan a lease is cut to ceil(pending /
+  /// (2 * live workers)). Small leases shrink the requeue blast radius;
+  /// large ones amortize frame round-trips. Lease geometry never reaches
+  /// the results.
   int lease_size{2};
   /// A worker silent for this long while holding a lease (or during the
   /// handshake) is declared hung, killed, and its lease requeued. Workers
@@ -71,7 +82,8 @@ class RemoteRunner final : public Runner {
                         RemoteOptions options = {});
 
   std::string name() const override;
-  void run_study(const runtime::StudyParams& study, const EmitFn& emit) override;
+  void run(const std::vector<runtime::StudyParams>& studies,
+           const NextFn& next, const EmitFn& emit) override;
   RunnerTelemetry telemetry() const override { return telemetry_; }
 
  private:
@@ -91,10 +103,12 @@ struct ServeOptions {
 };
 
 /// Worker-side protocol loop, shared by every backend: handshake on Hello
-/// (adopting the framed study, or `inherited_study` for fork()ed children),
-/// then serve Lease/Ping frames until Shutdown or EOF. A lease that reaches
-/// past the study's last index is a protocol violation: the loop throws
-/// before running anything (not even the opening heartbeat goes out).
+/// (adopting the framed studies, or `inherited_studies` for fork()ed
+/// children; a Hello without studies to a worker that inherited none is a
+/// protocol violation), then serve Lease/Ping frames until Shutdown or EOF.
+/// A lease that names a study past the campaign's last, or reaches past its
+/// study's last index, is a protocol violation: the loop throws before
+/// running anything (not even the opening heartbeat goes out).
 /// A lease's results accumulate into ResultBatch frames in a buffer reused
 /// across leases (bounded by ServeOptions::batch_soft_bytes, flushed at
 /// lease end).
@@ -107,7 +121,7 @@ struct ServeOptions {
 /// early); a protocol violation throws — the caller turns that into a
 /// nonzero exit.
 void serve_worker(FrameChannel& channel,
-                  const runtime::StudyParams* inherited_study,
+                  const std::vector<runtime::StudyParams>* inherited_studies,
                   const ServeOptions& options = {});
 
 }  // namespace loki::campaign

@@ -26,19 +26,20 @@ runtime::ExperimentParams checked_params(const runtime::StudyParams& study,
   return params;
 }
 
-/// Compile the study-invariant machinery from experiment 0, for runners
-/// that share one CompiledStudy across worker contexts. Generators are
-/// deterministic per index (the standard campaign contract; build() probes
-/// index 0 the same way), so the extra make_params(0) call is safe. A
-/// failure here is exactly the failure experiment 0 would have produced —
-/// same exception, same empty emitted prefix.
+/// Compile the study-invariant machinery from the first planned
+/// experiment, for runners that share one CompiledStudy across worker
+/// contexts. Generators are deterministic per index (the standard campaign
+/// contract; build() probes index 0 the same way), so the extra make_params
+/// call is safe. A failure here is exactly the failure that experiment would
+/// have produced — same exception, same empty emitted prefix.
 std::shared_ptr<const runtime::CompiledStudy> compile_study_front(
-    const runtime::StudyParams& study) {
-  return runtime::CompiledStudy::compile(checked_params(study, 0));
+    const runtime::StudyParams& study, int first) {
+  return runtime::CompiledStudy::compile(checked_params(study, first));
 }
 
-/// Everything ThreadPoolRunner's workers and drain loop share. The mutex
-/// discipline is declared so clang -Wthread-safety can prove it: `mu`
+/// Everything ThreadPoolRunner's workers and drain loop share for one
+/// study. Workers claim *positions* into the study's planned indices. The
+/// mutex discipline is declared so clang -Wthread-safety can prove it: `mu`
 /// guards claim/complete/drain state, `gen_mu` only serializes user
 /// parameter generators (which may share hidden state across indices).
 struct PoolShared {
@@ -49,9 +50,9 @@ struct PoolShared {
   util::CondVar cv;
   std::map<int, runtime::ExperimentResult> ready LOKI_GUARDED_BY(mu);
   std::exception_ptr failure LOKI_GUARDED_BY(mu);
-  int fail_min LOKI_GUARDED_BY(mu);    // lowest index that threw
-  int next LOKI_GUARDED_BY(mu){0};     // next index to claim
-  int emitted LOKI_GUARDED_BY(mu){0};  // indices already handed to emit
+  int fail_min LOKI_GUARDED_BY(mu);    // lowest position that threw
+  int next LOKI_GUARDED_BY(mu){0};     // next position to claim
+  int emitted LOKI_GUARDED_BY(mu){0};  // positions already handed to emit
   /// Not guarded: a latch raced only in the safe direction. Workers that
   /// miss a newly-set abort claim at most one extra experiment.
   std::atomic<bool> abort{false};
@@ -61,13 +62,19 @@ struct PoolShared {
 
 Runner::~Runner() = default;
 
-void SerialRunner::run_study(const runtime::StudyParams& study,
-                             const EmitFn& emit) {
-  // One context for the whole study: experiment 0 compiles the study, every
-  // later index reuses the compiled tables and the world's slabs.
+void SerialRunner::run(const std::vector<runtime::StudyParams>& studies,
+                        const NextFn& next, const EmitFn& emit) {
+  // One context for the whole run: a study's first experiment compiles it,
+  // every later index reuses the compiled tables and the world's slabs (a
+  // structurally different study recompiles inside run()).
   runtime::ExperimentContext context;
-  for (int k = 0; k < study.experiments; ++k)
-    emit(k, context.run(checked_params(study, k)));
+  while (const std::optional<StudyPlan> plan = next()) {
+    const runtime::StudyParams& study =
+        studies[static_cast<std::size_t>(plan->study)];
+    for (const IndexRun& run : plan->runs)
+      for (int k = run.lo; k < run.hi; ++k)
+        emit(plan->study, k, context.run(checked_params(study, k)));
+  }
 }
 
 ThreadPoolRunner::ThreadPoolRunner(int workers) : workers_(workers) {
@@ -80,27 +87,32 @@ std::string ThreadPoolRunner::name() const {
   return "thread-pool(" + std::to_string(workers_) + ")";
 }
 
-void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
-                                 const EmitFn& emit) {
-  const int n = study.experiments;
+namespace {
+
+/// One study's planned indices through the pool: `indices` in serial order,
+/// claimed by position.
+void run_pool_study(const runtime::StudyParams& study, int ordinal,
+                    const std::vector<int>& indices, int workers,
+                    const EmitFn& emit) {
+  const int n = static_cast<int>(indices.size());
   if (n <= 0) return;
 
   // Compile once on the calling thread; every worker context borrows the
   // same immutable CompiledStudy (its tables are shared read-only).
   const std::shared_ptr<const runtime::CompiledStudy> compiled =
-      compile_study_front(study);
+      compile_study_front(study, indices.front());
 
   PoolShared s(n);
   // Backpressure: at most `window` experiments past the drain cursor may be
   // claimed, so `ready` stays O(workers) even when one early experiment is
   // slow — the streaming-sink memory guarantee survives skewed runtimes.
-  const int window = 2 * workers_;
+  const int window = 2 * workers;
 
   auto worker = [&] {
     // One resettable context per worker thread, alive for the whole study.
     runtime::ExperimentContext context(compiled);
     for (;;) {
-      int k;
+      int pos = 0;
       {
         util::MutexLock lock(s.mu);
         while (!(s.abort.load(std::memory_order_relaxed) ||
@@ -110,8 +122,9 @@ void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
         if (s.abort.load(std::memory_order_relaxed) || s.failure != nullptr ||
             s.next >= n)
           return;
-        k = s.next++;
+        pos = s.next++;
       }
+      const int k = indices[static_cast<std::size_t>(pos)];
       try {
         runtime::ExperimentParams params;
         {
@@ -122,13 +135,13 @@ void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
         runtime::ExperimentResult result = context.run(params);
         {
           util::MutexLock lock(s.mu);
-          s.ready.emplace(k, std::move(result));
+          s.ready.emplace(pos, std::move(result));
         }
       } catch (...) {
         {
           util::MutexLock lock(s.mu);
-          if (k < s.fail_min) {
-            s.fail_min = k;
+          if (pos < s.fail_min) {
+            s.fail_min = pos;
             s.failure = std::current_exception();
           }
         }
@@ -139,24 +152,25 @@ void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
   };
 
   std::vector<std::thread> pool;
-  const int spawn = workers_ < n ? workers_ : n;
+  const int spawn = workers < n ? workers : n;
   pool.reserve(static_cast<std::size_t>(spawn));
   for (int i = 0; i < spawn; ++i) pool.emplace_back(worker);
 
-  // Drain completions in index order on the calling thread, so sinks see
+  // Drain completions in position order on the calling thread, so sinks see
   // exactly the sequence SerialRunner would produce — including on failure:
-  // every index below the first failing one was claimed earlier and will
+  // every position below the first failing one was claimed earlier and will
   // either complete (emitted here) or lower fail_min itself, so waiting on
-  // `ready[k] || k >= fail_min` emits the same prefix serial would before
-  // rethrowing the first failure.
+  // `ready[pos] || pos >= fail_min` emits the same prefix serial would
+  // before rethrowing the first failure.
   try {
     util::MutexLock lock(s.mu);
-    for (int k = 0; k < n; ++k) {
-      while (!(s.ready.contains(k) || k >= s.fail_min)) s.cv.wait(s.mu);
-      if (k >= s.fail_min) break;
-      auto node = s.ready.extract(k);
+    for (int pos = 0; pos < n; ++pos) {
+      while (!(s.ready.contains(pos) || pos >= s.fail_min)) s.cv.wait(s.mu);
+      if (pos >= s.fail_min) break;
+      auto node = s.ready.extract(pos);
       lock.unlock();
-      emit(k, std::move(node.mapped()));
+      emit(ordinal, indices[static_cast<std::size_t>(pos)],
+           std::move(node.mapped()));
       lock.lock();
       ++s.emitted;
       s.cv.notify_all();  // open the claim window
@@ -174,6 +188,19 @@ void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
     // lock for the guarded reads (and it documents the rethrow contract).
     util::MutexLock lock(s.mu);
     if (s.failure) std::rethrow_exception(s.failure);
+  }
+}
+
+}  // namespace
+
+void ThreadPoolRunner::run(const std::vector<runtime::StudyParams>& studies,
+                           const NextFn& next, const EmitFn& emit) {
+  while (const std::optional<StudyPlan> plan = next()) {
+    std::vector<int> indices;
+    for (const IndexRun& run : plan->runs)
+      for (int k = run.lo; k < run.hi; ++k) indices.push_back(k);
+    run_pool_study(studies[static_cast<std::size_t>(plan->study)],
+                   plan->study, indices, workers_, emit);
   }
 }
 

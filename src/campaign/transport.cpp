@@ -215,13 +215,13 @@ std::string SubprocessTransport::name() const {
 }
 
 std::unique_ptr<WorkerLink> SubprocessTransport::connect(
-    int index, const runtime::StudyParams& study) {
-  // The child serves the inherited study in-process: no exec, no wire
+    int index, const std::vector<runtime::StudyParams>& studies) {
+  // The child serves the inherited studies in-process: no exec, no wire
   // identity requirement.
   return spawn_worker(
-      [&study](int recv_fd, int send_fd) {
+      [&studies](int recv_fd, int send_fd) {
         FdFrameChannel channel(recv_fd, send_fd);
-        serve_worker(channel, &study);
+        serve_worker(channel, &studies);
         return 0;
       },
       "subprocess worker " + std::to_string(index), /*needs_study=*/false,
@@ -272,7 +272,7 @@ std::vector<std::string> SshTransport::worker_argv(int index) const {
 }
 
 std::unique_ptr<WorkerLink> SshTransport::connect(
-    int index, const runtime::StudyParams&) {
+    int index, const std::vector<runtime::StudyParams>&) {
   // The exec argv is built before fork(), so the child only dup2()s the
   // frame stream onto stdin/stdout and execs.
   const std::vector<std::string> argv = worker_argv(index);
@@ -535,7 +535,7 @@ std::string FakeTransport::name() const {
 }
 
 std::unique_ptr<WorkerLink> FakeTransport::connect(
-    int index, const runtime::StudyParams&) {
+    int index, const std::vector<runtime::StudyParams>&) {
   if (index < 0 || index >= workers_)
     throw ConfigError("FakeTransport: worker index " + std::to_string(index) +
                       " out of range");

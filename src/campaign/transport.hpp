@@ -9,9 +9,9 @@
 // test suite.
 //
 // Backends:
-//   SubprocessTransport   fork()s workers that inherit the study closure
-//                         (no wire identity needed), framed over pipes
-//                         (util/pipe_io.hpp).
+//   SubprocessTransport   fork()s workers that inherit the campaign's
+//                         study closures (no wire identity needed), framed
+//                         over pipes (util/pipe_io.hpp).
 //   SshTransport          exec's `ssh <host> <worker command>` per host —
 //                         the same frame protocol over an ssh stdio tunnel
 //                         to `lokimeasure --worker --serve`.
@@ -71,8 +71,8 @@ class WorkerLink {
   /// Human-readable identity for error messages ("pid 4242", "host db3").
   virtual std::string describe() const = 0;
 
-  /// True when the worker needs the study inside the Hello frame (exec'd
-  /// remote workers). fork()-based workers inherit it in memory, which
+  /// True when the worker needs the studies inside the Hello frame (exec'd
+  /// remote workers). fork()-based workers inherit them in memory, which
   /// keeps arbitrary closures working without a wire identity.
   virtual bool needs_study_bytes() const { return true; }
 };
@@ -84,12 +84,13 @@ class Transport {
   virtual std::string name() const = 0;
   virtual int worker_count() const = 0;
 
-  /// Spawn/attach worker `index` (0-based, < worker_count()) for `study`.
-  /// fork()-based transports capture the study in the child; the caller
-  /// still performs the Hello handshake over the returned link. Throws on
-  /// spawn failure (the caller decides whether losing one worker is fatal).
+  /// Spawn/attach worker `index` (0-based, < worker_count()) for one
+  /// campaign run over `studies`. fork()-based transports capture the
+  /// studies in the child; the caller still performs the Hello handshake
+  /// over the returned link. Throws on spawn failure (the caller decides
+  /// whether losing one worker is fatal).
   virtual std::unique_ptr<WorkerLink> connect(
-      int index, const runtime::StudyParams& study) = 0;
+      int index, const std::vector<runtime::StudyParams>& studies) = 0;
 };
 
 /// Worker-side view of the same duplex channel — what serve_worker speaks,
@@ -192,13 +193,13 @@ std::uint64_t fake_worker_self_detaches();
 class SubprocessTransport final : public Transport {
  public:
   /// Each worker is a forked child running serve_worker on the inherited
-  /// study — arbitrary make_params closures work unchanged.
+  /// studies — arbitrary make_params closures work unchanged.
   explicit SubprocessTransport(int workers);
 
   std::string name() const override;
   int worker_count() const override { return workers_; }
-  std::unique_ptr<WorkerLink> connect(int index,
-                                      const runtime::StudyParams& study) override;
+  std::unique_ptr<WorkerLink> connect(
+      int index, const std::vector<runtime::StudyParams>& studies) override;
 
  private:
   int workers_;
@@ -222,8 +223,8 @@ class SshTransport final : public Transport {
 
   std::string name() const override;
   int worker_count() const override { return static_cast<int>(hosts_.size()); }
-  std::unique_ptr<WorkerLink> connect(int index,
-                                      const runtime::StudyParams& study) override;
+  std::unique_ptr<WorkerLink> connect(
+      int index, const std::vector<runtime::StudyParams>& studies) override;
 
   /// The exec argv for worker `index` — exposed for tests.
   std::vector<std::string> worker_argv(int index) const;
@@ -237,7 +238,7 @@ class SshTransport final : public Transport {
 
 /// In-process transport for tests: each worker is a thread speaking the
 /// worker protocol over in-memory frame queues (including the Hello-framed
-/// study, so wire encode/decode is exercised end to end). Faults are
+/// studies, so wire encode/decode is exercised end to end). Faults are
 /// scripted before the campaign runs, per *victim*: victim k is the k-th
 /// connected link to be sent a Lease, whichever worker slot it occupies. A
 /// scripted fault therefore always lands on a link that has work, however
@@ -255,9 +256,9 @@ class FakeTransport final : public Transport {
   std::string name() const override;
   int worker_count() const override { return workers_; }
   /// Spawns the slot's worker thread, first joining the one a previous
-  /// study's connect left there.
-  std::unique_ptr<WorkerLink> connect(int index,
-                                      const runtime::StudyParams& study) override;
+  /// run's connect left there.
+  std::unique_ptr<WorkerLink> connect(
+      int index, const std::vector<runtime::StudyParams>& studies) override;
 
   /// Worker-side ResultBatch flush bound for subsequently connected
   /// workers. Default 1: every result flushes its own batch.

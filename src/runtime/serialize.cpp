@@ -667,15 +667,20 @@ WorkerFrame worker_frame_type(const std::vector<std::uint8_t>& frame) {
   return static_cast<WorkerFrame>(type);
 }
 
-std::vector<std::uint8_t> encode_hello_frame(const StudyParams* study,
-                                             std::uint32_t heartbeat_interval_ms) {
+std::vector<std::uint8_t> encode_hello_frame(
+    const std::vector<StudyParams>* studies,
+    std::uint32_t heartbeat_interval_ms) {
   Writer w = frame_writer(WorkerFrame::Hello);
   w.u16(kWorkerProtocolVersion);
   w.u32(heartbeat_interval_ms);
-  w.boolean(study != nullptr);
-  if (study != nullptr) {
-    const std::vector<std::uint8_t> encoded = encode_study_params(*study);
-    w.bytes(encoded.data(), encoded.size());
+  w.boolean(studies != nullptr);
+  if (studies != nullptr) {
+    w.u32(static_cast<std::uint32_t>(studies->size()));
+    for (const StudyParams& study : *studies) {
+      const std::vector<std::uint8_t> encoded = encode_study_params(study);
+      w.u64(encoded.size());
+      w.bytes(encoded.data(), encoded.size());
+    }
   }
   return w.take();
 }
@@ -687,8 +692,25 @@ HelloFrame decode_hello_frame(const std::vector<std::uint8_t>& frame) {
   hello.heartbeat_interval_ms = r.u32();
   if (hello.heartbeat_interval_ms == 0)
     throw DecodeError("worker frame: Hello without a heartbeat interval");
-  if (r.boolean()) hello.study = decode_study_params(remaining_bytes(r, frame));
-  else r.expect_done();
+  if (r.boolean()) {
+    const std::uint32_t count = r.u32();
+    // Every study takes at least its length prefix, so a corrupt count must
+    // not become a giant reserve().
+    if (count > r.remaining() / sizeof(std::uint64_t))
+      throw DecodeError("worker frame: Hello study count " +
+                        std::to_string(count) + " exceeds remaining bytes");
+    hello.studies.emplace();
+    hello.studies->reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t size = r.u64();
+      const std::size_t start = r.position();
+      r.skip(size);  // DecodeError when the study overruns the frame
+      hello.studies->push_back(decode_study_params(std::vector<std::uint8_t>(
+          frame.begin() + static_cast<std::ptrdiff_t>(start),
+          frame.begin() + static_cast<std::ptrdiff_t>(r.position()))));
+    }
+  }
+  r.expect_done();
   return hello;
 }
 
@@ -711,6 +733,7 @@ HelloAckFrame decode_hello_ack_frame(const std::vector<std::uint8_t>& frame) {
 std::vector<std::uint8_t> encode_lease_frame(const LeaseFrame& lease) {
   Writer w = frame_writer(WorkerFrame::Lease);
   w.u32(lease.id);
+  w.u32(lease.study);
   w.u32(lease.lo);
   w.u32(lease.hi);
   return w.take();
@@ -720,6 +743,7 @@ LeaseFrame decode_lease_frame(const std::vector<std::uint8_t>& frame) {
   Reader r = frame_reader(frame, WorkerFrame::Lease);
   LeaseFrame lease;
   lease.id = r.u32();
+  lease.study = r.u32();
   lease.lo = r.u32();
   lease.hi = r.u32();
   r.expect_done();

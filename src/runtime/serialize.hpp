@@ -25,8 +25,8 @@
 // type byte:
 //
 //   parent -> worker   Hello        protocol version, heartbeat interval,
-//                                   optionally the study
-//                      Lease        an index range [lo, hi)
+//                                   optionally the campaign's studies
+//                      Lease        a study ordinal + an index range [lo, hi)
 //                      Ping         liveness/diagnostic probe (echoed back)
 //                      Shutdown     no more work; exit cleanly
 //   worker -> parent   HelloAck     protocol version + worker pid
@@ -131,8 +131,9 @@ std::string experiment_cache_key(const ExperimentParams& p);
 /// decoded header keyed on its raw encoded byte span: a hit skips the
 /// parse and copies the cached header (short dictionary names stay in SSO
 /// storage, so the copy is a handful of vector clones, not one allocation
-/// per string). Hold one per study; it is NOT thread-safe, matching
-/// RemoteRunner's single-threaded decode loop.
+/// per string). Keys are whole headers, so one interner serves many
+/// studies: RemoteRunner holds one per campaign run. It is NOT
+/// thread-safe, matching RemoteRunner's single-threaded decode loop.
 class ResultInterner {
  public:
   std::size_t header_hits() const { return hits_; }
@@ -160,7 +161,10 @@ class ResultInterner {
 /// type 5, is gone) and Lease drops its stride: {id, lo, hi}.
 /// v5: the Hello's heartbeat interval is required — 0 is a DecodeError, not
 /// "worker default".
-inline constexpr std::uint16_t kWorkerProtocolVersion = 5;
+/// v6: one fleet per campaign — the Hello carries every study of the
+/// campaign (a count, then each study), and Lease names its study:
+/// {id, study, lo, hi}.
+inline constexpr std::uint16_t kWorkerProtocolVersion = 6;
 
 /// First byte of every worker frame payload.
 enum class WorkerFrame : std::uint8_t {
@@ -191,16 +195,18 @@ WireErrorCategory classify_error(const std::exception& e);
 /// valid frame.
 WorkerFrame worker_frame_type(const std::vector<std::uint8_t>& frame);
 
-/// Hello: pass nullptr when the worker already holds the study in memory
-/// (a fork()ed child); exec'd (ssh) workers get it inside the frame.
-/// `heartbeat_interval_ms` sets the worker's liveness cadence and must be
-/// positive: decode_hello_frame rejects 0 with DecodeError.
+/// Hello: pass nullptr when the worker already holds the studies in memory
+/// (a fork()ed child); exec'd (ssh) workers get every study of the campaign
+/// inside the frame, materialized. `heartbeat_interval_ms` sets the
+/// worker's liveness cadence and must be positive: decode_hello_frame
+/// rejects 0 with DecodeError.
 std::vector<std::uint8_t> encode_hello_frame(
-    const StudyParams* study, std::uint32_t heartbeat_interval_ms);
+    const std::vector<StudyParams>* studies,
+    std::uint32_t heartbeat_interval_ms);
 struct HelloFrame {
   std::uint16_t protocol_version{0};
   std::uint32_t heartbeat_interval_ms{0};
-  std::optional<StudyParams> study;
+  std::optional<std::vector<StudyParams>> studies;
 };
 HelloFrame decode_hello_frame(const std::vector<std::uint8_t>& frame);
 
@@ -211,11 +217,13 @@ struct HelloAckFrame {
 };
 HelloAckFrame decode_hello_ack_frame(const std::vector<std::uint8_t>& frame);
 
-/// One unit of leased work: experiment indices [lo, hi). decode_lease_frame
-/// rejects an inverted range (lo > hi) with DecodeError; whether the range
-/// lies inside the study is the worker's check (serve_worker).
+/// One unit of leased work: experiment indices [lo, hi) of the study with
+/// ordinal `study`. decode_lease_frame rejects an inverted range (lo > hi)
+/// with DecodeError; whether the study exists and the range lies inside it
+/// is the worker's check (serve_worker).
 struct LeaseFrame {
   std::uint32_t id{0};
+  std::uint32_t study{0};
   std::uint32_t lo{0};
   std::uint32_t hi{0};
 };

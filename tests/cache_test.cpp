@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,13 +103,18 @@ std::string temp_dir(const std::string& tag) {
 }
 
 /// A runner that must never be asked to run anything — proof that a warm
-/// cache performs zero run_experiment calls.
+/// cache performs zero run_experiment calls: it pulls the whole plan and
+/// throws if any study's plan holds an index to execute.
 class ForbiddenRunner final : public campaign::Runner {
  public:
   std::string name() const override { return "forbidden"; }
-  void run_study(const runtime::StudyParams& study,
-                 const campaign::EmitFn&) override {
-    throw LogicError("ForbiddenRunner invoked for study '" + study.name + "'");
+  void run(const std::vector<runtime::StudyParams>& studies,
+           const campaign::NextFn& next, const campaign::EmitFn&) override {
+    while (const std::optional<campaign::StudyPlan> plan = next())
+      if (!plan->runs.empty())
+        throw LogicError(
+            "ForbiddenRunner asked to run study '" +
+            studies[static_cast<std::size_t>(plan->study)].name + "'");
   }
 };
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,18 +224,37 @@ TEST(ExperimentContext, DeploymentPoolReusedInSteadyState) {
 }
 
 TEST(ExperimentContext, SerialRunnerReusesOneCompileAcrossAStudy) {
-  // Two studies back to back through one runner object: each run_study gets
-  // a fresh context (different studies may differ structurally), and within
-  // a study every experiment must agree with the one-shot path.
+  // One run() over a two-study plan whose second study has a gap (a cached
+  // index the runner never sees): one context serves every study, and each
+  // emitted experiment must agree with the one-shot path, in plan order.
   campaign::SerialRunner runner;
-  const auto study = property_study(3);
+  std::vector<runtime::StudyParams> studies{property_study(3),
+                                            property_study(4)};
+  studies[1].name = "context-property-2";
+  studies[1].make_params = [](int k) {
+    return election_params(32'000 + static_cast<std::uint64_t>(k));
+  };
+  const std::vector<campaign::StudyPlan> plan{{0, {{0, 3}}},
+                                              {1, {{0, 1}, {2, 4}}}};
+  std::size_t pulled = 0;
+  std::vector<std::pair<int, int>> order;
   std::vector<std::vector<std::uint8_t>> got;
-  runner.run_study(study, [&](int, ExperimentResult&& r) {
-    got.push_back(bytes_of(r));
-  });
-  for (int k = 0; k < 3; ++k)
-    EXPECT_EQ(got[static_cast<std::size_t>(k)],
-              bytes_of(runtime::run_experiment(study.make_params(k))));
+  runner.run(
+      studies,
+      [&]() -> std::optional<campaign::StudyPlan> {
+        if (pulled == plan.size()) return std::nullopt;
+        return plan[pulled++];
+      },
+      [&](int s, int k, ExperimentResult&& r) {
+        order.emplace_back(s, k);
+        got.push_back(bytes_of(r));
+      });
+  ASSERT_EQ(order, (std::vector<std::pair<int, int>>{
+                       {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 2}, {1, 3}}));
+  for (std::size_t i = 0; i < order.size(); ++i)
+    EXPECT_EQ(got[i], bytes_of(runtime::run_experiment(
+                          studies[static_cast<std::size_t>(order[i].first)]
+                              .make_params(order[i].second))));
 }
 
 }  // namespace

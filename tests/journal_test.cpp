@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -89,13 +90,18 @@ std::string temp_path(const std::string& tag) {
 }
 
 /// A runner that must never be asked to run anything — proof that a resume
-/// of a completed journal performs zero run_experiment calls.
+/// of a completed journal performs zero run_experiment calls: it pulls the
+/// whole plan and throws if any study's plan holds an index to execute.
 class ForbiddenRunner final : public campaign::Runner {
  public:
   std::string name() const override { return "forbidden"; }
-  void run_study(const runtime::StudyParams& study,
-                 const campaign::EmitFn&) override {
-    throw LogicError("ForbiddenRunner invoked for study '" + study.name + "'");
+  void run(const std::vector<runtime::StudyParams>& studies,
+           const campaign::NextFn& next, const campaign::EmitFn&) override {
+    while (const std::optional<campaign::StudyPlan> plan = next())
+      if (!plan->runs.empty())
+        throw LogicError(
+            "ForbiddenRunner asked to run study '" +
+            studies[static_cast<std::size_t>(plan->study)].name + "'");
   }
 };
 
@@ -105,13 +111,15 @@ class ForbiddenRunner final : public campaign::Runner {
 class CountingRunner final : public campaign::Runner {
  public:
   std::string name() const override { return "counting-serial"; }
-  void run_study(const runtime::StudyParams& study,
-                 const campaign::EmitFn& emit) override {
+  void run(const std::vector<runtime::StudyParams>& studies,
+           const campaign::NextFn& next,
+           const campaign::EmitFn& emit) override {
     campaign::SerialRunner serial;
-    serial.run_study(study, [&](int k, ExperimentResult&& result) {
-      ++executed_;
-      emit(k, std::move(result));
-    });
+    serial.run(studies, next,
+               [&](int study, int k, ExperimentResult&& result) {
+                 ++executed_;
+                 emit(study, k, std::move(result));
+               });
   }
   int executed() const { return executed_; }
 

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,7 @@
 
 #include "apps/election.hpp"
 #include "apps/registry.hpp"
+#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
@@ -121,8 +123,10 @@ struct CampaignRun {
 
 /// Run `studies` through `runner` via the full Campaign, recording the exact
 /// sink event sequence (results as encoded bytes) and the summary.
-CampaignRun run_recorded(std::shared_ptr<campaign::Runner> runner,
-                         const std::vector<runtime::StudyParams>& studies) {
+CampaignRun run_recorded(
+    std::shared_ptr<campaign::Runner> runner,
+    const std::vector<runtime::StudyParams>& studies,
+    std::shared_ptr<campaign::ResultCache> cache = nullptr) {
   CampaignRun run;
   auto sink = std::make_shared<campaign::CallbackSink>();
   sink->campaign_begin([&](int n) {
@@ -145,6 +149,7 @@ CampaignRun run_recorded(std::shared_ptr<campaign::Runner> runner,
   CampaignBuilder builder;
   for (const runtime::StudyParams& study : studies) builder.add(study);
   builder.runner(std::move(runner)).sink(sink);
+  if (cache) builder.cache(std::move(cache));
   run.summary = builder.build().run();
   return run;
 }
@@ -170,6 +175,22 @@ void expect_exactly_once(const std::vector<Event>& events, int experiments) {
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(experiments));
   for (const auto& [index, count] : seen)
     EXPECT_EQ(count, 1) << "experiment " << index;
+}
+
+/// Drive `runner` directly over one whole study (no Campaign), recording
+/// every emitted index.
+void run_direct(campaign::Runner& runner, const runtime::StudyParams& study,
+                std::vector<int>& emitted) {
+  const std::vector<runtime::StudyParams> studies{study};
+  bool pulled = false;
+  runner.run(
+      studies,
+      [&]() -> std::optional<campaign::StudyPlan> {
+        if (pulled) return std::nullopt;
+        pulled = true;
+        return campaign::StudyPlan{0, {{0, study.experiments}}};
+      },
+      [&](int, int k, ExperimentResult&&) { emitted.push_back(k); });
 }
 
 std::string temp_dir(const std::string& tag) {
@@ -224,8 +245,8 @@ class WrappingTransport final : public campaign::Transport {
   }
   int worker_count() const override { return inner_->worker_count(); }
   std::unique_ptr<campaign::WorkerLink> connect(
-      int index, const runtime::StudyParams& study) override {
-    return wrap_(inner_->connect(index, study));
+      int index, const std::vector<runtime::StudyParams>& studies) override {
+    return wrap_(inner_->connect(index, studies));
   }
 
  private:
@@ -289,16 +310,70 @@ TEST(RemoteRunner, MoreWorkersThanLeases) {
   expect_identical_events(serial.events, remote.events);
 }
 
-TEST(RemoteRunner, TwoStudiesConnectFreshWorkers) {
-  const std::vector<runtime::StudyParams> studies = {
-      fault_study("first", 4, 31'000), fault_study("second", 4, 32'000)};
+// One fleet per Campaign::run: the workers are connected and handshaken
+// once, and every study is leased to the same links.
+TEST(RemoteRunner, ManyStudiesShareOneFleet) {
+  std::vector<runtime::StudyParams> studies;
+  for (int s = 0; s < 5; ++s)
+    studies.push_back(
+        fault_study("fleet-" + std::to_string(s), 3 + s,
+                    31'000 + 1'000 * static_cast<std::uint64_t>(s)));
   const auto serial =
       run_recorded(std::make_shared<campaign::SerialRunner>(), studies);
-  const auto remote = run_recorded(
-      std::make_shared<campaign::RemoteRunner>(
-          std::make_shared<campaign::FakeTransport>(2), test_options()),
-      studies);
+
+  auto connects = std::make_shared<int>(0);  // connect() runs on this thread
+  auto transport = std::make_shared<WrappingTransport>(
+      std::make_shared<campaign::FakeTransport>(2),
+      [connects](std::unique_ptr<campaign::WorkerLink> link) {
+        ++*connects;
+        return link;
+      });
+  auto runner =
+      std::make_shared<campaign::RemoteRunner>(transport, test_options());
+  const auto remote = run_recorded(runner, studies);
   expect_identical_events(serial.events, remote.events);
+  EXPECT_EQ(*connects, 2);
+
+  // A second Campaign::run on the same runner connects its own fleet, once.
+  const auto again = run_recorded(runner, studies);
+  expect_identical_events(serial.events, again.events);
+  EXPECT_EQ(*connects, 4);
+}
+
+// Cache-first over one procs:2 fleet: the runner sees only the misses, as
+// sorted runs in original coordinates — none for a fully cached study, a
+// fragmented plan for a half-cached one — and the delivery still matches
+// an uncached serial run event for event.
+TEST(RemoteRunner, CacheFirstPlanAcrossStudiesIdenticalToSerial) {
+  const std::vector<runtime::StudyParams> studies = {
+      fault_study("plan-cold", 5, 71'000),
+      fault_study("plan-cold-2", 4, 72'000),
+      fault_study("plan-warm", 5, 73'000),
+      fault_study("plan-half", 8, 74'000)};
+  const auto serial =
+      run_recorded(std::make_shared<campaign::SerialRunner>(), studies);
+
+  const std::string dir = temp_dir("plan-cache");
+  int cached = 0;
+  {
+    campaign::ResultCache warm(dir);
+    const auto store = [&](const runtime::StudyParams& study, int k) {
+      const ExperimentParams params = study.make_params(k);
+      warm.store(runtime::experiment_cache_key(params),
+                 runtime::run_experiment(params));
+      ++cached;
+    };
+    for (int k = 0; k < studies[2].experiments; ++k) store(studies[2], k);
+    for (int k = 0; k < studies[3].experiments; k += 2) store(studies[3], k);
+  }
+  auto cache = std::make_shared<campaign::ResultCache>(dir);
+  const auto remote = run_recorded(campaign::parse_runner_spec("procs:2"),
+                                   studies, cache);
+  expect_identical_events(serial.events, remote.events);
+  const int total = 5 + 4 + 5 + 8;
+  EXPECT_EQ(remote.summary.cache_hits, cached);
+  EXPECT_EQ(cache->stats().hits, static_cast<std::uint64_t>(cached));
+  EXPECT_EQ(cache->stats().stores, static_cast<std::uint64_t>(total - cached));
 }
 
 // --- fault injection: the runner under its own medicine ----------------------
@@ -456,9 +531,7 @@ TEST(RemoteRunnerFaults, WedgeBetweenLastResultAndLeaseDoneIsStillHung) {
   // must fail loudly (all workers lost), not hang. With >1 workers the
   // same detection instead keeps the fleet at full strength.
   std::vector<int> emitted;
-  EXPECT_THROW(runner->run_study(
-                   study, [&](int k, ExperimentResult&&) { emitted.push_back(k); }),
-               std::runtime_error);
+  EXPECT_THROW(run_direct(*runner, study, emitted), std::runtime_error);
   EXPECT_EQ(emitted, (std::vector<int>{0, 1}));
   EXPECT_EQ(runner->telemetry().workers_lost, 1);
 
@@ -534,6 +607,58 @@ TEST(RemoteRunnerFaults, DelayedResultIsJustSlow) {
   EXPECT_EQ(remote.summary.workers_lost, 0);
 }
 
+// One fleet serves every study, so a worker lost in study 1 stays lost for
+// studies 1 and 2: the survivors finish the campaign. The first link to be
+// sent a lease of study 1 dies the moment that lease is sent.
+TEST(RemoteRunnerFaults, WorkerLostInOneStudyStaysLostForTheRest) {
+  class StudyOneKillLink final : public ForwardingLink {
+   public:
+    StudyOneKillLink(std::unique_ptr<campaign::WorkerLink> inner,
+                     std::shared_ptr<bool> fired)
+        : ForwardingLink(std::move(inner)), fired_(std::move(fired)) {}
+    void send(const std::vector<std::uint8_t>& frame) override {
+      inner_->send(frame);
+      // send() runs on the engine thread only, so the flag needs no lock.
+      if (is_frame_of(frame, runtime::WorkerFrame::Lease) && !*fired_ &&
+          runtime::decode_lease_frame(frame).study == 1) {
+        *fired_ = true;
+        inner_->kill();
+      }
+    }
+
+   private:
+    std::shared_ptr<bool> fired_;
+  };
+
+  const std::vector<runtime::StudyParams> studies = {
+      fault_study("lost-0", 6, 81'000), fault_study("lost-1", 6, 82'000),
+      fault_study("lost-2", 6, 83'000)};
+  const auto serial =
+      run_recorded(std::make_shared<campaign::SerialRunner>(), studies);
+
+  auto fired = std::make_shared<bool>(false);
+  auto transport = std::make_shared<WrappingTransport>(
+      std::make_shared<campaign::FakeTransport>(3),
+      [fired](std::unique_ptr<campaign::WorkerLink> link)
+          -> std::unique_ptr<campaign::WorkerLink> {
+        return std::make_unique<StudyOneKillLink>(std::move(link), fired);
+      });
+  auto runner =
+      std::make_shared<campaign::RemoteRunner>(transport, test_options());
+  const auto remote = run_recorded(runner, studies);
+  EXPECT_TRUE(*fired);
+  expect_identical_events(serial.events, remote.events);
+  EXPECT_EQ(remote.summary.workers_lost, 1);
+  EXPECT_GE(remote.summary.requeued_indices, 1);
+  // The fleet is the run's: three slots, one of them lost to the end.
+  const campaign::FleetTelemetry fleet = runner->telemetry();
+  ASSERT_EQ(fleet.workers.size(), 3u);
+  int lost = 0;
+  for (const campaign::WorkerTelemetry& w : fleet.workers)
+    lost += w.lost ? 1 : 0;
+  EXPECT_EQ(lost, 1);
+}
+
 // --- liveness cadence --------------------------------------------------------
 // The regression at the heart of this protocol revision: serve_worker used
 // to write nothing between a lease's start and its first batch flush, so a
@@ -545,8 +670,9 @@ TEST(RemoteRunnerFaults, DelayedResultIsJustSlow) {
 // would hear nothing for the whole lease. hang_timeout is calibrated from
 // the measured serial wall time, so the lease provably outlasts it; the
 // coordinator asks for a heartbeat every hang_timeout / 4. A first span
-// larger than the autotuner's cap is used as given, so each lease really
-// is as long as configured.
+// larger than the autotuner's cap is used as given, and the taper then cuts
+// each lease to at most ceil(pending / (2 * live workers)), so the first
+// lease spans half the study for one worker and a quarter for two.
 
 TEST(RemoteRunnerLiveness, SlowLeaseHealthyWorkerOutlivesHangTimeout) {
   const auto study = slow_study("slow-healthy", 320);
@@ -563,10 +689,11 @@ TEST(RemoteRunnerLiveness, SlowLeaseHealthyWorkerOutlivesHangTimeout) {
   auto transport = std::make_shared<campaign::FakeTransport>(1);
   transport->set_batch_soft_bytes(8u << 20);  // one flush, at lease end
   campaign::RemoteOptions options;
-  options.lease_size = study.experiments;  // the whole study in one lease
-  // The lease's wall time tracks the serial run (same machine, same
-  // experiments), so a timeout of a quarter of it is comfortably inside
-  // the lease, and the heartbeat interval sits well below the timeout. The
+  options.lease_size = study.experiments;  // tapered to half the study
+  // The first lease's wall time is about half the serial run (same
+  // machine, same experiments), so a timeout of a quarter of that run is
+  // comfortably inside it, and the heartbeat interval sits well below the
+  // timeout. The
   // floor keeps scheduler noise from starving a genuinely healthy beat.
   options.hang_timeout = std::max(std::chrono::milliseconds(150),
                                   std::chrono::milliseconds(serial_wall / 4));
@@ -596,10 +723,11 @@ TEST(RemoteRunnerLiveness, HeartbeatStarvedWorkerIsStillKilledWithinTimeout) {
   transport->set_batch_soft_bytes(8u << 20);
   transport->drop_heartbeats_after(0, 0);  // no heartbeat ever arrives
   campaign::RemoteOptions options;
-  options.lease_size = study.experiments / 2;  // one lease per worker
-  // Each worker's lease is about half the serial wall; an eighth of the
-  // serial wall leaves the silent worker several timeouts short of its
-  // lease end while the healthy one beats every hang_timeout / 4.
+  options.lease_size = study.experiments / 2;  // tapered to a quarter
+  // The silent worker (victim 0, the first leased link) gets a quarter of
+  // the study, about a quarter of the serial wall; an eighth of the serial
+  // wall kills it halfway through that lease while the healthy one beats
+  // every hang_timeout / 4.
   options.hang_timeout = std::max(std::chrono::milliseconds(150),
                                   std::chrono::milliseconds(serial_wall / 8));
   const auto remote = run_recorded(
@@ -709,9 +837,7 @@ TEST(RemoteRunnerFaults, AllWorkersLostThrows) {
   std::vector<int> emitted;
   campaign::RemoteRunner runner(transport, test_options());
   try {
-    runner.run_study(study, [&](int k, ExperimentResult&&) {
-      emitted.push_back(k);
-    });
+    run_direct(runner, study, emitted);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("all 2 workers lost"),
@@ -725,7 +851,7 @@ TEST(RemoteRunnerFaults, AllWorkersLostThrows) {
 }
 
 // A poison experiment: every real forked worker that runs index 3 dies on
-// it. Each slot holds one link for the whole study, so the first death
+// it. Each slot holds one link for the whole run, so the first death
 // requeues index 3 to the survivor, the survivor dies on it too, and the
 // study fails with "all workers lost" — at once, not after hang_timeout,
 // and never by respawning workers that die on the same index forever.
@@ -744,9 +870,7 @@ TEST(RemoteRunnerFaults, DeterministicWorkerCrashFailsFast) {
   std::vector<int> emitted;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    runner.run_study(study, [&](int k, ExperimentResult&&) {
-      emitted.push_back(k);
-    });
+    run_direct(runner, study, emitted);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("all 2 workers lost"),
@@ -778,9 +902,7 @@ TEST(RemoteRunnerFaults, ExperimentFailurePrefixMatchesSerial) {
     std::vector<int> emitted;
     std::string error;
     try {
-      runner->run_study(study, [&](int k, ExperimentResult&&) {
-        emitted.push_back(k);
-      });
+      run_direct(*runner, study, emitted);
     } catch (const ConfigError& e) {
       error = e.what();
     }
@@ -816,14 +938,79 @@ TEST(RemoteRunnerFaults, GeneratorThrowInForkedWorkerIsRehydrated) {
   campaign::RemoteRunner runner(
       std::make_shared<campaign::SubprocessTransport>(2), test_options(1));
   try {
-    runner.run_study(study, [&](int k, ExperimentResult&&) {
-      emitted.push_back(k);
-    });
+    run_direct(runner, study, emitted);
   } catch (const ConfigError& e) {
     error = e.what();
   }
   EXPECT_EQ(emitted, (std::vector<int>{0, 1, 2}));
   EXPECT_NE(error.find("generator exploded at 3"), std::string::npos) << error;
+}
+
+// The failure prefix across a study boundary: forked workers run the
+// generator, which throws at (study 2, index 3) while study 3 is already
+// pulled and leasable. The campaign delivers exactly serial's events —
+// study 2's indices 0..2 and nothing of study 3, not even its
+// on_study_begin — and the error arrives in original coordinates, with no
+// cache-first annotation.
+TEST(RemoteRunnerFaults, FailurePrefixAcrossAStudyBoundaryMatchesSerial) {
+  std::vector<runtime::StudyParams> studies;
+  for (int s = 0; s < 4; ++s)
+    studies.push_back(
+        fault_study("boundary-" + std::to_string(s), 6,
+                    91'000 + 1'000 * static_cast<std::uint64_t>(s)));
+  const auto inner = studies[2].make_params;
+  studies[2].make_params = [inner](int k) {
+    if (k == 3) throw ConfigError("generator exploded at 3");
+    return inner(k);
+  };
+
+  // run_recorded's events die with its frame on a throw, so record here.
+  std::vector<Event> serial_events;
+  std::vector<Event> remote_events;
+  const auto record = [&](std::shared_ptr<campaign::Runner> runner,
+                          std::vector<Event>& events) {
+    auto sink = std::make_shared<campaign::CallbackSink>();
+    sink->study_begin([&](const campaign::StudyInfo& info) {
+      events.push_back({"study_begin", info.name, -1, {}});
+    });
+    sink->experiment([&](const campaign::StudyInfo& info, int index,
+                         const ExperimentResult& result) {
+      events.push_back({"experiment", info.name, index,
+                        runtime::encode_experiment_result(result)});
+    });
+    sink->study_done([&](const campaign::StudyInfo& info) {
+      events.push_back({"study_done", info.name, -1, {}});
+    });
+    CampaignBuilder builder;
+    for (const runtime::StudyParams& study : studies) builder.add(study);
+    builder.runner(std::move(runner)).sink(sink);
+    std::string error;
+    try {
+      builder.build().run();
+    } catch (const ConfigError& e) {
+      error = e.what();
+    }
+    return error;
+  };
+  const std::string serial_error =
+      record(std::make_shared<campaign::SerialRunner>(), serial_events);
+  // Two workers: the plan is pulled 2 * workers * span positions ahead and
+  // a lease may start workers * span past the drain cursor, so study 3 is
+  // pulled, and may be leased, while study 2 still drains.
+  const std::string remote_error = record(
+      std::make_shared<campaign::RemoteRunner>(
+          std::make_shared<campaign::SubprocessTransport>(2), test_options()),
+      remote_events);
+
+  ASSERT_FALSE(serial_error.empty());
+  expect_identical_events(serial_events, remote_events);
+  ASSERT_FALSE(remote_events.empty());
+  EXPECT_EQ(remote_events.back(), (Event{"experiment", "boundary-2", 2,
+                                         remote_events.back().result_bytes}));
+  for (const Event& e : remote_events) EXPECT_NE(e.study, "boundary-3");
+  EXPECT_NE(remote_error.find("generator exploded at 3"), std::string::npos)
+      << remote_error;
+  EXPECT_EQ(remote_error.find("cache-first"), std::string::npos) << remote_error;
 }
 
 // --- lease autotuning --------------------------------------------------------
@@ -844,10 +1031,10 @@ TEST(RemoteRunnerAutotune, GrowsLeasesForFastExperimentsAndStaysIdentical) {
   expect_exactly_once(remote.events, study.experiments);
 
   // Millisecond experiments against a 250ms target: the multiplicative
-  // rule has to have grown the span, and the 64 cap has to have held.
+  // rule has to have grown the span, and the 32 cap has to have held.
   const campaign::RunnerTelemetry telemetry = runner->telemetry();
   EXPECT_GT(telemetry.final_lease_size, 1);
-  EXPECT_LE(telemetry.final_lease_size, 64);
+  EXPECT_LE(telemetry.final_lease_size, 32);
 }
 
 TEST(RemoteRunnerAutotune, SurvivesWorkerLossMidCampaign) {
@@ -867,7 +1054,58 @@ TEST(RemoteRunnerAutotune, SurvivesWorkerLossMidCampaign) {
   expect_exactly_once(remote.events, study.experiments);
   EXPECT_GE(remote.summary.workers_lost, 1);
   EXPECT_GE(runner->telemetry().final_lease_size, 1);
-  EXPECT_LE(runner->telemetry().final_lease_size, 64);
+  EXPECT_LE(runner->telemetry().final_lease_size, 32);
+}
+
+// The campaign's last leases taper: each lease is cut to at most
+// ceil(pending / (2 * live workers)) of the indices not yet leased, so the
+// drain tail spreads over the fleet instead of parking a worker behind one
+// full span. The first lease of a 40-experiment study over two workers is
+// ceil(40 / 4) = 10, not the configured 16.
+TEST(RemoteRunnerAutotune, LastLeasesTaperAcrossTheFleet) {
+  class LeaseLog final : public ForwardingLink {
+   public:
+    LeaseLog(std::unique_ptr<campaign::WorkerLink> inner,
+             std::shared_ptr<std::vector<runtime::LeaseFrame>> log)
+        : ForwardingLink(std::move(inner)), log_(std::move(log)) {}
+    void send(const std::vector<std::uint8_t>& frame) override {
+      // Leases go out on the engine thread only: the log needs no lock.
+      if (is_frame_of(frame, runtime::WorkerFrame::Lease))
+        log_->push_back(runtime::decode_lease_frame(frame));
+      inner_->send(frame);
+    }
+
+   private:
+    std::shared_ptr<std::vector<runtime::LeaseFrame>> log_;
+  };
+
+  const auto study = fault_study("taper", 40, 97'000);
+  const auto serial =
+      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
+  auto log = std::make_shared<std::vector<runtime::LeaseFrame>>();
+  auto transport = std::make_shared<WrappingTransport>(
+      std::make_shared<campaign::FakeTransport>(2),
+      [log](std::unique_ptr<campaign::WorkerLink> link)
+          -> std::unique_ptr<campaign::WorkerLink> {
+        return std::make_unique<LeaseLog>(std::move(link), log);
+      });
+  const auto remote = run_recorded(
+      std::make_shared<campaign::RemoteRunner>(transport, test_options(16)),
+      study);
+  expect_identical_events(serial.events, remote.events);
+  ASSERT_EQ(remote.summary.requeue_events, 0);
+
+  ASSERT_FALSE(log->empty());
+  EXPECT_EQ(log->front().hi - log->front().lo, 10u);
+  std::uint32_t pending = 40;
+  for (const runtime::LeaseFrame& lease : *log) {
+    const std::uint32_t span = lease.hi - lease.lo;
+    EXPECT_LE(span, (pending + 3) / 4)
+        << "lease [" << lease.lo << ", " << lease.hi << ") with " << pending
+        << " pending";
+    pending -= span;
+  }
+  EXPECT_EQ(pending, 0u);
 }
 
 // --- options and construction ------------------------------------------------

@@ -24,6 +24,8 @@
 #include "apps/election.hpp"
 #include "apps/registry.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/remote_runner.hpp"
+#include "campaign/transport.hpp"
 #include "runtime/serialize.hpp"
 #include "runtime/worker_stats.hpp"
 #include "util/codec.hpp"
@@ -365,39 +367,58 @@ TEST(AppArgs, UnknownAndMissingKeysAreRejected) {
 
 // --- worker frame protocol ---------------------------------------------------
 
-TEST(WorkerFrames, HelloCarriesOrOmitsTheStudy) {
-  runtime::StudyParams study;
-  study.name = "framed";
-  study.experiments = 2;
-  study.make_params = [](int k) {
+TEST(WorkerFrames, HelloCarriesOrOmitsTheStudies) {
+  // v6: one Hello carries every study of the campaign.
+  std::vector<runtime::StudyParams> studies(2);
+  studies[0].name = "framed";
+  studies[0].experiments = 2;
+  studies[0].make_params = [](int k) {
     return sample_params(300 + static_cast<std::uint64_t>(k));
+  };
+  studies[1].name = "framed-too";
+  studies[1].experiments = 3;
+  studies[1].make_params = [](int k) {
+    return sample_params(400 + static_cast<std::uint64_t>(k));
   };
 
   // The coordinator's heartbeat cadence rides inside the Hello.
-  const auto with = runtime::encode_hello_frame(&study, 1250);
+  const auto with = runtime::encode_hello_frame(&studies, 1250);
   EXPECT_EQ(runtime::worker_frame_type(with), runtime::WorkerFrame::Hello);
   const runtime::HelloFrame hello = runtime::decode_hello_frame(with);
   EXPECT_EQ(hello.protocol_version, runtime::kWorkerProtocolVersion);
   EXPECT_EQ(hello.heartbeat_interval_ms, 1250u);
-  ASSERT_TRUE(hello.study.has_value());
-  EXPECT_EQ(hello.study->name, "framed");
-  EXPECT_EQ(hello.study->experiments, 2);
-  for (int k = 0; k < 2; ++k)
-    EXPECT_EQ(runtime::encode_experiment_params(hello.study->make_params(k)),
-              runtime::encode_experiment_params(study.make_params(k)));
+  ASSERT_TRUE(hello.studies.has_value());
+  ASSERT_EQ(hello.studies->size(), 2u);
+  for (std::size_t s = 0; s < studies.size(); ++s) {
+    const runtime::StudyParams& back = (*hello.studies)[s];
+    EXPECT_EQ(back.name, studies[s].name);
+    EXPECT_EQ(back.experiments, studies[s].experiments);
+    for (int k = 0; k < studies[s].experiments; ++k)
+      EXPECT_EQ(runtime::encode_experiment_params(back.make_params(k)),
+                runtime::encode_experiment_params(studies[s].make_params(k)));
+  }
 
   const auto without = runtime::encode_hello_frame(nullptr, 1);
-  EXPECT_FALSE(runtime::decode_hello_frame(without).study.has_value());
+  EXPECT_FALSE(runtime::decode_hello_frame(without).studies.has_value());
   EXPECT_EQ(runtime::decode_hello_frame(without).heartbeat_interval_ms, 1u);
 
   // There is no "worker default" cadence: a Hello without an interval is
-  // malformed, with or without a study.
+  // malformed, with or without studies.
   EXPECT_THROW(
-      runtime::decode_hello_frame(runtime::encode_hello_frame(&study, 0)),
+      runtime::decode_hello_frame(runtime::encode_hello_frame(&studies, 0)),
       codec::DecodeError);
   EXPECT_THROW(
       runtime::decode_hello_frame(runtime::encode_hello_frame(nullptr, 0)),
       codec::DecodeError);
+  // A study count or a study length past the frame's end fails closed.
+  auto overcount = runtime::encode_hello_frame(&studies, 1);
+  // Type, u16 version, u32 interval and the bool take 8 bytes; byte 11 is
+  // the study count's high byte.
+  overcount[11] = 0x7f;
+  EXPECT_THROW(runtime::decode_hello_frame(overcount), codec::DecodeError);
+  auto truncated = with;
+  truncated.resize(truncated.size() - 1);
+  EXPECT_THROW(runtime::decode_hello_frame(truncated), codec::DecodeError);
 }
 
 TEST(WorkerFrames, HeartbeatCarriesWorkerStats) {
@@ -423,17 +444,18 @@ TEST(WorkerFrames, ScalarFramesRoundTrip) {
   EXPECT_EQ(decoded.protocol_version, runtime::kWorkerProtocolVersion);
   EXPECT_EQ(decoded.worker_pid, 4242u);
 
-  const runtime::LeaseFrame lease{7, 10, 20};
+  const runtime::LeaseFrame lease{7, 3, 10, 20};
   const auto lease_bytes = runtime::encode_lease_frame(lease);
-  EXPECT_EQ(lease_bytes.size(), 13u);  // type byte + id, lo, hi
+  EXPECT_EQ(lease_bytes.size(), 17u);  // type byte + id, study, lo, hi
   const runtime::LeaseFrame back = runtime::decode_lease_frame(lease_bytes);
   EXPECT_EQ(back.id, 7u);
+  EXPECT_EQ(back.study, 3u);
   EXPECT_EQ(back.lo, 10u);
   EXPECT_EQ(back.hi, 20u);
   // An empty range is well-formed (the worker just closes the lease).
-  EXPECT_EQ(runtime::decode_lease_frame(runtime::encode_lease_frame({8, 5, 5}))
-                .hi,
-            5u);
+  EXPECT_EQ(
+      runtime::decode_lease_frame(runtime::encode_lease_frame({8, 0, 5, 5})).hi,
+      5u);
 
   const runtime::HeartbeatFrame bare =
       runtime::decode_heartbeat_frame(runtime::encode_heartbeat_frame(9));
@@ -583,7 +605,7 @@ TEST(WorkerFrames, MalformedFramesAreRejected) {
   EXPECT_THROW(runtime::decode_lease_frame(runtime::encode_heartbeat_frame(1)),
                DecodeError);
   // Truncations of structured frames.
-  auto lease = runtime::encode_lease_frame({1, 0, 4});
+  auto lease = runtime::encode_lease_frame({1, 0, 0, 4});
   lease.resize(lease.size() - 3);
   EXPECT_THROW(runtime::decode_lease_frame(lease), DecodeError);
   // Trailing garbage.
@@ -591,8 +613,32 @@ TEST(WorkerFrames, MalformedFramesAreRejected) {
   heartbeat.push_back(0);
   EXPECT_THROW(runtime::decode_heartbeat_frame(heartbeat), DecodeError);
   // An inverted lease range is rejected, not run as empty or wrapped.
-  EXPECT_THROW(runtime::decode_lease_frame(runtime::encode_lease_frame({1, 4, 3})),
-               DecodeError);
+  EXPECT_THROW(
+      runtime::decode_lease_frame(runtime::encode_lease_frame({1, 0, 4, 3})),
+      DecodeError);
+
+  // A lease naming a study the campaign does not have decodes (the frame
+  // cannot know the count), but serve_worker refuses it before running
+  // anything: after the HelloAck, not even the opening heartbeat goes out.
+  std::vector<runtime::StudyParams> studies(2);
+  for (runtime::StudyParams& study : studies) {
+    study.name = "s" + std::to_string(&study - studies.data());
+    study.experiments = 2;
+    study.make_params = [](int k) {
+      return sample_params(500 + static_cast<std::uint64_t>(k));
+    };
+  }
+  for (const runtime::LeaseFrame& bad :
+       {runtime::LeaseFrame{1, 2, 0, 1}, runtime::LeaseFrame{1, 1, 0, 3}}) {
+    campaign::QueueFrameChannel channel;
+    channel.push(runtime::encode_hello_frame(nullptr, 1000));
+    channel.push(runtime::encode_lease_frame(bad));
+    EXPECT_THROW(campaign::serve_worker(channel, &studies), std::runtime_error)
+        << "study " << bad.study << " [" << bad.lo << ", " << bad.hi << ")";
+    ASSERT_EQ(channel.written().size(), 1u);
+    EXPECT_EQ(runtime::worker_frame_type(channel.written()[0]),
+              runtime::WorkerFrame::HelloAck);
+  }
 }
 
 // --- util/pipe_io framing under corruption -----------------------------------

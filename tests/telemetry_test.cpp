@@ -204,6 +204,34 @@ TEST(FleetTelemetry, CleanCampaignCountersSumToTheCampaignTotal) {
   EXPECT_EQ(fleet.workers_lost, 0);
 }
 
+// One fleet serves every study of a Campaign::run, so telemetry read inside
+// on_study_done describes the live fleet: its slots, a current lease span
+// (updated at every tuning step, never the 0 of a runner that has not
+// finished a run), and snapshots cumulative since the campaign began.
+TEST(FleetTelemetry, MidCampaignReadsDescribeTheRunningFleet) {
+  auto runner = std::make_shared<campaign::RemoteRunner>(
+      std::make_shared<campaign::FakeTransport>(2), test_options());
+  std::vector<campaign::FleetTelemetry> reads;
+  auto sink = std::make_shared<campaign::CallbackSink>();
+  sink->study_done(
+      [&](const campaign::StudyInfo&) { reads.push_back(runner->telemetry()); });
+  CampaignBuilder builder;
+  builder.add(fault_study("mid-0", 6, 61'000))
+      .add(fault_study("mid-1", 6, 62'000))
+      .add(fault_study("mid-2", 6, 63'000))
+      .runner(runner)
+      .sink(sink);
+  builder.build().run();
+
+  ASSERT_EQ(reads.size(), 3u);
+  for (const campaign::FleetTelemetry& read : reads) {
+    EXPECT_EQ(read.workers.size(), 2u);
+    EXPECT_GE(read.final_lease_size, 1);
+  }
+  // The ledger covers the whole run, not the last study.
+  EXPECT_EQ(runner->telemetry().fleet_snapshot().experiments_completed, 18u);
+}
+
 TEST(FleetTelemetry, FaultsAttributeToTheWorkersThatCausedThem) {
   auto transport = std::make_shared<campaign::FakeTransport>(2);
   transport->kill_after_results(0, 2);  // the first leased link

@@ -122,8 +122,8 @@ class TransportConformance : public testing::TestWithParam<TransportFactory> {
       mark_skipped();
       return false;
     }
-    study_ = tiny_study();
-    link_ = transport_->connect(0, study_);
+    studies_ = {tiny_study()};
+    link_ = transport_->connect(0, studies_);
     return true;
   }
 
@@ -131,7 +131,7 @@ class TransportConformance : public testing::TestWithParam<TransportFactory> {
 
   void handshake() {
     link_->send(runtime::encode_hello_frame(
-        link_->needs_study_bytes() ? &study_ : nullptr, kHeartbeatMs));
+        link_->needs_study_bytes() ? &studies_ : nullptr, kHeartbeatMs));
     const RecvOutcome out = link_->recv(kRecvTimeout);
     ASSERT_EQ(out.status, RecvOutcome::Status::Frame);
     const runtime::HelloAckFrame ack =
@@ -163,7 +163,7 @@ class TransportConformance : public testing::TestWithParam<TransportFactory> {
   }
 
   std::shared_ptr<campaign::Transport> transport_;
-  runtime::StudyParams study_;
+  std::vector<runtime::StudyParams> studies_;
   std::unique_ptr<campaign::WorkerLink> link_;
 };
 
@@ -177,7 +177,7 @@ TEST_P(TransportConformance, HandshakeAcksProtocolVersion) {
 TEST_P(TransportConformance, LeaseRoundTripInOrder) {
   if (!start()) return;
   handshake();
-  link_->send(runtime::encode_lease_frame({/*id=*/7, 0, 2}));
+  link_->send(runtime::encode_lease_frame({/*id=*/7, /*study=*/0, 0, 2}));
   const runtime::HeartbeatFrame opening =
       runtime::decode_heartbeat_frame(expect_frame());
   EXPECT_EQ(opening.lease_id, 7u);
@@ -189,7 +189,7 @@ TEST_P(TransportConformance, LeaseRoundTripInOrder) {
     // The transport's worker must compute exactly what we compute here.
     EXPECT_EQ(runtime::encode_experiment_result(results[k].result),
               runtime::encode_experiment_result(runtime::run_experiment(
-                  study_.make_params(static_cast<int>(k)))));
+                  studies_[0].make_params(static_cast<int>(k)))));
   }
   // Every lease closes with a stats-bearing heartbeat, then LeaseDone.
   const runtime::HeartbeatFrame closing =
@@ -210,7 +210,16 @@ TEST_P(TransportConformance, LeaseOutsideTheStudyEndsTheWorker) {
   // opening heartbeat goes out — and exit, so the parent sees Eof (and a
   // RemoteRunner would requeue).
   link_->send(runtime::encode_lease_frame(
-      {/*id=*/9, 2, static_cast<std::uint32_t>(study_.experiments) + 1}));
+      {/*id=*/9, /*study=*/0, 2,
+       static_cast<std::uint32_t>(studies_[0].experiments) + 1}));
+  EXPECT_EQ(link_->recv(kRecvTimeout).status, RecvOutcome::Status::Eof);
+}
+
+TEST_P(TransportConformance, LeaseNamingAMissingStudyEndsTheWorker) {
+  if (!start()) return;
+  handshake();
+  // The campaign has one study; a lease on study 1 is refused the same way.
+  link_->send(runtime::encode_lease_frame({/*id=*/10, /*study=*/1, 0, 1}));
   EXPECT_EQ(link_->recv(kRecvTimeout).status, RecvOutcome::Status::Eof);
 }
 
@@ -285,10 +294,10 @@ TEST_P(TransportConformance, RecvTimesOutWhileWorkerIdles) {
 
 TEST_P(TransportConformance, TwoWorkersAreIndependent) {
   if (!start(2)) return;
-  auto link1 = transport_->connect(1, study_);
+  auto link1 = transport_->connect(1, studies_);
   handshake();
   link1->send(runtime::encode_hello_frame(
-      link1->needs_study_bytes() ? &study_ : nullptr, kHeartbeatMs));
+      link1->needs_study_bytes() ? &studies_ : nullptr, kHeartbeatMs));
   {
     const RecvOutcome out = link1->recv(kRecvTimeout);
     ASSERT_EQ(out.status, RecvOutcome::Status::Frame);
@@ -311,29 +320,29 @@ TEST(FakeTransportJoinDiscipline, OwnerJoinsEveryWorkerThread) {
   // exists to catch). Every teardown ordering below must therefore leave
   // the self-detach escape hatch unused.
   const std::uint64_t before = campaign::detail::fake_worker_self_detaches();
-  const runtime::StudyParams study = tiny_study();
+  const std::vector<runtime::StudyParams> studies{tiny_study()};
   {
     campaign::FakeTransport transport(2);
 
     // Ordering 1: the link dies first, while the worker thread may still
     // be serving; the transport (owner) must join it when the slot is
-    // connected again (as the next study does).
-    auto link = transport.connect(0, study);
-    link->send(runtime::encode_hello_frame(&study, kHeartbeatMs));
+    // connected again (as the next run does).
+    auto link = transport.connect(0, studies);
+    link->send(runtime::encode_hello_frame(&studies, kHeartbeatMs));
     link.reset();  // closes the worker's stdin mid-conversation
-    link = transport.connect(0, study);  // joins the predecessor thread
+    link = transport.connect(0, studies);  // joins the predecessor thread
 
     // Ordering 2: kill() ends the stream but the thread outlives the link;
     // again the owner joins at the slot's next connect.
     link->kill();
     EXPECT_EQ(link->recv(kRecvTimeout).status, RecvOutcome::Status::Eof);
     link.reset();
-    link = transport.connect(0, study);
+    link = transport.connect(0, studies);
 
     // Ordering 3: a second worker is spun up and both links are released
     // before the transport goes away; ~FakeTransport joins both threads.
-    auto other = transport.connect(1, study);
-    other->send(runtime::encode_hello_frame(&study, kHeartbeatMs));
+    auto other = transport.connect(1, studies);
+    other->send(runtime::encode_hello_frame(&studies, kHeartbeatMs));
     link.reset();
     other.reset();
   }  // ~FakeTransport: owner-side join of every live worker thread
