@@ -13,8 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "campaign/validate.hpp"
 #include "runtime/experiment_context.hpp"
 #include "runtime/serialize.hpp"
@@ -268,13 +266,14 @@ class Engine {
 
   // --- reader threads --------------------------------------------------------
 
-  /// Silence is the engine's call (lose_hung_workers), so a recv timeout
-  /// is no event: the reader just waits again.
+  /// Blocks in recv() for the link's whole life. Silence is the engine's
+  /// call (lose_hung_workers): it kill()s a hung worker, which ends the
+  /// reader's recv.
   void reader_loop(int w, WorkerLink* link) {
     for (;;) {
-      RecvOutcome out;
+      std::optional<std::vector<std::uint8_t>> frame;
       try {
-        out = link->recv(options_.hang_timeout);
+        frame = link->recv();
       } catch (const codec::DecodeError& e) {
         events_.push({w, Event::Kind::Corrupt, {}, e.what()});
         return;
@@ -282,16 +281,11 @@ class Engine {
         events_.push({w, Event::Kind::Eof, {}, e.what()});
         return;
       }
-      switch (out.status) {
-        case RecvOutcome::Status::Frame:
-          events_.push({w, Event::Kind::Frame, std::move(out.frame), {}});
-          break;
-        case RecvOutcome::Status::Timeout:
-          break;
-        case RecvOutcome::Status::Eof:
-          events_.push({w, Event::Kind::Eof, {}, {}});
-          return;
+      if (!frame.has_value()) {
+        events_.push({w, Event::Kind::Eof, {}, {}});
+        return;
       }
+      events_.push({w, Event::Kind::Frame, std::move(*frame), {}});
     }
   }
 
@@ -326,13 +320,12 @@ class Engine {
     try {
       switch (runtime::worker_frame_type(frame)) {
         case WorkerFrame::HelloAck: {
-          const runtime::HelloAckFrame ack =
-              runtime::decode_hello_ack_frame(frame);
-          if (ack.protocol_version != runtime::kWorkerProtocolVersion)
+          const std::uint16_t version = runtime::decode_hello_ack_frame(frame);
+          if (version != runtime::kWorkerProtocolVersion)
             throw std::runtime_error(
                 "remote runner: " + ws.link->describe() +
-                " speaks worker protocol v" +
-                std::to_string(ack.protocol_version) + ", this build v" +
+                " speaks worker protocol v" + std::to_string(version) +
+                ", this build v" +
                 std::to_string(runtime::kWorkerProtocolVersion) +
                 " — refusing to mix");
           ws.handshaken = true;
@@ -343,8 +336,6 @@ class Engine {
           // Liveness came from the arrival itself; the payload is the
           // worker's cumulative stats snapshot.
           on_heartbeat(w, runtime::decode_heartbeat_frame(frame));
-          break;
-        case WorkerFrame::Pong:
           break;
         case WorkerFrame::ResultBatch: {
           // All-or-nothing: decode_result_batch_frame throws on any
@@ -360,7 +351,7 @@ class Engine {
           on_lease_done(w, runtime::decode_lease_done_frame(frame));
           break;
         default:
-          // Hello/Lease/Ping/Shutdown never flow worker -> parent.
+          // Hello/Lease/Shutdown never flow worker -> parent.
           throw codec::DecodeError("unexpected parent-bound frame type");
       }
     } catch (const codec::DecodeError& e) {
@@ -397,14 +388,14 @@ class Engine {
 
   /// Fold one heartbeat's stats into this worker's telemetry slot: latest
   /// snapshot, ring-buffered time series, and the autotuner's EWMA input.
-  void on_heartbeat(int w, const runtime::HeartbeatFrame& heartbeat) {
+  void on_heartbeat(int w, const runtime::WorkerStatsSnapshot& stats) {
     WorkerTelemetry& wt = telemetry_.workers[static_cast<std::size_t>(w)];
-    wt.latest = heartbeat.stats;
-    wt.recent.push_back({Clock::now(), heartbeat.stats});
+    wt.latest = stats;
+    wt.recent.push_back({Clock::now(), stats});
     if (wt.recent.size() > WorkerTelemetry::kSnapshotRing)
       wt.recent.erase(wt.recent.begin());
     workers_[static_cast<std::size_t>(w)].ewma_latency_us =
-        heartbeat.stats.ewma_latency_us;
+        stats.ewma_latency_us;
   }
 
   void on_lease_done(int w, std::uint32_t lease_id) {
@@ -595,12 +586,14 @@ class Engine {
     // still mid-lease are torn down, not awaited.
     if (fail_pos_ != kNoFailure) return next_emit_ >= fail_pos_;
     if (!plan_done_ || next_emit_ < planned_) return false;
-    // Every result is in; now wait for each live worker's trailing
+    // Every result is in; now wait for each leased worker's trailing
     // Heartbeat + LeaseDone so the telemetry ledger is exact at the end
     // (per-worker experiments_completed sums to the run's total). A worker
-    // wedged before its LeaseDone is still bounded by its hang deadline.
+    // wedged before its LeaseDone is still bounded by its hang deadline. A
+    // worker still owing its HelloAck holds no lease and is not awaited:
+    // teardown's Shutdown and grace period end it.
     for (const WorkerState& ws : workers_)
-      if (ws.alive && !ws.idle) return false;
+      if (ws.alive && ws.handshaken && !ws.idle) return false;
     return true;
   }
 
@@ -692,7 +685,7 @@ class Engine {
       }
       // Grace period for clean exits, then hard-stop the stragglers. Every
       // reader terminates with one Eof/Corrupt event; kill() guarantees a
-      // blocked recv resolves to Eof promptly.
+      // blocked recv ends promptly.
       const auto deadline = Clock::now() + kShutdownGrace;
       while (readers_finished_ < readers_started_) {
         std::optional<Event> event = events_.pop_until(deadline);
@@ -799,8 +792,7 @@ void serve_worker(FrameChannel& channel,
   if (studies == nullptr)
     throw std::runtime_error(
         "serve_worker: the Hello carried no studies and none were inherited");
-  channel.write(runtime::encode_hello_ack_frame(
-      static_cast<std::uint64_t>(::getpid())));
+  channel.write(runtime::encode_hello_ack_frame());
 
   // The worker's studies are fixed at Hello time, so one resettable context
   // serves every lease: a study's first experiment compiles it, all later
@@ -846,7 +838,6 @@ void serve_worker(FrameChannel& channel,
               "serve_worker: lease [" + std::to_string(lease.lo) + ", " +
               std::to_string(lease.hi) + ") outside study '" + study.name +
               "' of " + std::to_string(study.experiments) + " experiments");
-        write(runtime::encode_heartbeat_frame(lease.id, stats));
         runtime::begin_result_batch(batch);
         for (std::uint32_t k = lease.lo; k < lease.hi; ++k) {
           const int index = static_cast<int>(k);
@@ -878,7 +869,7 @@ void serve_worker(FrameChannel& channel,
           }
           if (failed) break;  // serial prefix semantics: nothing past failure
           if (finished - last_write >= interval)
-            write(runtime::encode_heartbeat_frame(lease.id, stats));
+            write(runtime::encode_heartbeat_frame(stats));
         }
         if (!runtime::result_batch_empty(batch)) {
           write(batch);
@@ -886,14 +877,10 @@ void serve_worker(FrameChannel& channel,
         }
         // Final heartbeat so the parent's telemetry (and the autotuner's
         // EWMA input) is current at every lease boundary.
-        write(runtime::encode_heartbeat_frame(lease.id, stats));
+        write(runtime::encode_heartbeat_frame(stats));
         write(runtime::encode_lease_done_frame(lease.id));
         break;
       }
-      case WorkerFrame::Ping:
-        channel.write(
-            runtime::encode_pong_frame(runtime::decode_ping_frame(*frame)));
-        break;
       case WorkerFrame::Shutdown:
         return;
       default:

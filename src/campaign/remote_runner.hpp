@@ -27,7 +27,9 @@
 //     requeued, the worker stays in rotation.
 // Silence is judged on the coordinator's own clock: a worker is hung once
 // hang_timeout has passed since the latest of its last frame, its lease
-// send, and its connect — never on a reader's stale recv timeout.
+// send, and its connect. Links have no timeout of their own: a reader
+// blocks in recv() until a frame, the stream's end, or the kill() that a
+// hung verdict sends.
 // Requeue/lost counts surface through Runner::telemetry() and
 // Campaign::Summary. Each worker slot holds one link for the whole run: a
 // lost worker stays lost for the rest of the campaign, and the survivors
@@ -105,18 +107,18 @@ struct ServeOptions {
 /// Worker-side protocol loop, shared by every backend: handshake on Hello
 /// (adopting the framed studies, or `inherited_studies` for fork()ed
 /// children; a Hello without studies to a worker that inherited none is a
-/// protocol violation), then serve Lease/Ping frames until Shutdown or EOF.
+/// protocol violation), then serve Lease frames until Shutdown or EOF.
 /// A lease that names a study past the campaign's last, or reaches past its
 /// study's last index, is a protocol violation: the loop throws before
-/// running anything (not even the opening heartbeat goes out).
+/// running anything or writing any frame.
 /// A lease's results accumulate into ResultBatch frames in a buffer reused
 /// across leases (bounded by ServeOptions::batch_soft_bytes, flushed at
 /// lease end).
 /// While a lease runs, the loop emits a Heartbeat frame — carrying this
 /// worker's cumulative WorkerStatsSnapshot — whenever the Hello's heartbeat
-/// interval elapses without any other write, plus one at lease start and
-/// one right before LeaseDone, so a slow-but-healthy worker is never silent
-/// for longer than the interval.
+/// interval elapses without any other write, plus one right before
+/// LeaseDone, so a slow-but-healthy worker is never silent for longer than
+/// the interval.
 /// Experiment failures travel back as error batch entries (ending the lease
 /// early); a protocol violation throws — the caller turns that into a
 /// nonzero exit.

@@ -108,16 +108,10 @@ class PipeLink final : public WorkerLink {
     util::write_frame(send_fd_, frame);
   }
 
-  RecvOutcome recv(std::chrono::milliseconds timeout) override {
-    if (!util::wait_readable(recv_fd_, timeout))
-      return {RecvOutcome::Status::Timeout, {}};
-    // Deadline inside the frame too: a worker frozen mid-write (partial
-    // header/payload) must become a DecodeError — which the runner treats
-    // as a lost worker — not an unbounded blocking read.
-    std::optional<std::vector<std::uint8_t>> frame =
-        util::read_frame_deadline(recv_fd_, timeout);
-    if (!frame.has_value()) return {RecvOutcome::Status::Eof, {}};
-    return {RecvOutcome::Status::Frame, std::move(*frame)};
+  /// Blocks, even inside a frame: a worker frozen mid-write is ended by
+  /// kill(), and the read then fails with DecodeError (EOF mid-frame).
+  std::optional<std::vector<std::uint8_t>> recv() override {
+    return util::read_frame(recv_fd_);
   }
 
   /// SIGKILL only — the fds stay open so a reader blocked in recv() is
@@ -313,7 +307,7 @@ struct FakeWorker {
   std::deque<std::vector<std::uint8_t>> to_worker LOKI_GUARDED_BY(mu);
   std::deque<std::vector<std::uint8_t>> to_parent LOKI_GUARDED_BY(mu);
   bool parent_closed LOKI_GUARDED_BY(mu){false};  // worker reads return EOF
-  bool stream_eof LOKI_GUARDED_BY(mu){false};     // parent recv returns Eof
+  bool stream_eof LOKI_GUARDED_BY(mu){false};     // parent recv: nullopt
   bool hanging LOKI_GUARDED_BY(mu){false};  // parent recv delivers nothing
   bool worker_done LOKI_GUARDED_BY(mu){false};  // serve_worker returned
   int results_seen LOKI_GUARDED_BY(mu){0};  // result entries delivered so far
@@ -419,11 +413,10 @@ class FakeLink final : public WorkerLink {
     w_->cv.notify_all();
   }
 
-  RecvOutcome recv(std::chrono::milliseconds timeout) override {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::optional<std::vector<std::uint8_t>> recv() override {
     util::MutexLock lock(w_->mu);
     for (;;) {
-      if (w_->stream_eof) return {RecvOutcome::Status::Eof, {}};
+      if (w_->stream_eof) return std::nullopt;
       const detail::FakeFaults& f = w_->faults;
       // Threshold faults fire between deliveries: after `n` results made it
       // to the parent, the stream dies (kill/eof) or goes silent (hang).
@@ -434,14 +427,14 @@ class FakeLink final : public WorkerLink {
         w_->stream_eof = true;
         w_->parent_closed = true;  // a dead worker's stdin is gone too
         w_->cv.notify_all();
-        return {RecvOutcome::Status::Eof, {}};
+        return std::nullopt;
       }
       if (!w_->hanging && !w_->to_parent.empty()) {
         std::vector<std::uint8_t> frame = std::move(w_->to_parent.front());
         w_->to_parent.pop_front();
-        // Heartbeat scripting: a worker whose heartbeats vanish (or crawl)
-        // in transit looks hung to the parent even though it is computing —
-        // exactly the liveness-cadence regression the runner tests script.
+        // Heartbeat scripting: a worker whose heartbeats vanish in transit
+        // looks hung to the parent even though it is computing — exactly
+        // the liveness-cadence regression the runner tests script.
         const bool is_heartbeat =
             !frame.empty() &&
             frame[0] ==
@@ -450,18 +443,13 @@ class FakeLink final : public WorkerLink {
           const int seen = ++w_->heartbeats_seen;
           if (f.drop_heartbeats_after >= 0 && seen > f.drop_heartbeats_after)
             continue;  // vanished in transit
-          if (const auto delay = f.heartbeat_delay; delay.count() > 0) {
-            lock.unlock();
-            std::this_thread::sleep_for(delay);
-            lock.lock();
-          }
-          return {RecvOutcome::Status::Frame, std::move(frame)};
+          return frame;
         }
         const bool is_batch =
             !frame.empty() &&
             frame[0] ==
                 static_cast<std::uint8_t>(runtime::WorkerFrame::ResultBatch);
-        if (!is_batch) return {RecvOutcome::Status::Frame, std::move(frame)};
+        if (!is_batch) return frame;
         // Count entries on the pristine frame (serve_worker produced it) so
         // the *_after_results thresholds keep experiment granularity even
         // when several results share one batch; the Nth-frame faults count
@@ -484,12 +472,11 @@ class FakeLink final : public WorkerLink {
           std::this_thread::sleep_for(delay);
           lock.lock();
         }
-        return {RecvOutcome::Status::Frame, std::move(frame)};
+        return frame;
       }
       if (w_->worker_done && w_->to_parent.empty() && !w_->hanging)
-        return {RecvOutcome::Status::Eof, {}};
-      if (w_->cv.wait_until(w_->mu, deadline) == std::cv_status::timeout)
-        return {RecvOutcome::Status::Timeout, {}};
+        return std::nullopt;
+      w_->cv.wait(w_->mu);
     }
   }
 
@@ -603,9 +590,6 @@ void FakeTransport::delay_batch(int victim, int nth,
 }
 void FakeTransport::drop_heartbeats_after(int victim, int n) {
   script(victim).drop_heartbeats_after = n;
-}
-void FakeTransport::delay_heartbeats(int victim, std::chrono::milliseconds by) {
-  script(victim).heartbeat_delay = by;
 }
 
 }  // namespace loki::campaign

@@ -24,8 +24,11 @@
 // Threading contract: send() and recv() may be called concurrently from
 // different threads (RemoteRunner sends leases from its main thread while a
 // reader thread blocks in recv), but each direction has a single caller.
-// kill() may be called from any thread and must promptly unblock a pending
-// recv() with Eof. Links must not outlive their Transport.
+// recv() has no timeout: it blocks until a frame arrives or the stream
+// ends, and a silent worker is judged by the coordinator's clock
+// (RemoteRunner), not by the link. kill() may be called from any thread and
+// must promptly end a pending recv(). Links must not outlive their
+// Transport.
 #pragma once
 
 #include <chrono>
@@ -41,16 +44,6 @@
 
 namespace loki::campaign {
 
-struct RecvOutcome {
-  enum class Status {
-    Frame,    // one whole frame arrived
-    Eof,      // the worker closed its stream (exit, crash, kill)
-    Timeout,  // no frame within the deadline — the hung-worker signal
-  };
-  Status status{Status::Eof};
-  std::vector<std::uint8_t> frame;  // Status::Frame only
-};
-
 /// One worker's duplex frame channel, parent side.
 class WorkerLink {
  public:
@@ -60,12 +53,13 @@ class WorkerLink {
   /// worker is gone (EPIPE et al.).
   virtual void send(const std::vector<std::uint8_t>& frame) = 0;
 
-  /// Wait up to `timeout` for the next frame. Throws codec::DecodeError
-  /// when the stream is corrupt (bad length prefix, mid-frame EOF).
-  virtual RecvOutcome recv(std::chrono::milliseconds timeout) = 0;
+  /// Block until the next frame; std::nullopt once the worker's stream has
+  /// ended (exit, crash, kill). Throws codec::DecodeError when the stream
+  /// is corrupt (bad length prefix, mid-frame EOF).
+  virtual std::optional<std::vector<std::uint8_t>> recv() = 0;
 
-  /// Idempotent hard-stop (SIGKILL or equivalent). A blocked recv() returns
-  /// Eof promptly afterwards; buffered-but-undelivered frames may be lost.
+  /// Idempotent hard-stop (SIGKILL or equivalent). A blocked recv() ends
+  /// promptly afterwards; buffered-but-undelivered frames may be lost.
   virtual void kill() = 0;
 
   /// Human-readable identity for error messages ("pid 4242", "host db3").
@@ -173,13 +167,11 @@ struct FakeFaults {
   int drop_nth{-1};
   int delay_nth{-1};
   std::chrono::milliseconds delay{0};
-  /// Heartbeat transit faults: after `drop_heartbeats_after` heartbeat
-  /// frames were delivered (0 = none ever arrive), later ones vanish;
-  /// heartbeat_delay stalls each delivered heartbeat in transit. -1/0
-  /// disable. Result frames are unaffected — these script a worker whose
+  /// Heartbeat transit fault: after `drop_heartbeats_after` heartbeat
+  /// frames were delivered (0 = none ever arrive), later ones vanish. -1
+  /// disables. Result frames are unaffected — this scripts a worker whose
   /// liveness signal (not its work) is lost.
   int drop_heartbeats_after{-1};
-  std::chrono::milliseconds heartbeat_delay{0};
 };
 
 /// Process-wide count of FakeWorker threads that had to detach because
@@ -265,13 +257,13 @@ class FakeTransport final : public Transport {
   void set_batch_soft_bytes(std::size_t bytes) { batch_soft_bytes_ = bytes; }
 
   /// SIGKILL equivalent: after `n` results were delivered, the stream ends
-  /// (Eof) and the worker thread is torn down; queued frames are lost.
+  /// and the worker thread is torn down; queued frames are lost.
   void kill_after_results(int victim, int n);
-  /// Clean mid-lease close: the stream reports Eof after `n` results while
-  /// the worker may still be running.
+  /// Clean mid-lease close: the stream ends after `n` results while the
+  /// worker may still be running.
   void eof_after_results(int victim, int n);
-  /// The worker goes silent after `n` results: no frames, no Eof — the
-  /// parent must detect it by the silence.
+  /// The worker goes silent after `n` results: no frames, no end of stream
+  /// — the parent must detect it by the silence.
   void hang_after_results(int victim, int n);
   /// The `nth` result-bearing frame (1-based) arrives corrupted: its first
   /// status byte is clobbered to an out-of-range value, which the batch
@@ -288,8 +280,6 @@ class FakeTransport final : public Transport {
   /// result frames still flow. With a large batch bound this makes a busy,
   /// healthy worker look silent — the hung-worker drill.
   void drop_heartbeats_after(int victim, int n);
-  /// Every delivered heartbeat is stalled by `by` in transit.
-  void delay_heartbeats(int victim, std::chrono::milliseconds by);
 
   /// The worker slot victim `victim` landed on; -1 while unclaimed.
   int victim_slot(int victim) const;

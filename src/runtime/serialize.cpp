@@ -627,14 +627,6 @@ Reader frame_reader(const std::vector<std::uint8_t>& frame, WorkerFrame expected
   return r;
 }
 
-/// Rest-of-frame raw bytes (Ping/Pong payloads, the embedded study).
-std::vector<std::uint8_t> remaining_bytes(Reader& r,
-                                          const std::vector<std::uint8_t>& frame) {
-  const std::size_t start = frame.size() - r.remaining();
-  return std::vector<std::uint8_t>(frame.begin() + static_cast<std::ptrdiff_t>(start),
-                                   frame.end());
-}
-
 }  // namespace
 
 WireErrorCategory classify_error(const std::exception& e) {
@@ -659,12 +651,21 @@ void rethrow_wire_error(WireErrorCategory category, const std::string& message) 
 
 WorkerFrame worker_frame_type(const std::vector<std::uint8_t>& frame) {
   if (frame.empty()) throw DecodeError("worker frame: empty frame");
-  const std::uint8_t type = frame[0];
-  // Type 5 is reserved (see WorkerFrame).
-  if (type < static_cast<std::uint8_t>(WorkerFrame::Hello) ||
-      type > static_cast<std::uint8_t>(WorkerFrame::ResultBatch) || type == 5)
-    throw DecodeError("worker frame: unknown frame type " + std::to_string(type));
-  return static_cast<WorkerFrame>(type);
+  // Any byte converts (the enum's underlying type is u8); only the named
+  // types pass, so the reserved ones (see WorkerFrame) are rejected too.
+  const auto type = static_cast<WorkerFrame>(frame[0]);
+  switch (type) {
+    case WorkerFrame::Hello:
+    case WorkerFrame::HelloAck:
+    case WorkerFrame::Lease:
+    case WorkerFrame::Heartbeat:
+    case WorkerFrame::LeaseDone:
+    case WorkerFrame::Shutdown:
+    case WorkerFrame::ResultBatch:
+      return type;
+  }
+  throw DecodeError("worker frame: unknown frame type " +
+                    std::to_string(frame[0]));
 }
 
 std::vector<std::uint8_t> encode_hello_frame(
@@ -714,20 +715,17 @@ HelloFrame decode_hello_frame(const std::vector<std::uint8_t>& frame) {
   return hello;
 }
 
-std::vector<std::uint8_t> encode_hello_ack_frame(std::uint64_t worker_pid) {
+std::vector<std::uint8_t> encode_hello_ack_frame() {
   Writer w = frame_writer(WorkerFrame::HelloAck);
   w.u16(kWorkerProtocolVersion);
-  w.u64(worker_pid);
   return w.take();
 }
 
-HelloAckFrame decode_hello_ack_frame(const std::vector<std::uint8_t>& frame) {
+std::uint16_t decode_hello_ack_frame(const std::vector<std::uint8_t>& frame) {
   Reader r = frame_reader(frame, WorkerFrame::HelloAck);
-  HelloAckFrame ack;
-  ack.protocol_version = r.u16();
-  ack.worker_pid = r.u64();
+  const std::uint16_t version = r.u16();
   r.expect_done();
-  return ack;
+  return version;
 }
 
 std::vector<std::uint8_t> encode_lease_frame(const LeaseFrame& lease) {
@@ -754,29 +752,9 @@ LeaseFrame decode_lease_frame(const std::vector<std::uint8_t>& frame) {
   return lease;
 }
 
-namespace {
-
-std::vector<std::uint8_t> encode_lease_id_frame(WorkerFrame type,
-                                                std::uint32_t lease_id) {
-  Writer w = frame_writer(type);
-  w.u32(lease_id);
-  return w.take();
-}
-
-std::uint32_t decode_lease_id_frame(const std::vector<std::uint8_t>& frame,
-                                    WorkerFrame type) {
-  Reader r = frame_reader(frame, type);
-  const std::uint32_t id = r.u32();
-  r.expect_done();
-  return id;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_heartbeat_frame(std::uint32_t lease_id,
-                                                 const WorkerStatsSnapshot& stats) {
+std::vector<std::uint8_t> encode_heartbeat_frame(
+    const WorkerStatsSnapshot& stats) {
   Writer w = frame_writer(WorkerFrame::Heartbeat);
-  w.u32(lease_id);
   w.u64(stats.experiments_completed);
   w.f64(stats.ewma_latency_us);
   for (const std::uint32_t bucket : stats.histogram.buckets) w.u32(bucket);
@@ -785,25 +763,30 @@ std::vector<std::uint8_t> encode_heartbeat_frame(std::uint32_t lease_id,
   return w.take();
 }
 
-HeartbeatFrame decode_heartbeat_frame(const std::vector<std::uint8_t>& frame) {
+WorkerStatsSnapshot decode_heartbeat_frame(
+    const std::vector<std::uint8_t>& frame) {
   Reader r = frame_reader(frame, WorkerFrame::Heartbeat);
-  HeartbeatFrame hb;
-  hb.lease_id = r.u32();
-  hb.stats.experiments_completed = r.u64();
-  hb.stats.ewma_latency_us = r.f64();
-  for (std::uint32_t& bucket : hb.stats.histogram.buckets) bucket = r.u32();
-  hb.stats.bytes_encoded = r.u64();
-  hb.stats.batches_flushed = r.u64();
+  WorkerStatsSnapshot stats;
+  stats.experiments_completed = r.u64();
+  stats.ewma_latency_us = r.f64();
+  for (std::uint32_t& bucket : stats.histogram.buckets) bucket = r.u32();
+  stats.bytes_encoded = r.u64();
+  stats.batches_flushed = r.u64();
   r.expect_done();
-  return hb;
+  return stats;
 }
 
 std::vector<std::uint8_t> encode_lease_done_frame(std::uint32_t lease_id) {
-  return encode_lease_id_frame(WorkerFrame::LeaseDone, lease_id);
+  Writer w = frame_writer(WorkerFrame::LeaseDone);
+  w.u32(lease_id);
+  return w.take();
 }
 
 std::uint32_t decode_lease_done_frame(const std::vector<std::uint8_t>& frame) {
-  return decode_lease_id_frame(frame, WorkerFrame::LeaseDone);
+  Reader r = frame_reader(frame, WorkerFrame::LeaseDone);
+  const std::uint32_t id = r.u32();
+  r.expect_done();
+  return id;
 }
 
 // --- batched results ---------------------------------------------------------
@@ -898,39 +881,6 @@ std::size_t result_batch_entry_count(const std::vector<std::uint8_t>& frame) {
 
 std::vector<std::uint8_t> encode_shutdown_frame() {
   return frame_writer(WorkerFrame::Shutdown).take();
-}
-
-namespace {
-
-std::vector<std::uint8_t> encode_payload_frame(
-    WorkerFrame type, const std::vector<std::uint8_t>& payload) {
-  Writer w = frame_writer(type);
-  if (!payload.empty()) w.bytes(payload.data(), payload.size());
-  return w.take();
-}
-
-std::vector<std::uint8_t> decode_payload_frame(
-    const std::vector<std::uint8_t>& frame, WorkerFrame type) {
-  Reader r = frame_reader(frame, type);
-  return remaining_bytes(r, frame);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_ping_frame(const std::vector<std::uint8_t>& payload) {
-  return encode_payload_frame(WorkerFrame::Ping, payload);
-}
-
-std::vector<std::uint8_t> encode_pong_frame(const std::vector<std::uint8_t>& payload) {
-  return encode_payload_frame(WorkerFrame::Pong, payload);
-}
-
-std::vector<std::uint8_t> decode_ping_frame(const std::vector<std::uint8_t>& frame) {
-  return decode_payload_frame(frame, WorkerFrame::Ping);
-}
-
-std::vector<std::uint8_t> decode_pong_frame(const std::vector<std::uint8_t>& frame) {
-  return decode_payload_frame(frame, WorkerFrame::Pong);
 }
 
 }  // namespace loki::runtime

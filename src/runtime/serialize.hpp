@@ -27,15 +27,13 @@
 //   parent -> worker   Hello        protocol version, heartbeat interval,
 //                                   optionally the campaign's studies
 //                      Lease        a study ordinal + an index range [lo, hi)
-//                      Ping         liveness/diagnostic probe (echoed back)
 //                      Shutdown     no more work; exit cleanly
-//   worker -> parent   HelloAck     protocol version + worker pid
+//   worker -> parent   HelloAck     protocol version
 //                      Heartbeat    periodic liveness while a lease runs,
 //                                   carrying a WorkerStatsSnapshot
 //                      ResultBatch  the outcomes (ok or error) of one lease,
 //                                   in index order, one or more per frame
 //                      LeaseDone    lease finished (possibly early, on error)
-//                      Pong         Ping echo
 //
 // Heartbeat cadence rule: a worker emits a heartbeat whenever the Hello's
 // interval has elapsed since its last write on the channel — between
@@ -164,7 +162,10 @@ class ResultInterner {
 /// v6: one fleet per campaign — the Hello carries every study of the
 /// campaign (a count, then each study), and Lease names its study:
 /// {id, study, lo, hi}.
-inline constexpr std::uint16_t kWorkerProtocolVersion = 6;
+/// v7: only what the coordinator reads — Ping/Pong (types 8, 9) are gone,
+/// HelloAck is {version} without the worker pid, Heartbeat is the stats
+/// snapshot without a lease id, and a lease no longer opens with one.
+inline constexpr std::uint16_t kWorkerProtocolVersion = 7;
 
 /// First byte of every worker frame payload.
 enum class WorkerFrame : std::uint8_t {
@@ -172,12 +173,11 @@ enum class WorkerFrame : std::uint8_t {
   HelloAck = 2,
   Lease = 3,
   Heartbeat = 4,
-  // 5 is reserved (v3's single-result frame): never reuse it, so a stale
-  // peer's frame fails worker_frame_type instead of dispatching.
+  // 5 (v3's single-result frame), 8 and 9 (Ping/Pong until v6) are
+  // reserved: never reuse them, so a stale peer's frame fails
+  // worker_frame_type instead of dispatching.
   LeaseDone = 6,
   Shutdown = 7,
-  Ping = 8,
-  Pong = 9,
   ResultBatch = 10,
 };
 
@@ -210,12 +210,9 @@ struct HelloFrame {
 };
 HelloFrame decode_hello_frame(const std::vector<std::uint8_t>& frame);
 
-std::vector<std::uint8_t> encode_hello_ack_frame(std::uint64_t worker_pid);
-struct HelloAckFrame {
-  std::uint16_t protocol_version{0};
-  std::uint64_t worker_pid{0};
-};
-HelloAckFrame decode_hello_ack_frame(const std::vector<std::uint8_t>& frame);
+/// HelloAck: the worker's protocol version, which the parent checks.
+std::vector<std::uint8_t> encode_hello_ack_frame();
+std::uint16_t decode_hello_ack_frame(const std::vector<std::uint8_t>& frame);
 
 /// One unit of leased work: experiment indices [lo, hi) of the study with
 /// ordinal `study`. decode_lease_frame rejects an inverted range (lo > hi)
@@ -230,17 +227,14 @@ struct LeaseFrame {
 std::vector<std::uint8_t> encode_lease_frame(const LeaseFrame& lease);
 LeaseFrame decode_lease_frame(const std::vector<std::uint8_t>& frame);
 
-/// Heartbeat (v3): liveness plus the worker's cumulative stats snapshot.
-/// Layout: u32 lease id, u64 experiments completed, f64 EWMA latency (us),
+/// Heartbeat: liveness plus the worker's cumulative stats snapshot.
+/// Layout: u64 experiments completed, f64 EWMA latency (us),
 /// LatencyHistogram::kBuckets x u32 buckets, u64 bytes encoded, u64 batches
-/// flushed. Fixed-size, ~120 bytes — cheap enough to send every interval.
-struct HeartbeatFrame {
-  std::uint32_t lease_id{0};
-  WorkerStatsSnapshot stats;
-};
+/// flushed. Fixed-size, 129 bytes — cheap enough to send every interval.
 std::vector<std::uint8_t> encode_heartbeat_frame(
-    std::uint32_t lease_id, const WorkerStatsSnapshot& stats = {});
-HeartbeatFrame decode_heartbeat_frame(const std::vector<std::uint8_t>& frame);
+    const WorkerStatsSnapshot& stats);
+WorkerStatsSnapshot decode_heartbeat_frame(
+    const std::vector<std::uint8_t>& frame);
 
 std::vector<std::uint8_t> encode_lease_done_frame(std::uint32_t lease_id);
 std::uint32_t decode_lease_done_frame(const std::vector<std::uint8_t>& frame);
@@ -284,10 +278,5 @@ std::vector<ResultFrame> decode_result_batch_frame(
 std::size_t result_batch_entry_count(const std::vector<std::uint8_t>& frame);
 
 std::vector<std::uint8_t> encode_shutdown_frame();
-
-std::vector<std::uint8_t> encode_ping_frame(const std::vector<std::uint8_t>& payload);
-std::vector<std::uint8_t> encode_pong_frame(const std::vector<std::uint8_t>& payload);
-std::vector<std::uint8_t> decode_ping_frame(const std::vector<std::uint8_t>& frame);
-std::vector<std::uint8_t> decode_pong_frame(const std::vector<std::uint8_t>& frame);
 
 }  // namespace loki::runtime

@@ -1,11 +1,11 @@
 #include "util/pipe_io.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
-#include <poll.h>
 #include <unistd.h>
 
 #include "util/codec.hpp"
@@ -13,6 +13,9 @@
 namespace loki::util {
 
 namespace {
+
+/// read_frame's first payload allocation (1 MiB).
+constexpr std::size_t kFirstChunkBytes = std::size_t{1} << 20;
 
 [[noreturn]] void throw_errno(const char* op) {
   throw std::runtime_error(std::string("pipe_io: ") + op + ": " +
@@ -74,75 +77,18 @@ std::optional<std::vector<std::uint8_t>> read_frame(int fd) {
   if (len > kMaxFrameBytes)
     throw codec::DecodeError("pipe_io: frame length " + std::to_string(len) +
                              " exceeds limit (corrupt stream?)");
-  std::vector<std::uint8_t> payload(len);
-  if (read_upto(fd, payload.data(), len) < len)
-    throw codec::DecodeError("pipe_io: stream ended inside a frame payload");
-  return payload;
-}
-
-namespace {
-
-bool wait_readable_until(int fd, std::chrono::steady_clock::time_point deadline) {
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    const int wait_ms = left.count() <= 0 ? 0 : static_cast<int>(left.count());
-    struct pollfd pfd{fd, POLLIN, 0};
-    const int n = ::poll(&pfd, 1, wait_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll");
-    }
-    if (n > 0) return true;  // readable, EOF, or error — a read will resolve it
-    if (std::chrono::steady_clock::now() >= deadline) return false;
+  // The length is the peer's claim, not a fact: stray bytes on the stream
+  // (say, a login banner on an ssh worker's stdout) read as a length of up
+  // to 1 GiB. So the buffer starts at kFirstChunkBytes and doubles only as
+  // bytes arrive; a frame no larger than that is still one allocation.
+  std::vector<std::uint8_t> payload(
+      std::min<std::size_t>(len, kFirstChunkBytes));
+  std::size_t have = read_upto(fd, payload.data(), payload.size());
+  while (have == payload.size() && have < len) {
+    payload.resize(std::min<std::size_t>(len, 2 * payload.size()));
+    have += read_upto(fd, payload.data() + have, payload.size() - have);
   }
-}
-
-/// read_upto, but every read first waits for readability with a sliding
-/// per-progress deadline: a stall is `stall_timeout` with no bytes at all,
-/// so a large frame that keeps trickling is never misdiagnosed. Returns
-/// bytes read (< len only on EOF); throws DecodeError on a stall.
-std::size_t read_upto_stall(int fd, void* data, std::size_t len,
-                            std::chrono::milliseconds stall_timeout) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t got = 0;
-  while (got < len) {
-    if (!wait_readable_until(fd,
-                             std::chrono::steady_clock::now() + stall_timeout))
-      throw codec::DecodeError(
-          "pipe_io: stream stalled mid-frame (peer frozen?)");
-    const ssize_t n = ::read(fd, p + got, len - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read");
-    }
-    if (n == 0) break;  // EOF
-    got += static_cast<std::size_t>(n);
-  }
-  return got;
-}
-
-}  // namespace
-
-bool wait_readable(int fd, std::chrono::milliseconds timeout) {
-  return wait_readable_until(fd, std::chrono::steady_clock::now() + timeout);
-}
-
-std::optional<std::vector<std::uint8_t>> read_frame_deadline(
-    int fd, std::chrono::milliseconds stall_timeout) {
-  std::uint8_t header[4];
-  const std::size_t got = read_upto_stall(fd, header, 4, stall_timeout);
-  if (got == 0) return std::nullopt;
-  if (got < 4)
-    throw codec::DecodeError("pipe_io: stream ended inside a frame header");
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i)
-    len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-  if (len > kMaxFrameBytes)
-    throw codec::DecodeError("pipe_io: frame length " + std::to_string(len) +
-                             " exceeds limit (corrupt stream?)");
-  std::vector<std::uint8_t> payload(len);
-  if (read_upto_stall(fd, payload.data(), len, stall_timeout) < len)
+  if (have < len)
     throw codec::DecodeError("pipe_io: stream ended inside a frame payload");
   return payload;
 }

@@ -5,10 +5,11 @@
 // A frame is a 4-byte little-endian payload length followed by the payload
 // bytes. Reads and writes retry on EINTR and loop over partial transfers;
 // a frame truncated by a dying peer surfaces as codec::DecodeError, a clean
-// close between frames as std::nullopt.
+// close between frames as std::nullopt. Reads block: there is no timeout at
+// this layer, so a silent peer is judged by whoever owns it (the campaign
+// coordinator kills a hung worker, which ends the stream).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -26,29 +27,11 @@ void write_exact(int fd, const void* data, std::size_t len);
 /// Write one length-prefixed frame.
 void write_frame(int fd, const std::vector<std::uint8_t>& payload);
 
-/// Read one frame. Returns std::nullopt on a clean EOF before any byte of
-/// the frame; throws codec::DecodeError if the stream ends mid-frame and
-/// std::runtime_error on I/O errors.
+/// Read one frame, blocking until it is whole. Returns std::nullopt on a
+/// clean EOF before any byte of the frame; throws codec::DecodeError if the
+/// stream ends mid-frame and std::runtime_error on I/O errors. The payload
+/// buffer grows as bytes arrive, so a corrupt length prefix followed by EOF
+/// never allocates the claimed length.
 std::optional<std::vector<std::uint8_t>> read_frame(int fd);
-
-/// Wait until `fd` is readable (data or EOF/hangup). Returns false on
-/// timeout. Retries EINTR against a fixed deadline so a signal storm cannot
-/// extend the wait. Throws std::runtime_error on poll errors. The liveness
-/// probe behind hung-worker detection: a worker that stops producing frames
-/// turns into a timeout here, not a blocked read.
-bool wait_readable(int fd, std::chrono::milliseconds timeout);
-
-/// read_frame with stall detection *inside* the frame: every read is
-/// preceded by a readability wait, so a peer that freezes after writing
-/// only part of a frame (partial header, partial payload) surfaces as
-/// codec::DecodeError once no byte has arrived for `stall_timeout` —
-/// instead of blocking forever. The deadline slides on progress, so a big
-/// frame that keeps trickling is never misdiagnosed. Same contract
-/// otherwise: std::nullopt on clean EOF before the frame, DecodeError on
-/// truncation/corruption, std::runtime_error on I/O errors. The
-/// hung-worker path of campaign::RemoteRunner depends on this: plain
-/// read_frame only times out at frame boundaries.
-std::optional<std::vector<std::uint8_t>> read_frame_deadline(
-    int fd, std::chrono::milliseconds stall_timeout);
 
 }  // namespace loki::util

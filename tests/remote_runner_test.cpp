@@ -8,15 +8,18 @@
 // link that has work. Also covers the liveness cadence: heartbeats flow
 // *during* a lease, so a slow-but-healthy worker is never mistaken for a
 // hung one, while a worker whose heartbeats stop (and whose batches never
-// flush) is still killed within hang_timeout — judged on the coordinator's
-// clock, never on a reader's stale recv timeout. Also covers the
-// `remote:`/`procs:` runner specs, hostfile parsing, SshTransport argv
-// construction (plus an end-to-end run through a local ssh shim), and the
-// `lokimeasure` CLI's rejection of the retired worker range mode and of
-// malformed numeric flags.
+// flush), or that freezes halfway through writing a frame, is still killed
+// within hang_timeout — judged on the coordinator's clock alone, since
+// links have no timeout. Also covers the `remote:`/`procs:` runner specs,
+// hostfile parsing, SshTransport argv construction (plus an end-to-end run
+// through a local ssh shim), and the `lokimeasure` CLI's rejection of the
+// retired worker range mode, of malformed numeric flags and of flags whose
+// parent flag is missing.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +30,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -43,6 +47,7 @@
 #include "runtime/serialize.hpp"
 #include "util/codec.hpp"
 #include "util/error.hpp"
+#include "util/pipe_io.hpp"
 #include "util/text_file.hpp"
 
 namespace loki {
@@ -220,8 +225,8 @@ class ForwardingLink : public campaign::WorkerLink {
   void send(const std::vector<std::uint8_t>& frame) override {
     inner_->send(frame);
   }
-  campaign::RecvOutcome recv(std::chrono::milliseconds timeout) override {
-    return inner_->recv(timeout);
+  std::optional<std::vector<std::uint8_t>> recv() override {
+    return inner_->recv();
   }
   void kill() override { inner_->kill(); }
   std::string describe() const override { return inner_->describe(); }
@@ -258,6 +263,109 @@ bool is_frame_of(const std::vector<std::uint8_t>& frame,
                  runtime::WorkerFrame type) {
   return !frame.empty() && frame[0] == static_cast<std::uint8_t>(type);
 }
+
+/// Worker side of FreezingTransport: frames over fds, except that a
+/// freezing worker writes the length header and half of its first
+/// ResultBatch, then stops for good without closing its stream.
+class FreezingChannel final : public campaign::FrameChannel {
+ public:
+  FreezingChannel(int in_fd, int out_fd, bool freeze)
+      : fds_(in_fd, out_fd), out_fd_(out_fd), freeze_(freeze) {}
+  std::optional<std::vector<std::uint8_t>> read() override {
+    return fds_.read();
+  }
+  void write(const std::vector<std::uint8_t>& frame) override {
+    if (freeze_ && is_frame_of(frame, runtime::WorkerFrame::ResultBatch)) {
+      std::uint8_t header[4];
+      for (int i = 0; i < 4; ++i)
+        header[i] = static_cast<std::uint8_t>(frame.size() >> (8 * i));
+      util::write_exact(out_fd_, header, sizeof header);
+      util::write_exact(out_fd_, frame.data(), frame.size() / 2);
+      for (;;) ::pause();  // only SIGKILL ends this worker
+    }
+    fds_.write(frame);
+  }
+
+ private:
+  campaign::FdFrameChannel fds_;
+  int out_fd_;
+  bool freeze_;
+};
+
+/// Parent side of one FreezingTransport worker: frames over pipes, and a
+/// kill() that is SIGKILL; the destructor reaps.
+class ForkedLink final : public campaign::WorkerLink {
+ public:
+  ForkedLink(pid_t pid, int send_fd, int recv_fd)
+      : pid_(pid), send_fd_(send_fd), recv_fd_(recv_fd) {}
+  ForkedLink(const ForkedLink&) = delete;
+  ForkedLink& operator=(const ForkedLink&) = delete;
+  ~ForkedLink() override {
+    kill();
+    int status = 0;
+    while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {}
+    ::close(send_fd_);
+    ::close(recv_fd_);
+  }
+  void send(const std::vector<std::uint8_t>& frame) override {
+    util::write_frame(send_fd_, frame);
+  }
+  std::optional<std::vector<std::uint8_t>> recv() override {
+    return util::read_frame(recv_fd_);
+  }
+  void kill() override { ::kill(pid_, SIGKILL); }
+  std::string describe() const override {
+    return "forked worker pid " + std::to_string(pid_);
+  }
+  bool needs_study_bytes() const override { return false; }
+
+ private:
+  pid_t pid_;
+  int send_fd_;
+  int recv_fd_;
+};
+
+/// fork()s real workers serving the inherited studies over
+/// FreezingChannels; worker 0's channel freezes mid-frame.
+class FreezingTransport final : public campaign::Transport {
+ public:
+  explicit FreezingTransport(int workers) : workers_(workers) {
+    std::signal(SIGPIPE, SIG_IGN);  // a dead worker's pipe fails with EPIPE
+  }
+  std::string name() const override {
+    return "freezing:" + std::to_string(workers_);
+  }
+  int worker_count() const override { return workers_; }
+  std::unique_ptr<campaign::WorkerLink> connect(
+      int index, const std::vector<runtime::StudyParams>& studies) override {
+    int down[2];
+    int up[2];
+    if (::pipe(down) != 0) throw std::runtime_error("pipe");
+    if (::pipe(up) != 0) {
+      ::close(down[0]);
+      ::close(down[1]);
+      throw std::runtime_error("pipe");
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) throw std::runtime_error("fork");
+    if (pid == 0) {
+      ::close(down[1]);
+      ::close(up[0]);
+      try {
+        FreezingChannel channel(down[0], up[1], /*freeze=*/index == 0);
+        campaign::serve_worker(channel, &studies);
+      } catch (...) {
+      }
+      ::_exit(0);
+    }
+    ::close(down[0]);
+    ::close(up[1]);
+    return std::make_unique<ForkedLink>(pid, down[1], up[0]);
+  }
+
+ private:
+  int workers_;
+};
 
 // --- byte-identity with SerialRunner ----------------------------------------
 
@@ -410,15 +518,15 @@ TEST(RemoteRunnerFaults, SubprocessWorkerSigkilledMidCampaign) {
     ChaosLink(std::unique_ptr<campaign::WorkerLink> inner,
               std::shared_ptr<std::atomic<bool>> fired)
         : ForwardingLink(std::move(inner)), fired_(std::move(fired)) {}
-    campaign::RecvOutcome recv(std::chrono::milliseconds timeout) override {
-      campaign::RecvOutcome out = inner_->recv(timeout);
-      if (out.status == campaign::RecvOutcome::Status::Frame &&
-          is_frame_of(out.frame, runtime::WorkerFrame::ResultBatch) &&
+    std::optional<std::vector<std::uint8_t>> recv() override {
+      std::optional<std::vector<std::uint8_t>> frame = inner_->recv();
+      if (frame.has_value() &&
+          is_frame_of(*frame, runtime::WorkerFrame::ResultBatch) &&
           !fired_->exchange(true)) {
         inner_->kill();
-        out = inner_->recv(timeout);  // the killed worker's frame is lost
+        frame = inner_->recv();  // the killed worker's frame is lost
       }
-      return out;
+      return frame;
     }
 
    private:
@@ -468,46 +576,61 @@ TEST(RemoteRunnerFaults, HungWorkerIsTimedOutAndRequeued) {
   EXPECT_GE(remote.summary.workers_lost, 1);
 }
 
-// Regression: a worker is hung only by the coordinator's own clock. A
-// reader's recv timeout that fired while its worker sat idle used to be an
-// event, and when it was handled after that worker had just been handed a
-// lease (a hung peer's, requeued), the busy worker was killed for the
-// silence of its idle spell — and the requeue could cascade through the
-// whole fleet. This link forces the race: right after each Lease it
-// carries, its next recv reports a Timeout. The lone worker must survive.
-TEST(RemoteRunnerFaults, StaleRecvTimeoutAfterALeaseDoesNotKillTheWorker) {
-  class StaleTimeoutLink final : public ForwardingLink {
+// A worker frozen halfway through writing a frame leaves its reader blocked
+// inside the frame: links have no timeout, so only the engine's clock can
+// judge it. Worker 0 of this forked fleet writes the length header and half
+// of its first ResultBatch, then pause()s; hang_timeout after its lease was
+// sent, the engine kills it, which ends the blocked read, and worker 1 runs
+// the requeued lease.
+TEST(RemoteRunnerFaults, WorkerFrozenMidFrameIsJudgedByTheEngine) {
+  const auto study = fault_study("frozen-mid-frame", 8);
+  const auto serial =
+      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
+  campaign::RemoteOptions options = test_options();
+  options.hang_timeout = std::chrono::milliseconds(1'500);
+  const auto remote =
+      run_recorded(std::make_shared<campaign::RemoteRunner>(
+                       std::make_shared<FreezingTransport>(2), options),
+                   study);
+  expect_identical_events(serial.events, remote.events);
+  EXPECT_EQ(remote.summary.workers_lost, 1);
+  EXPECT_GE(remote.summary.requeued_indices, 1);
+}
+
+// A finished campaign does not wait for a worker that never acknowledged
+// its Hello: that worker holds no lease, so nothing of the campaign is
+// owed by it (one slow ssh host must not cost a finished run the whole
+// hang_timeout and be reported lost). Slot 1's link withholds every frame;
+// slot 0 runs the study alone.
+TEST(RemoteRunnerFaults, UnackedWorkerDoesNotHoldAFinishedCampaign) {
+  class MuteLink final : public ForwardingLink {
    public:
     using ForwardingLink::ForwardingLink;
-    void send(const std::vector<std::uint8_t>& frame) override {
-      inner_->send(frame);
-      if (is_frame_of(frame, runtime::WorkerFrame::Lease)) stale_ = true;
+    std::optional<std::vector<std::uint8_t>> recv() override {
+      while (inner_->recv().has_value()) {
+      }
+      return std::nullopt;  // the stream ended: kill() or the worker's exit
     }
-    campaign::RecvOutcome recv(std::chrono::milliseconds timeout) override {
-      if (stale_.exchange(false))
-        return {campaign::RecvOutcome::Status::Timeout, {}};
-      return inner_->recv(timeout);
-    }
-
-   private:
-    std::atomic<bool> stale_{false};
   };
 
-  const auto study = fault_study("stale-timeout", 6);
+  const auto study = fault_study("unacked", 8);
   const auto serial =
       run_recorded(std::make_shared<campaign::SerialRunner>(), study);
   auto transport = std::make_shared<WrappingTransport>(
-      std::make_shared<campaign::FakeTransport>(1),
+      std::make_shared<campaign::FakeTransport>(2),
       [](std::unique_ptr<campaign::WorkerLink> link)
           -> std::unique_ptr<campaign::WorkerLink> {
-        return std::make_unique<StaleTimeoutLink>(std::move(link));
+        if (link->describe() == "fake worker 1")
+          return std::make_unique<MuteLink>(std::move(link));
+        return link;
       });
+  const campaign::RemoteOptions options = test_options();  // 5 s
   const auto remote = run_recorded(
-      std::make_shared<campaign::RemoteRunner>(transport, test_options(1)),
-      study);
+      std::make_shared<campaign::RemoteRunner>(transport, options), study);
   expect_identical_events(serial.events, remote.events);
   EXPECT_EQ(remote.summary.workers_lost, 0);
-  EXPECT_EQ(remote.summary.requeue_events, 0);
+  EXPECT_LT(remote.summary.wall_seconds,
+            std::chrono::duration<double>(options.hang_timeout).count());
 }
 
 TEST(RemoteRunnerFaults, WedgeBetweenLastResultAndLeaseDoneIsStillHung) {
@@ -1236,6 +1359,37 @@ TEST(CliNumericFlags, MalformedNumbersAreConfigErrors) {
               std::string::npos)
         << read_file(err);
   }
+}
+
+// --journal-group tunes --journal/--resume, and the cache limits tune
+// --cache; alone, each used to exit 0 having changed nothing. Each must
+// exit 1 with a ConfigError that names it, and still run with its parent.
+TEST(CliFlags, DependentFlagsNeedTheirParent) {
+  const std::string bin = lokimeasure_bin();
+  if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
+
+  const std::string dir = temp_dir("dependent");
+  const std::string err = dir + "/err.txt";
+  for (const auto& [flag, value, parent] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"--journal-group", "4", "--journal or --resume"},
+           {"--cache-max-bytes", "4096", "--cache DIR"},
+           {"--cache-max-entries", "3", "--cache DIR"}}) {
+    EXPECT_EQ(run_command("'" + bin + "' --campaign " + flag + " " + value +
+                          " > /dev/null 2> '" + err + "'"),
+              1)
+        << flag;
+    EXPECT_NE(read_file(err).find(flag + " requires " + parent),
+              std::string::npos)
+        << read_file(err);
+  }
+  EXPECT_EQ(run_command("'" + bin + "' --campaign --experiments 1 --cache '" +
+                        dir + "/cache' --cache-max-bytes 1000000 " +
+                        "--cache-max-entries 3 --journal '" + dir +
+                        "/journal' --journal-group 4 > /dev/null 2> '" + err +
+                        "'"),
+            0)
+      << read_file(err);
 }
 
 }  // namespace

@@ -128,8 +128,9 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   std::string cache_dir;
   std::string journal_path;
   bool resume = false;
-  int journal_group = 32;
+  std::optional<int> journal_group;
   campaign::CacheOptions cache_options;
+  const char* cache_limit_flag = nullptr;  // the last one given
   bool status = false;
   int experiments = 12;
   std::uint64_t seed = 9000;
@@ -143,13 +144,15 @@ int run_campaign_mode(const std::vector<std::string>& args) {
       runner_spec = flag_value(args, i, "--runner");
     else if (args[i] == "--cache")
       cache_dir = flag_value(args, i, "--cache");
-    else if (args[i] == "--cache-max-bytes")
+    else if (args[i] == "--cache-max-bytes") {
+      cache_limit_flag = "--cache-max-bytes";
       cache_options.max_bytes = u64_arg(
-          "--cache-max-bytes", flag_value(args, i, "--cache-max-bytes"));
-    else if (args[i] == "--cache-max-entries")
+          cache_limit_flag, flag_value(args, i, cache_limit_flag));
+    } else if (args[i] == "--cache-max-entries") {
+      cache_limit_flag = "--cache-max-entries";
       cache_options.max_entries = u64_arg(
-          "--cache-max-entries", flag_value(args, i, "--cache-max-entries"));
-    else if (args[i] == "--journal") {
+          cache_limit_flag, flag_value(args, i, cache_limit_flag));
+    } else if (args[i] == "--journal") {
       journal_path = flag_value(args, i, "--journal");
       resume = false;
     } else if (args[i] == "--resume") {
@@ -167,6 +170,12 @@ int run_campaign_mode(const std::vector<std::string>& args) {
     throw ConfigError(
         "--journal/--resume requires --cache DIR: resume replays journaled "
         "indices from the cache");
+  // A flag that tunes another one does nothing alone: refuse it rather than
+  // run a campaign the user did not ask for.
+  if (journal_group.has_value() && journal_path.empty())
+    throw ConfigError("--journal-group requires --journal or --resume");
+  if (cache_limit_flag != nullptr && cache_dir.empty())
+    throw ConfigError(std::string(cache_limit_flag) + " requires --cache DIR");
 
   apps::register_builtin_apps();
   const runtime::StudyParams study = demo_study(seed, experiments);
@@ -197,7 +206,7 @@ int run_campaign_mode(const std::vector<std::string>& args) {
       builder.resume(journal_path);
     else
       builder.journal(journal_path, seed);
-    builder.journal_group(journal_group);
+    if (journal_group.has_value()) builder.journal_group(*journal_group);
   }
   const Campaign::Summary summary = builder.build().run();
 
