@@ -28,24 +28,16 @@
 // store() after the miss publishes a fresh file), and a rotting store is
 // visible in the stats instead of quietly recomputing every campaign.
 //
-// Eviction/GC: the cache keeps a generation-stamped index (one monotonic
-// counter, bumped per touch; persisted periodically to `cache.index` via
-// the same atomic-write path). When CacheOptions bounds the store by bytes
-// or entry count, store() evicts lowest-generation entries first until the
-// budget holds. The index file is an accounting accelerator, not a source
-// of truth — a stale or missing index is rebuilt by scanning the directory,
-// and correctness always rests on the entry files themselves.
-//
-// One caveat for the cache-first path: hit/miss classification happens at
-// study start, so an entry deleted, corrupted, or evicted *between* that
-// probe and its emit turn fails the study loudly (a deterministic re-run
-// repairs it) — don't prune a shared cache directory mid-campaign, and
-// size GC'd caches generously enough to hold the campaign in flight.
+// The cache never deletes an entry it stored: a hit found at study start
+// and a journaled key both stay servable for the whole campaign. To
+// reclaim space, delete the directory (or some of its `.result` files)
+// between campaigns; a missing entry is simply re-run. Deleting or
+// corrupting an entry *during* a campaign that already classified it as a
+// hit fails that study loudly (a deterministic re-run repairs it).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -56,29 +48,18 @@
 
 namespace loki::campaign {
 
-/// A cache store/GC step failed at the filesystem layer (ENOSPC, EIO,
-/// a vanished directory). Distinct from ConfigError: the configuration is
-/// fine, the storage is not.
+/// A cache store failed at the filesystem layer (ENOSPC, EIO, a vanished
+/// directory). Distinct from ConfigError: the configuration is fine, the
+/// storage is not.
 class CacheError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Store budget; 0 means unbounded (the default — historical behaviour).
-struct CacheOptions {
-  /// Evict until the sum of entry file sizes fits under this many bytes.
-  std::uint64_t max_bytes{0};
-  /// Evict until at most this many entries remain.
-  std::uint64_t max_entries{0};
-};
-
 class ResultCache {
  public:
-  /// Opens (creating if needed) the cache directory and loads (or rebuilds
-  /// by directory scan) the generation index.
-  explicit ResultCache(std::filesystem::path dir, CacheOptions options = {});
-  /// Persists the index (best-effort).
-  ~ResultCache();
+  /// Opens (creating if needed) the cache directory.
+  explicit ResultCache(std::filesystem::path dir);
 
   /// Cheap existence probe (no read or decode). Records a miss when
   /// absent; present keys are counted by the lookup() that serves them —
@@ -93,8 +74,7 @@ class ResultCache {
 
   /// Durably store (or overwrite) the result for `key`: temp file, fsync,
   /// atomic rename. Throws CacheError when the bytes cannot be made
-  /// durable (ENOSPC, short write, ...). Triggers GC when the store
-  /// exceeds the configured budget.
+  /// durable (ENOSPC, short write, ...).
   void store(const std::string& key, const runtime::ExperimentResult& result);
 
   struct Stats {
@@ -103,8 +83,6 @@ class ResultCache {
     std::uint64_t stores{0};
     /// Entries found undecodable and quarantined at lookup.
     std::uint64_t corrupt{0};
-    /// Entries evicted by the GC budget.
-    std::uint64_t evictions{0};
   };
   /// A snapshot, by value: one cache may be shared by several campaigns on
   /// different threads, so counters are mutated concurrently and a
@@ -115,35 +93,15 @@ class ResultCache {
   }
   const std::filesystem::path& dir() const { return dir_; }
 
-  /// Persist the generation index to `cache.index` now (atomic write).
-  /// Also runs periodically from store() and at destruction; a crash
-  /// in between merely costs a directory rescan on next open.
-  void flush_index() LOKI_EXCLUDES(mu_);
-
  private:
-  struct Entry {
-    std::uint64_t bytes{0};
-    std::uint64_t generation{0};
-  };
-
   std::filesystem::path path_of(const std::string& key) const;
-  void load_index() LOKI_REQUIRES(mu_);
-  void rebuild_index_from_disk() LOKI_REQUIRES(mu_);
-  void persist_index() LOKI_REQUIRES(mu_);
-  void touch(const std::string& key, std::uint64_t bytes) LOKI_REQUIRES(mu_);
-  void gc() LOKI_REQUIRES(mu_);
 
   std::filesystem::path dir_;
-  CacheOptions options_;
-  /// Guards counters and the index. Filesystem state needs no lock: writes
-  /// publish via fsync + atomic rename, and readers treat torn files as
-  /// misses (quarantining them).
+  /// Guards the counters. Filesystem state needs no lock: writes publish
+  /// via fsync + atomic rename, and readers treat torn files as misses
+  /// (quarantining them).
   mutable util::Mutex mu_;
   Stats stats_ LOKI_GUARDED_BY(mu_);
-  std::map<std::string, Entry> index_ LOKI_GUARDED_BY(mu_);
-  std::uint64_t total_bytes_ LOKI_GUARDED_BY(mu_){0};
-  std::uint64_t generation_ LOKI_GUARDED_BY(mu_){0};
-  std::uint64_t stores_since_persist_ LOKI_GUARDED_BY(mu_){0};
 };
 
 }  // namespace loki::campaign

@@ -257,7 +257,8 @@ class Delivery {
       throw std::runtime_error(
           "ResultCache: entry for " + experiment_context(studies_[study_], k) +
           " disappeared or went undecodable mid-study (key " + key +
-          "); a concurrent eviction? re-run the campaign");
+          "): it was deleted or corrupted behind the campaign's back; "
+          "re-run the campaign");
     ++summary_.cache_hits;
     journal_index(k, key);
     deliver(k, std::move(*result));

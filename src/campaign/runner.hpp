@@ -160,8 +160,12 @@ class SerialRunner final : public Runner {
 /// threads, then re-orders completions so emit still observes the serial
 /// sequence. The reorder buffer is bounded (O(workers)), so streaming sinks
 /// keep their memory guarantee even when early experiments run long. The
-/// pool starts and joins per study: a thread pays next to nothing at a
-/// study boundary, so it gets no cross-study machinery.
+/// pool starts and joins per study, so each study drains to an idle pool
+/// before the next one starts. That boundary has a measured cost:
+/// bench/study_sweep on a 4-vCPU host reads threads:3 18-30% slower at 26
+/// studies than at 1 (about 0.5-0.7 ms per boundary), while procs:3, whose
+/// fleet spans the campaign, stays within noise. ROADMAP.md open item 1
+/// records it as not addressed.
 ///
 /// study.make_params is invoked under a lock: generators may capture shared
 /// state by reference and are only required to be deterministic per index,

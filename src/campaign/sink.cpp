@@ -21,11 +21,6 @@ void ResultSink::on_campaign_done() {}
 AnalysisSink::AnalysisSink(analysis::AnalysisOptions options)
     : options_(std::move(options)) {}
 
-AnalysisSink& AnalysisSink::keep_analyses(bool keep) {
-  keep_ = keep;
-  return *this;
-}
-
 AnalysisSink& AnalysisSink::on_analysis(Callback callback) {
   LOKI_REQUIRE(callback != nullptr, "null analysis callback");
   callbacks_.push_back(std::move(callback));
@@ -40,25 +35,24 @@ const AnalysisSink::StudyAnalyses* AnalysisSink::find(
 }
 
 void AnalysisSink::on_study_begin(const StudyInfo& study) {
-  studies_.push_back(StudyAnalyses{study.name, 0, 0, {}});
+  studies_.push_back(StudyAnalyses{study.name, 0, 0});
 }
 
 void AnalysisSink::on_experiment(const StudyInfo& study, int index,
                                  const runtime::ExperimentResult& result) {
   LOKI_REQUIRE(!studies_.empty(), "experiment before study begin");
-  analysis::ExperimentAnalysis a = analysis::analyze_experiment(result, options_);
+  const analysis::ExperimentAnalysis a =
+      analysis::analyze_experiment(result, options_);
   StudyAnalyses& record = studies_.back();
   ++record.total;
   if (a.accepted) ++record.accepted;
   for (const Callback& cb : callbacks_) cb(study, index, a);
-  if (keep_) record.analyses.push_back(std::move(a));
 }
 
 // --- MeasureSink -------------------------------------------------------------
 
 MeasureSink::MeasureSink(analysis::AnalysisOptions options)
     : AnalysisSink(std::move(options)) {
-  keep_analyses(false);
   on_analysis([this](const StudyInfo& study, int,
                      const analysis::ExperimentAnalysis& a) {
     const measure::StudyMeasure* m = nullptr;

@@ -48,8 +48,8 @@ class ResultSink {
 };
 
 /// Runs analyze_experiment on each result as it arrives and tracks per-study
-/// accept counts. Analyses are retained by default (keep_analyses(false)
-/// streams them to callbacks only).
+/// accept counts. Analyses are streamed, never retained: a caller that
+/// wants them takes them from on_analysis.
 class AnalysisSink : public ResultSink {
  public:
   using Callback = std::function<void(const StudyInfo& study, int index,
@@ -57,14 +57,12 @@ class AnalysisSink : public ResultSink {
 
   explicit AnalysisSink(analysis::AnalysisOptions options = {});
 
-  AnalysisSink& keep_analyses(bool keep);
   AnalysisSink& on_analysis(Callback callback);
 
   struct StudyAnalyses {
     std::string study;
     int total{0};
     int accepted{0};
-    std::vector<analysis::ExperimentAnalysis> analyses;  // empty when !keep
   };
 
   const std::vector<StudyAnalyses>& studies() const { return studies_; }
@@ -76,7 +74,6 @@ class AnalysisSink : public ResultSink {
 
  private:
   analysis::AnalysisOptions options_;
-  bool keep_{true};
   std::vector<Callback> callbacks_;
   std::vector<StudyAnalyses> studies_;
 };

@@ -169,6 +169,37 @@ TEST(ResultCacheTest, PartialWarmRunsOnlyMissesAndInterleavesInOrder) {
   EXPECT_EQ(warm, uncached);
 }
 
+// Misses ahead of hits: the 4 fresh results are stored before any of the 12
+// hits is served, so a store that disturbed other entries would turn a hit
+// classified at study start into a mid-study failure. The cache never
+// deletes what it stored, whichever runner produces the misses.
+TEST(ResultCacheTest, FreshStoresNeverDisturbLaterHits) {
+  const auto study = fault_study("shift", 16, 12'000);
+  const auto uncached =
+      record_events(std::make_shared<campaign::SerialRunner>(), study);
+  for (const std::string spec : {"serial", "procs:2"}) {
+    SCOPED_TRACE(spec);
+    const std::string dir = temp_dir("cache-shift-" + spec);
+    // Warm the seeds of indices 4..15.
+    record_events(std::make_shared<campaign::SerialRunner>(),
+                  fault_study("shift", 12, 12'004),
+                  std::make_shared<campaign::ResultCache>(dir));
+
+    auto cache = std::make_shared<campaign::ResultCache>(dir);
+    const auto mixed =
+        record_events(campaign::parse_runner_spec(spec), study, cache);
+    EXPECT_EQ(cache->stats().hits, 12u);
+    EXPECT_EQ(cache->stats().stores, 4u);
+    EXPECT_EQ(mixed, uncached);
+
+    auto rerun = std::make_shared<campaign::ResultCache>(dir);
+    const auto warm =
+        record_events(std::make_shared<ForbiddenRunner>(), study, rerun);
+    EXPECT_EQ(rerun->stats().hits, 16u);
+    EXPECT_EQ(warm, uncached);
+  }
+}
+
 TEST(ResultCacheTest, ProcessRunnerMissesFillTheCacheIdentically) {
   const std::string dir_proc = temp_dir("cache-proc");
   const std::string dir_serial = temp_dir("cache-serial");

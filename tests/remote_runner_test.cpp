@@ -834,13 +834,32 @@ TEST(RemoteRunnerLiveness, HeartbeatStarvedWorkerIsStillKilledWithinTimeout) {
   // transit, and its batch never flushes early — from the coordinator's
   // chair it is indistinguishable from a wedge, and must be killed within
   // hang_timeout and its whole lease requeued to the survivor.
-  const auto study = slow_study("heartbeat-starved", 320);
-  const auto serial_t0 = std::chrono::steady_clock::now();
-  const auto serial =
-      run_recorded(std::make_shared<campaign::SerialRunner>(), study);
-  const auto serial_wall =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - serial_t0);
+  //
+  // The kill must land inside victim 0's first lease, so that lease has to
+  // outlast hang_timeout on any host. hang_timeout has a 150 ms floor (see
+  // below), so on a host that runs 320 experiments in under 8 x 150 ms a
+  // quarter of the study would finish before the floor expired: size the
+  // study from a timed 320-experiment run instead, so its serial wall is
+  // at least 8 x 150 ms.
+  constexpr std::chrono::milliseconds kTimeoutFloor{150};
+  const auto timed_serial = [](const runtime::StudyParams& s,
+                               std::chrono::milliseconds& wall) {
+    const auto t0 = std::chrono::steady_clock::now();
+    CampaignRun run =
+        run_recorded(std::make_shared<campaign::SerialRunner>(), s);
+    wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - t0);
+    return run;
+  };
+  runtime::StudyParams study = slow_study("heartbeat-starved", 320);
+  std::chrono::milliseconds serial_wall{0};
+  CampaignRun serial = timed_serial(study, serial_wall);
+  if (serial_wall < 8 * kTimeoutFloor) {
+    const auto scaled = 320 * (8 * kTimeoutFloor) / std::max(
+        serial_wall, std::chrono::milliseconds(1));
+    study = slow_study("heartbeat-starved", static_cast<int>(scaled) + 1);
+    serial = timed_serial(study, serial_wall);
+  }
 
   auto transport = std::make_shared<campaign::FakeTransport>(2);
   transport->set_batch_soft_bytes(8u << 20);
@@ -850,9 +869,10 @@ TEST(RemoteRunnerLiveness, HeartbeatStarvedWorkerIsStillKilledWithinTimeout) {
   // The silent worker (victim 0, the first leased link) gets a quarter of
   // the study, about a quarter of the serial wall; an eighth of the serial
   // wall kills it halfway through that lease while the healthy one beats
-  // every hang_timeout / 4.
-  options.hang_timeout = std::max(std::chrono::milliseconds(150),
-                                  std::chrono::milliseconds(serial_wall / 8));
+  // every hang_timeout / 4. The floor keeps scheduler noise from starving
+  // the healthy worker's beat.
+  options.hang_timeout =
+      std::max(kTimeoutFloor, std::chrono::milliseconds(serial_wall / 8));
   const auto remote = run_recorded(
       std::make_shared<campaign::RemoteRunner>(transport, options), study);
   expect_identical_events(serial.events, remote.events);
@@ -1338,6 +1358,27 @@ TEST(RetiredCliModes, WorkerRangeModeIsAConfigError) {
   rejects("--worker --serve study.bin", "--worker takes only --serve");
 }
 
+// The cache no longer evicts, so its size budgets are gone: a script that
+// still passes one must fail rather than run a campaign whose cache it
+// believes bounded.
+TEST(RetiredCliModes, CacheBudgetFlagsAreRejected) {
+  const std::string bin = lokimeasure_bin();
+  if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
+
+  const std::string dir = temp_dir("cache-budget");
+  const std::string err = dir + "/err.txt";
+  for (const std::string flag : {"--cache-max-bytes 4096",
+                                 "--cache-max-entries 3"}) {
+    EXPECT_EQ(run_command("'" + bin + "' --campaign --cache '" + dir +
+                          "/cache' " + flag + " > /dev/null 2> '" + err + "'"),
+              1)
+        << flag;
+    EXPECT_NE(read_file(err).find("unknown --campaign option"),
+              std::string::npos)
+        << read_file(err);
+  }
+}
+
 TEST(CliNumericFlags, MalformedNumbersAreConfigErrors) {
   const std::string bin = lokimeasure_bin();
   if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
@@ -1361,31 +1402,24 @@ TEST(CliNumericFlags, MalformedNumbersAreConfigErrors) {
   }
 }
 
-// --journal-group tunes --journal/--resume, and the cache limits tune
-// --cache; alone, each used to exit 0 having changed nothing. Each must
-// exit 1 with a ConfigError that names it, and still run with its parent.
+// --journal-group tunes --journal/--resume; alone, it used to exit 0 having
+// changed nothing. It must exit 1 with a ConfigError that names it, and
+// still run with its parent.
 TEST(CliFlags, DependentFlagsNeedTheirParent) {
   const std::string bin = lokimeasure_bin();
   if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
 
   const std::string dir = temp_dir("dependent");
   const std::string err = dir + "/err.txt";
-  for (const auto& [flag, value, parent] :
-       std::vector<std::tuple<std::string, std::string, std::string>>{
-           {"--journal-group", "4", "--journal or --resume"},
-           {"--cache-max-bytes", "4096", "--cache DIR"},
-           {"--cache-max-entries", "3", "--cache DIR"}}) {
-    EXPECT_EQ(run_command("'" + bin + "' --campaign " + flag + " " + value +
-                          " > /dev/null 2> '" + err + "'"),
-              1)
-        << flag;
-    EXPECT_NE(read_file(err).find(flag + " requires " + parent),
-              std::string::npos)
-        << read_file(err);
-  }
+  EXPECT_EQ(run_command("'" + bin + "' --campaign --journal-group 4" +
+                        " > /dev/null 2> '" + err + "'"),
+            1);
+  EXPECT_NE(read_file(err).find("--journal-group requires --journal or "
+                                "--resume"),
+            std::string::npos)
+      << read_file(err);
   EXPECT_EQ(run_command("'" + bin + "' --campaign --experiments 1 --cache '" +
-                        dir + "/cache' --cache-max-bytes 1000000 " +
-                        "--cache-max-entries 3 --journal '" + dir +
+                        dir + "/cache' --journal '" + dir +
                         "/journal' --journal-group 4 > /dev/null 2> '" + err +
                         "'"),
             0)

@@ -85,7 +85,7 @@ RANDOM_PATTERNS = [
 
 # Writes that can leave a torn or unsynced file behind a crash. Scoped to
 # src/campaign, where the durability contract lives: every durable file
-# (cache entries, cache.index, anything renamed into place) must go through
+# (cache entries, anything renamed into place) must go through
 # util::atomic_write_file / util::rename_path. The journal's append-only fd
 # writer (::open/::write/::fsync in journal.cpp) is deliberately not matched:
 # append-only + checksummed records IS its torn-write story.

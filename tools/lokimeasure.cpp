@@ -8,8 +8,11 @@
 //    study) through the campaign facade and print a deterministic analysis
 //    report (stdout carries only seed-determined values; cache/runner
 //    diagnostics go to stderr so re-runs are byte-comparable):
-//      lokimeasure --campaign [--runner serial|threads:N|procs:N]
-//                  [--cache DIR] [--experiments N] [--seed S]
+//      lokimeasure --campaign
+//                  [--runner serial|threads:N|procs:N|remote:HOSTFILE]
+//                  [--cache DIR] [--journal FILE | --resume FILE]
+//                  [--journal-group N] [--experiments N] [--seed S]
+//                  [--status]
 //
 // 3. Worker: speak the worker frame protocol (Hello/Lease/ResultBatch/...,
 //    runtime/serialize.hpp) on stdin/stdout — what RemoteRunner's
@@ -48,7 +51,7 @@ constexpr const char* kUsage =
     "<LocalTimelineFile>...\n"
     "       lokimeasure --campaign "
     "[--runner serial|threads:N|procs:N|remote:HOSTFILE] "
-    "[--cache DIR] [--cache-max-bytes B] [--cache-max-entries N]\n"
+    "[--cache DIR]\n"
     "                   [--journal FILE | --resume FILE] [--journal-group N] "
     "[--experiments N] [--seed S] [--status]\n"
     "       lokimeasure --worker --serve\n";
@@ -129,8 +132,6 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   std::string journal_path;
   bool resume = false;
   std::optional<int> journal_group;
-  campaign::CacheOptions cache_options;
-  const char* cache_limit_flag = nullptr;  // the last one given
   bool status = false;
   int experiments = 12;
   std::uint64_t seed = 9000;
@@ -144,15 +145,7 @@ int run_campaign_mode(const std::vector<std::string>& args) {
       runner_spec = flag_value(args, i, "--runner");
     else if (args[i] == "--cache")
       cache_dir = flag_value(args, i, "--cache");
-    else if (args[i] == "--cache-max-bytes") {
-      cache_limit_flag = "--cache-max-bytes";
-      cache_options.max_bytes = u64_arg(
-          cache_limit_flag, flag_value(args, i, cache_limit_flag));
-    } else if (args[i] == "--cache-max-entries") {
-      cache_limit_flag = "--cache-max-entries";
-      cache_options.max_entries = u64_arg(
-          cache_limit_flag, flag_value(args, i, cache_limit_flag));
-    } else if (args[i] == "--journal") {
+    else if (args[i] == "--journal") {
       journal_path = flag_value(args, i, "--journal");
       resume = false;
     } else if (args[i] == "--resume") {
@@ -174,8 +167,6 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   // run a campaign the user did not ask for.
   if (journal_group.has_value() && journal_path.empty())
     throw ConfigError("--journal-group requires --journal or --resume");
-  if (cache_limit_flag != nullptr && cache_dir.empty())
-    throw ConfigError(std::string(cache_limit_flag) + " requires --cache DIR");
 
   apps::register_builtin_apps();
   const runtime::StudyParams study = demo_study(seed, experiments);
@@ -198,7 +189,7 @@ int run_campaign_mode(const std::vector<std::string>& args) {
     builder.sink(std::make_shared<campaign::StatusSink>(runner, stderr));
   std::shared_ptr<campaign::ResultCache> cache;
   if (!cache_dir.empty()) {
-    cache = std::make_shared<campaign::ResultCache>(cache_dir, cache_options);
+    cache = std::make_shared<campaign::ResultCache>(cache_dir);
     builder.cache(cache);
   }
   if (!journal_path.empty()) {
@@ -227,15 +218,12 @@ int run_campaign_mode(const std::vector<std::string>& args) {
   std::fprintf(stderr, "runner: %s, wall %.2fs\n", runner_spec.c_str(),
                summary.wall_seconds);
   if (cache)
-    std::fprintf(
-        stderr,
-        "cache: hits=%llu misses=%llu stores=%llu corrupt=%llu "
-        "evictions=%llu\n",
-        static_cast<unsigned long long>(cache->stats().hits),
-        static_cast<unsigned long long>(cache->stats().misses),
-        static_cast<unsigned long long>(cache->stats().stores),
-        static_cast<unsigned long long>(cache->stats().corrupt),
-        static_cast<unsigned long long>(cache->stats().evictions));
+    std::fprintf(stderr,
+                 "cache: hits=%llu misses=%llu stores=%llu corrupt=%llu\n",
+                 static_cast<unsigned long long>(cache->stats().hits),
+                 static_cast<unsigned long long>(cache->stats().misses),
+                 static_cast<unsigned long long>(cache->stats().stores),
+                 static_cast<unsigned long long>(cache->stats().corrupt));
   std::fprintf(stderr, "cache_hits=%d of %d\n", summary.cache_hits,
                summary.experiments);
   if (summary.replayed > 0)
