@@ -55,8 +55,9 @@ void validate_resumed_study(const JournalState::StudyProgress& journaled,
 /// it. Memory stays O(keys): each hit is read and emitted at its turn.
 ///
 /// When `journal` is set, every index is journaled (IndexDone, write-ahead
-/// of its emit); for fresh results this sits *after* the durable cache
-/// store, the ordering the whole resume guarantee rests on.
+/// of its emit); for fresh results this sits *after* the cache store, and
+/// the journal syncs the cache before it commits the record: the ordering
+/// the whole resume guarantee rests on.
 class Delivery {
  public:
   Delivery(const std::vector<runtime::StudyParams>& studies,
@@ -103,8 +104,9 @@ class Delivery {
       if (cache_ != nullptr) {
         const std::string& key =
             plans_[study_].keys[static_cast<std::size_t>(index)];
-        // Ordering contract: durable store (fsync + rename inside), then
-        // the journal record, then the sinks. See campaign/journal.hpp.
+        // Ordering contract: store, then the journal record, then the
+        // sinks; the journal syncs the cache before it commits the record.
+        // See campaign/journal.hpp.
         cache_->store(key, result);
         journal_index(index, key);
       }
@@ -229,8 +231,8 @@ class Delivery {
   /// Replay one journaled index straight from the cache by its journaled
   /// key: no probing, no re-validation, no re-journaling — the record is
   /// already durable. The entry MUST exist: IndexDone is only ever written
-  /// after the durable store, so a miss means the cache was pruned behind
-  /// the journal's back.
+  /// after its result is stored and synced, so a miss means the cache was
+  /// pruned or damaged behind the journal's back.
   void replay() {
     // Advance first: if the read or a sink throws here, the index counts
     // as delivered and is never re-emitted by a later advance.
@@ -343,11 +345,13 @@ Campaign::Summary Campaign::run() {
       }
     }
     if (fresh) {
-      journal.emplace(CampaignJournal::create(journal_path_, jopts));
+      journal.emplace(
+          CampaignJournal::create(journal_path_, jopts, cache_.get()));
       journal->campaign_begin(runner_->name(), journal_seed_,
                               static_cast<std::uint32_t>(studies_.size()));
     } else {
-      journal.emplace(CampaignJournal::append_to(journal_path_, state, jopts));
+      journal.emplace(CampaignJournal::append_to(journal_path_, state, jopts,
+                                                 cache_.get()));
     }
   }
   CampaignJournal* const jptr = journal ? &*journal : nullptr;

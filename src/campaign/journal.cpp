@@ -11,6 +11,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "campaign/cache.hpp"
 #include "runtime/serialize.hpp"
 #include "util/codec.hpp"
 #include "util/digest.hpp"
@@ -123,17 +124,17 @@ std::size_t intact_record(const std::vector<std::uint8_t>& bytes,
 // --- writer ------------------------------------------------------------------
 
 CampaignJournal::CampaignJournal(int fd, std::filesystem::path path,
-                                 Options options)
-    : fd_(fd), path_(std::move(path)), options_(options) {
+                                 Options options, ResultCache* cache)
+    : fd_(fd), path_(std::move(path)), options_(options), cache_(cache) {
   if (options_.group_records < 1)
     throw ConfigError("campaign journal: group_records must be >= 1, got " +
                       std::to_string(options_.group_records));
 }
 
 CampaignJournal CampaignJournal::create(const std::filesystem::path& path,
-                                        Options options) {
-  CampaignJournal journal(
-      open_journal(path, O_WRONLY | O_CREAT | O_TRUNC), path, options);
+                                        Options options, ResultCache* cache) {
+  CampaignJournal journal(open_journal(path, O_WRONLY | O_CREAT | O_TRUNC),
+                          path, options, cache);
   // The header goes down durably before any record: a journal file either
   // identifies itself or is empty (the "killed at birth" case load()
   // treats as nothing-journaled).
@@ -146,12 +147,13 @@ CampaignJournal CampaignJournal::create(const std::filesystem::path& path,
 
 CampaignJournal CampaignJournal::append_to(const std::filesystem::path& path,
                                            const JournalState& state,
-                                           Options options) {
+                                           Options options,
+                                           ResultCache* cache) {
   if (!std::filesystem::exists(path))
     throw ConfigError("campaign journal: cannot resume, '" + path.string() +
                       "' does not exist");
   CampaignJournal journal(open_journal(path, O_WRONLY | O_APPEND), path,
-                          options);
+                          options, cache);
   // Records appended behind a torn tail would sit past the tear, where the
   // next load() never reaches: cut the file back to its intact prefix
   // (durably) before the first append.
@@ -168,6 +170,7 @@ CampaignJournal::CampaignJournal(CampaignJournal&& other) noexcept
     : fd_(other.fd_),
       path_(std::move(other.path_)),
       options_(other.options_),
+      cache_(other.cache_),
       pending_(std::move(other.pending_)),
       pending_records_(other.pending_records_) {
   other.fd_ = -1;
@@ -186,6 +189,11 @@ CampaignJournal::~CampaignJournal() {
 
 void CampaignJournal::flush() {
   if (pending_.empty()) return;
+  // The ordering contract: every result a buffered IndexDone names is
+  // durable before the record is. A failing sync throws, and nothing of
+  // the group is written; the cache keeps failing every later sync, so no
+  // retry here writes it either.
+  if (cache_ != nullptr) cache_->sync();
   const std::uint8_t* p = pending_.data();
   std::size_t remaining = pending_.size();
   while (remaining > 0) {

@@ -4,25 +4,28 @@
 // study s completed with result key K. Combined with the ResultCache's
 // durability ordering —
 //
-//   cache.store(key, result)   (fsync + atomic rename: durable)
-//   journal IndexDone{s, k, key}
+//   cache.store(key, result)   (appended to a cache segment)
+//   journal IndexDone{s, k, key}   (buffered; each group commit first
+//                                   calls cache.sync(), an fdatasync, then
+//                                   writes and fsyncs the group)
 //   emit(k, result)            (sinks observe it)
 //
 // — a crash at ANY point leaves the journal a contiguous prefix of the emit
-// order whose every entry has a durable cache file. Campaign::run's resume
-// path replays that prefix straight from the cache (no re-execution, no
-// re-validation) and runs only the tail; because tail indices that completed
-// before the crash are still cache hits, the resumed sink sequence is
-// byte-identical to an uninterrupted run and no journaled index ever
-// re-executes.
+// order whose every entry has a durable cache record: the sync that makes a
+// group's results durable runs before the group's records are written.
+// Campaign::run's resume path replays that prefix straight from the cache
+// (no re-execution, no re-validation) and runs only the tail; because tail
+// indices that completed before the crash are still cache hits, the
+// resumed sink sequence is byte-identical to an uninterrupted run and no
+// journaled index ever re-executes.
 //
 // Group commit: IndexDone records buffer and are written+fsync'd every
 // `Options::group_records` records (and at every study/campaign boundary,
-// flush(), or destruction), so the serial hot path pays one fsync per group
-// instead of per experiment — the CI perf gate on campaign_study1/serial
-// stays green. Buffered records lost in a crash only shrink the journaled
-// prefix; the affected indices are re-served from the cache as ordinary
-// tail hits.
+// flush(), or destruction), so the hot path pays one cache fdatasync and
+// one journal fsync per group instead of per experiment. Buffered records
+// lost in a crash only shrink the journaled prefix; the affected indices
+// are re-served from the cache as ordinary tail hits, or re-run if a power
+// loss took their unsynced records too.
 //
 // The file format lives in journal.cpp and nowhere else: a versioned
 // header, then checksummed records. A torn tail record — the signature of a
@@ -40,6 +43,8 @@
 #include "runtime/experiment.hpp"
 
 namespace loki::campaign {
+
+class ResultCache;
 
 /// Everything a resume needs from an existing journal: per-study progress
 /// (the contiguous journaled prefix of each study's emit order) plus the
@@ -86,16 +91,21 @@ class CampaignJournal {
 
   /// Start a fresh journal at `path` (truncating any previous file) and
   /// write the header. Throws ConfigError when the file cannot be created.
+  /// `cache`, when set, is the cache whose keys the IndexDone records name:
+  /// every flush() syncs it before writing (see the header comment). It
+  /// must outlive the journal.
   static CampaignJournal create(const std::filesystem::path& path,
-                                Options options = Options());
+                                Options options = Options(),
+                                ResultCache* cache = nullptr);
 
   /// Open an existing journal for appending (the resume case). `state` is
   /// what load() read from it (and the caller validated): a torn tail is
   /// cut back to state.intact_bytes, durably, before anything is appended,
-  /// so the next load() sees the new records.
+  /// so the next load() sees the new records. `cache` as for create().
   static CampaignJournal append_to(const std::filesystem::path& path,
                                    const JournalState& state,
-                                   Options options = Options());
+                                   Options options = Options(),
+                                   ResultCache* cache = nullptr);
 
   /// Parse the readable prefix of the journal at `path`. Structural
   /// validation only: header, record order, contiguous per-study indices.
@@ -120,18 +130,24 @@ class CampaignJournal {
   void study_end(std::uint32_t study);
   void campaign_end();
 
-  /// Write and fsync everything buffered. Called automatically by every
-  /// non-IndexDone record, at group boundaries, and at destruction.
+  /// Sync the cache, then write and fsync everything buffered. Called
+  /// automatically by every non-IndexDone record, at group boundaries, and
+  /// at destruction. When the cache's sync throws CacheError, nothing is
+  /// written, then or ever after: a cache whose sync failed fails every
+  /// later one, so neither the campaign's abort-path flush nor the
+  /// destructor's can journal the group whose results did not reach disk.
   void flush();
 
   const std::filesystem::path& path() const { return path_; }
 
  private:
-  CampaignJournal(int fd, std::filesystem::path path, Options options);
+  CampaignJournal(int fd, std::filesystem::path path, Options options,
+                  ResultCache* cache);
 
   int fd_{-1};
   std::filesystem::path path_;
   Options options_;
+  ResultCache* cache_{nullptr};
   std::vector<std::uint8_t> pending_;
   int pending_records_{0};
 };

@@ -3,11 +3,11 @@
 // byte-identical to an uncached serial run, whichever runner filled it.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -249,24 +249,65 @@ TEST(ResultCacheTest, SinkFailureDuringCachedEmitDoesNotDoubleEmit) {
   EXPECT_EQ(emitted, (std::vector<int>{0, 1}));
 }
 
-TEST(ResultCacheTest, CorruptEntryIsAMissNotAnError) {
-  const std::string dir = temp_dir("cache-corrupt");
-  campaign::ResultCache cache(dir);
-  const auto params = fault_study("c", 1, 9000).make_params(0);
-  const std::string key = runtime::experiment_cache_key(params);
+// One cache serving two campaigns on two threads at once, with four keys
+// in common: stores, probes and lookups race on the index and the writer
+// segment (TSan runs this suite).
+TEST(ResultCacheTest, TwoCampaignsOnTwoThreadsShareOneCache) {
+  const auto first = fault_study("left", 8, 13'000);
+  const auto second = fault_study("right", 8, 13'004);
+  const auto uncached_first =
+      record_events(std::make_shared<campaign::SerialRunner>(), first);
+  const auto uncached_second =
+      record_events(std::make_shared<campaign::SerialRunner>(), second);
 
-  cache.store(key, ExperimentResult{});
-  ASSERT_TRUE(cache.lookup(key).has_value());
+  const std::string dir = temp_dir("cache-threads");
+  auto cache = std::make_shared<campaign::ResultCache>(dir);
+  std::vector<Event> got_first;
+  std::vector<Event> got_second;
+  std::thread other([&] {
+    got_second = record_events(std::make_shared<campaign::SerialRunner>(),
+                               second, cache);
+  });
+  got_first = record_events(std::make_shared<campaign::SerialRunner>(),
+                            first, cache);
+  other.join();
+  EXPECT_EQ(got_first, uncached_first);
+  EXPECT_EQ(got_second, uncached_second);
 
-  // Truncate the stored file; the next lookup must degrade to a miss.
+  auto warm = std::make_shared<campaign::ResultCache>(dir);
+  EXPECT_EQ(record_events(std::make_shared<ForbiddenRunner>(), first, warm),
+            uncached_first);
+  EXPECT_EQ(record_events(std::make_shared<ForbiddenRunner>(), second, warm),
+            uncached_second);
+  EXPECT_EQ(warm->stats().hits, 16u);
+}
+
+TEST(ResultCacheTest, TruncatedRecordIsAMissNotAnError) {
+  const std::string dir = temp_dir("cache-torn");
+  const auto study = fault_study("c", 3, 9000);
+  std::vector<std::string> keys;
   {
-    std::FILE* f = std::fopen((dir + "/" + key + ".result").c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("LOKI", f);  // valid magic, nothing else
-    std::fclose(f);
+    campaign::ResultCache cache(dir);
+    for (int k = 0; k < study.experiments; ++k) {
+      keys.push_back(runtime::experiment_cache_key(study.make_params(k)));
+      cache.store(keys.back(), ExperimentResult{});
+    }
   }
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  EXPECT_THROW(cache.lookup("not-a-key"), ConfigError);
+  // Cut the segment inside its last record: a crash mid-append.
+  std::vector<std::filesystem::path> segments;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (entry.path().extension() == ".seg") segments.push_back(entry.path());
+  ASSERT_EQ(segments.size(), 1u);
+  std::filesystem::resize_file(segments[0],
+                               std::filesystem::file_size(segments[0]) - 1);
+
+  campaign::ResultCache reopened(dir);
+  EXPECT_TRUE(reopened.lookup(keys[0]).has_value());
+  EXPECT_TRUE(reopened.lookup(keys[1]).has_value());
+  EXPECT_FALSE(reopened.contains(keys[2]));
+  EXPECT_FALSE(reopened.lookup(keys[2]).has_value());
+  EXPECT_EQ(reopened.stats().corrupt, 0u);
+  EXPECT_THROW(reopened.lookup("not-a-key"), ConfigError);
 }
 
 // --- runner spec grammar -----------------------------------------------------

@@ -3,16 +3,20 @@
 // journaled indices, and a resume after a torn tail leaves a journal whose
 // own records stay readable; the journal file format survives every tail
 // truncation and every bit flip (load() on real files, no codec access);
-// the hardened ResultCache quarantines corrupt entries and throws typed
-// CacheError on store failure. The CLI suite SIGKILLs `lokimeasure
-// --campaign` at several journal offsets and `cmp`s the resumed stdout
-// against a clean run.
+// the hardened ResultCache retires corrupt records, keeps its segments
+// scannable after a failed store, shares one segment between sequential
+// writers, syncs once per journal group, serves segments it may not write,
+// and throws typed CacheError on store failure and at every sync after a
+// failed one, so the journal never commits that group. The CLI suite
+// SIGKILLs `lokimeasure --campaign` at several journal offsets and `cmp`s
+// the resumed stdout against a clean run.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +29,8 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <grp.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -640,24 +646,252 @@ TEST(JournalFormat, ChecksummedRecordThatDoesNotFitItsTypeIsRejected) {
 
 // --- hardened cache ----------------------------------------------------------
 
-TEST(HardenedCache, CorruptEntryIsQuarantinedAndRefilled) {
-  const std::string dir = temp_path("cache-quarantine");
+/// The cache's segment files.
+std::vector<fs::path> segment_files(const std::string& dir) {
+  std::vector<fs::path> out;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().extension() == ".seg") out.push_back(entry.path());
+  return out;
+}
+
+/// Flip every bit of the last byte of `path`: inside the payload of the
+/// segment's last record.
+void flip_last_byte(const fs::path& path) {
+  std::vector<std::uint8_t> bytes = read_bytes(path.string());
+  ASSERT_FALSE(bytes.empty());
+  bytes.back() ^= 0xff;
+  write_bytes(path.string(), bytes, bytes.size());
+}
+
+/// Run `study` through `runner` with `cache` and no journal.
+std::vector<Event> run_cached(std::shared_ptr<campaign::Runner> runner,
+                              const runtime::StudyParams& study,
+                              std::shared_ptr<campaign::ResultCache> cache) {
+  std::vector<Event> events;
+  CampaignBuilder builder;
+  builder.add(study)
+      .runner(std::move(runner))
+      .sink(recording_sink(events))
+      .cache(std::move(cache));
+  builder.build().run();
+  return events;
+}
+
+std::string hex_key(int i) {
+  char buf[65];
+  std::snprintf(buf, sizeof buf, "%064x", static_cast<unsigned>(i));
+  return buf;
+}
+
+/// Every experiment of `study`, run without a cache: its key and result.
+struct Uncached {
+  std::vector<std::string> keys;
+  std::vector<ExperimentResult> results;
+};
+Uncached run_uncached(const runtime::StudyParams& study) {
+  Uncached out;
+  for (int k = 0; k < study.experiments; ++k) {
+    const ExperimentParams params = study.make_params(k);
+    out.keys.push_back(runtime::experiment_cache_key(params));
+    out.results.push_back(runtime::run_experiment(params));
+  }
+  return out;
+}
+
+TEST(HardenedCache, CorruptRecordIsRetiredAndRefilled) {
+  const auto study = fault_study("rot", 4, 9100);
+  const ExperimentParams params = study.make_params(0);
+  const std::string key = runtime::experiment_cache_key(params);
+  const ExperimentResult result = runtime::run_experiment(params);
+  const std::string dir = temp_path("cache-retire");
+  {
+    campaign::ResultCache cache(dir);
+    cache.store(key, result);
+    ASSERT_TRUE(cache.lookup(key).has_value());
+    const std::vector<fs::path> segments = segment_files(dir);
+    ASSERT_EQ(segments.size(), 1u);
+    flip_last_byte(segments[0]);
+
+    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    // The retirement freed the key: a fresh store repairs the entry.
+    cache.store(key, result);
+    EXPECT_TRUE(cache.lookup(key).has_value());
+  }
+  campaign::ResultCache reopened(dir);
+  const std::optional<ExperimentResult> served = reopened.lookup(key);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(runtime::encode_experiment_result(*served),
+            runtime::encode_experiment_result(result));
+  EXPECT_EQ(reopened.stats().corrupt, 0u);
+
+  // The same rot under warm campaign re-runs. The record must be retired
+  // on disk: a cache that only forgot it would index it again at the next
+  // open and fail every re-run.
+  const std::string warm_dir = temp_path("cache-retire-campaign");
+  const auto reference = reference_events(study);
+  run_cached(std::make_shared<campaign::SerialRunner>(), study,
+             std::make_shared<campaign::ResultCache>(warm_dir));
+  const std::vector<fs::path> segments = segment_files(warm_dir);
+  ASSERT_EQ(segments.size(), 1u);
+  flip_last_byte(segments[0]);  // index 3, the last record stored
+
+  // Index 3 was classified a hit, so the first re-run fails mid-study ...
+  auto first = std::make_shared<campaign::ResultCache>(warm_dir);
+  EXPECT_THROW(run_cached(std::make_shared<campaign::SerialRunner>(), study,
+                          first),
+               std::runtime_error);
+  EXPECT_EQ(first->stats().corrupt, 1u);
+  // ... the second re-runs it once ...
+  auto second = std::make_shared<campaign::ResultCache>(warm_dir);
+  expect_identical(run_cached(std::make_shared<campaign::SerialRunner>(),
+                              study, second),
+                   reference);
+  EXPECT_EQ(second->stats().stores, 1u);
+  EXPECT_EQ(second->stats().corrupt, 0u);
+  // ... and the third is all hits.
+  auto third = std::make_shared<campaign::ResultCache>(warm_dir);
+  expect_identical(
+      run_cached(std::make_shared<ForbiddenRunner>(), study, third), reference);
+  EXPECT_EQ(third->stats().hits, 4u);
+}
+
+TEST(HardenedCache, SequentialWritersShareOneSegment) {
+  const std::string dir = temp_path("cache-sequential");
+  // Five campaigns, one after another: each adopts the segment the last
+  // one left.
+  for (int writer = 0; writer < 5; ++writer) {
+    campaign::ResultCache cache(dir);
+    cache.store(hex_key(2 * writer), ExperimentResult{});
+    cache.store(hex_key(2 * writer + 1), ExperimentResult{});
+  }
+  EXPECT_EQ(segment_files(dir).size(), 1u);
+  // Two at once: the second cannot take the first one's flock.
+  {
+    campaign::ResultCache a(dir);
+    campaign::ResultCache b(dir);
+    a.store(hex_key(100), ExperimentResult{});
+    b.store(hex_key(101), ExperimentResult{});
+  }
+  EXPECT_EQ(segment_files(dir).size(), 2u);
+  campaign::ResultCache all(dir);
+  for (const int i : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100, 101})
+    EXPECT_TRUE(all.lookup(hex_key(i)).has_value()) << i;
+}
+
+TEST(HardenedCache, OversizedRecordLengthFailsClosed) {
+  const std::string dir = temp_path("cache-oversized");
+  fs::create_directories(dir);
+  // A hand-written record header: live magic, a key of 0xcc bytes, a
+  // payload length of 2^32 - 1, a zero checksum; then 16 payload bytes.
+  std::vector<std::uint8_t> forged = {'L', 'K', 'S', '1'};
+  forged.insert(forged.end(), 32, 0xcc);
+  forged.insert(forged.end(), 4, 0xff);
+  forged.insert(forged.end(), 8, 0x00);
+  forged.insert(forged.end(), 16, 0x5a);
+  write_bytes(dir + "/forged.seg", forged, forged.size());
+
   campaign::ResultCache cache(dir);
-  const std::string key(64, 'a');
-  cache.store(key, ExperimentResult{});
-  ASSERT_TRUE(cache.lookup(key).has_value());
-
-  const fs::path entry = fs::path(dir) / (key + ".result");
-  { std::ofstream out(entry, std::ios::binary | std::ios::trunc); out << "rot"; }
-
+  const std::string key(64, 'c');
+  EXPECT_FALSE(cache.contains(key));
   EXPECT_FALSE(cache.lookup(key).has_value());
-  EXPECT_EQ(cache.stats().corrupt, 1u);
-  EXPECT_FALSE(fs::exists(entry));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / (key + ".corrupt")));
+  EXPECT_EQ(cache.stats().corrupt, 0u);
+  // The forged segment did not scan to its end, so nothing is appended
+  // behind the bad header: the next store starts a segment of its own.
+  const std::string other(64, 'd');
+  cache.store(other, ExperimentResult{});
+  EXPECT_EQ(segment_files(dir).size(), 2u);
+  campaign::ResultCache reopened(dir);
+  EXPECT_TRUE(reopened.lookup(other).has_value());
+  EXPECT_FALSE(reopened.contains(key));
+}
 
-  // The quarantine freed the key: a fresh store repairs the entry.
-  cache.store(key, ExperimentResult{});
-  EXPECT_TRUE(cache.lookup(key).has_value());
+TEST(HardenedCache, GroupCommitSyncsOncePerGroup) {
+  const auto study = fault_study("groups", 100, 9300);
+  const std::string dir = temp_path("cache-groups");
+  auto cold = std::make_shared<campaign::ResultCache>(dir);
+  run_journaled(std::make_shared<campaign::SerialRunner>(), study, cold,
+                temp_path("groups-cold.journal"), false, 32);
+  EXPECT_EQ(cold->stats().stores, 100u);
+  // Three full groups of 32, then the StudyEnd flush of the last 4.
+  EXPECT_EQ(cold->stats().syncs, 4u);
+
+  // No journal, no sync.
+  auto bare = std::make_shared<campaign::ResultCache>(temp_path("cache-bare"));
+  run_cached(std::make_shared<campaign::SerialRunner>(), study, bare);
+  EXPECT_EQ(bare->stats().stores, 100u);
+  EXPECT_EQ(bare->stats().syncs, 0u);
+
+  // A journaled warm re-run syncs the segment it found, once.
+  auto warm = std::make_shared<campaign::ResultCache>(dir);
+  run_journaled(std::make_shared<ForbiddenRunner>(), study, warm,
+                temp_path("groups-warm.journal"), false, 32);
+  EXPECT_EQ(warm->stats().hits, 100u);
+  EXPECT_EQ(warm->stats().syncs, 1u);
+}
+
+TEST(HardenedCache, TwoProcessesShareOneDirectory) {
+  const auto study = fault_study("shared", 18, 9500);
+  const auto [keys, results] = run_uncached(study);
+  const std::string dir = temp_path("cache-two-procs");
+  // Child c stores indices 6c .. 6c+11: 12 each, 6 in common. Both open
+  // the cache, then store at once when the parent releases them. Each side
+  // closes the pipe ends it does not use, so a process that dies early ends
+  // the other's wait with EOF instead of a hang.
+  int ready[2];
+  int go[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(go), 0);
+  std::vector<pid_t> children;
+  for (int c = 0; c < 2; ++c) {
+    const pid_t pid = ::fork();
+    if (pid > 0) children.push_back(pid);
+    if (pid != 0) continue;
+    ::close(ready[0]);
+    ::close(go[1]);
+    int code = 0;
+    try {
+      campaign::ResultCache cache(dir);
+      char byte = 0;
+      const bool released = ::write(ready[1], &byte, 1) == 1 &&
+                            ::close(ready[1]) == 0 &&
+                            ::read(go[0], &byte, 1) == 1;
+      if (!released) ::_exit(2);
+      for (int k = 6 * c; k < 6 * c + 12; ++k)
+        cache.store(keys[static_cast<std::size_t>(k)],
+                    results[static_cast<std::size_t>(k)]);
+    } catch (...) {
+      code = 1;
+    }
+    ::_exit(code);
+  }
+  ::close(ready[1]);
+  ::close(go[0]);
+  char bytes[2] = {0, 0};
+  const bool both_ready = children.size() == 2 &&
+                          ::read(ready[0], bytes, 1) == 1 &&
+                          ::read(ready[0], bytes + 1, 1) == 1;
+  if (both_ready) {
+    EXPECT_EQ(::write(go[1], bytes, 2), 2);
+  }
+  ::close(go[1]);
+  ::close(ready[0]);
+  for (const pid_t child : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  }
+  ASSERT_TRUE(both_ready);
+
+  campaign::ResultCache fresh(dir);
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const std::optional<ExperimentResult> served = fresh.lookup(keys[k]);
+    ASSERT_TRUE(served.has_value()) << k;
+    EXPECT_EQ(runtime::encode_experiment_result(*served),
+              runtime::encode_experiment_result(results[k]))
+        << k;
+  }
+  EXPECT_LE(segment_files(dir).size(), 2u);
 }
 
 TEST(HardenedCache, StoreFailureThrowsCacheError) {
@@ -666,6 +900,130 @@ TEST(HardenedCache, StoreFailureThrowsCacheError) {
   fs::remove_all(dir);  // the disk "dies" under the open cache
   EXPECT_THROW(cache.store(std::string(64, 'b'), ExperimentResult{}),
                campaign::CacheError);
+}
+
+TEST(HardenedCache, StoreThatFailsMidRecordLeavesTheSegmentScannable) {
+  const auto study = fault_study("fsize", 3, 9400);
+  const auto [keys, results] = run_uncached(study);
+  const std::string dir = temp_path("cache-fsize");
+  // Only a forked child lowers its file-size limit; it reports through its
+  // exit status.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      rlimit limit{};
+      if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(2);
+      campaign::ResultCache cache(dir);
+      cache.store(keys[0], results[0]);  // the segment is open now
+      const std::vector<fs::path> segments = segment_files(dir);
+      if (segments.size() != 1) ::_exit(3);
+      // 100 bytes into the next record: its header and part of its payload.
+      rlimit low = limit;
+      low.rlim_cur = static_cast<rlim_t>(fs::file_size(segments[0]) + 100);
+      ::signal(SIGXFSZ, SIG_IGN);
+      if (::setrlimit(RLIMIT_FSIZE, &low) != 0) ::_exit(4);
+      try {
+        cache.store(keys[1], results[1]);
+        ::_exit(5);  // the store must fail
+      } catch (const campaign::CacheError&) {
+      }
+      if (cache.contains(keys[1])) ::_exit(6);
+      if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(7);
+      cache.store(keys[2], results[2]);
+    } catch (...) {
+      ::_exit(8);
+    }
+    // The partial record ends its segment's scan without derailing it.
+    campaign::ResultCache reopened(dir);
+    if (!reopened.lookup(keys[0]).has_value()) ::_exit(9);
+    if (!reopened.lookup(keys[2]).has_value()) ::_exit(10);
+    if (reopened.contains(keys[1])) ::_exit(11);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(HardenedCache, FailedSyncIsFinalAndJournalsNothing) {
+  const auto study = fault_study("nosync", 4, 9600);
+  const std::string dir = temp_path("cache-nosync");
+  fs::create_directories(dir);
+  // A segment that takes writes and refuses fdatasync (EINVAL): a symlink
+  // to /dev/null, which the cache adopts for its stores.
+  fs::create_symlink("/dev/null", dir + "/null.seg");
+  auto cache = std::make_shared<campaign::ResultCache>(dir);
+  const std::string journal = temp_path("nosync.journal");
+  EXPECT_THROW(run_journaled(std::make_shared<campaign::SerialRunner>(),
+                             study, cache, journal, false, 2),
+               campaign::CacheError);
+  EXPECT_EQ(cache->stats().stores, 2u);
+  EXPECT_EQ(cache->stats().syncs, 0u);
+  // The first group commit failed. The campaign's abort-path flush and the
+  // journal's destructor tried again, and neither wrote the group.
+  const auto state = campaign::CampaignJournal::load(journal);
+  ASSERT_EQ(state.progress.size(), 1u);
+  EXPECT_TRUE(state.progress[0].done_keys.empty());
+  EXPECT_THROW(cache->sync(), campaign::CacheError);
+  EXPECT_EQ(segment_files(dir).size(), 1u);
+}
+
+TEST(HardenedCache, ReadOnlySegmentIsServedNotAppendedTo) {
+  const auto study = fault_study("readonly", 3, 9700);
+  const auto [keys, results] = run_uncached(study);
+  const std::string dir = temp_path("cache-readonly");
+  {
+    campaign::ResultCache cache(dir);
+    for (std::size_t k = 0; k < keys.size(); ++k)
+      cache.store(keys[k], results[k]);
+  }
+  const std::vector<fs::path> segments = segment_files(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  flip_last_byte(segments[0]);  // index 2, the last record stored
+  const std::vector<std::uint8_t> before = read_bytes(segments[0].string());
+  fs::permissions(segments[0], fs::perms::owner_read | fs::perms::group_read |
+                                   fs::perms::others_read);
+  // Open to all, so that an unprivileged user can add a segment of its own.
+  fs::permissions(dir, fs::perms::all);
+  // A forked child opens the cache, reporting through its exit status. As
+  // root it first becomes an unprivileged user, whom the 0444 mode binds.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (::geteuid() == 0 && (::setgroups(0, nullptr) != 0 ||
+                             ::setgid(65534) != 0 || ::setuid(65534) != 0))
+      ::_exit(2);
+    if (::access(dir.c_str(), R_OK | W_OK | X_OK) != 0) ::_exit(3);
+    try {
+      campaign::ResultCache cache(dir);
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::optional<ExperimentResult> served = cache.lookup(keys[k]);
+        if (!served.has_value() ||
+            runtime::encode_experiment_result(*served) !=
+                runtime::encode_experiment_result(results[k]))
+          ::_exit(4);
+      }
+      // The damaged record is retired in memory, not on disk.
+      if (cache.lookup(keys[2]).has_value()) ::_exit(5);
+      if (cache.stats().corrupt != 1) ::_exit(6);
+      // The repair goes to a segment of its own.
+      cache.store(keys[2], results[2]);
+      if (!cache.lookup(keys[2]).has_value()) ::_exit(7);
+    } catch (...) {
+      ::_exit(8);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  if (WEXITSTATUS(status) == 3)
+    GTEST_SKIP() << dir << " is out of an unprivileged user's reach";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_EQ(read_bytes(segments[0].string()), before);
+  EXPECT_EQ(segment_files(dir).size(), 2u);
 }
 
 // --- CLI crash-resume (real SIGKILL) -----------------------------------------

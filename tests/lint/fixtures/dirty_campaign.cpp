@@ -1,7 +1,7 @@
 // lint-fixture-path: src/campaign/dirty_campaign_example.cpp
-// Golden fixture for the raw-write rule: campaign-layer code touching
-// durable files without the atomic-publish helpers. Not compiled — the
-// lint self-test scans it and compares against tests/lint/expected.txt.
+// Golden fixture for the raw-write rule: campaign-layer code writing durable
+// files outside the journal's and cache segments' append-only, synced fds.
+// Not compiled — the self-test compares its findings with expected.txt.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>

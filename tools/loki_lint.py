@@ -23,9 +23,9 @@ instead of waiting for an identity CI job to sample them:
                    seeded util::Rng streams or replay breaks
   raw-write        ofstream/fopen/rename inside src/campaign: the crash-
                    safety story (journal replay, cache store ordering)
-                   rests on durable files being published temp + fsync +
-                   atomic rename via util::atomic_write_file or
-                   util::rename_path; anything else can tear on SIGKILL
+                   rests on durable campaign state going only through
+                   append-only, checksummed, synced fds: the journal and
+                   the cache segments; anything else can tear on SIGKILL
   bad-allow        a loki-lint allow() with no written reason
 
 Suppressing a finding requires a written justification, on the same line or
@@ -84,11 +84,11 @@ RANDOM_PATTERNS = [
 ]
 
 # Writes that can leave a torn or unsynced file behind a crash. Scoped to
-# src/campaign, where the durability contract lives: every durable file
-# (cache entries, anything renamed into place) must go through
-# util::atomic_write_file / util::rename_path. The journal's append-only fd
-# writer (::open/::write/::fsync in journal.cpp) is deliberately not matched:
-# append-only + checksummed records IS its torn-write story.
+# src/campaign, where the durability contract lives: durable campaign state
+# goes only through append-only, checksummed, synced fds — the journal
+# (journal.cpp) and the result cache's segments (cache.cpp). Their raw fd
+# calls (::open/::pwrite/::fsync) are deliberately not matched: append-only
+# + checksummed records + an explicit sync IS their torn-write story.
 RAW_WRITE_PATTERNS = [
     (re.compile(r"\bofstream\b"), "std::ofstream"),
     (re.compile(r"\bfopen\s*\("), "fopen"),
@@ -334,9 +334,9 @@ def scan_file(path, rel):
                 if pattern.search(line):
                     report(lineno, "raw-write",
                            f"{what} inside src/campaign: durable state must "
-                           "be published via util::atomic_write_file / "
-                           "util::rename_path (temp file, fsync, atomic "
-                           "rename) so a mid-write crash cannot tear it")
+                           "go only through append-only, checksummed, "
+                           "synced fds (the journal, the cache segments) so "
+                           "a mid-write crash cannot tear it")
 
         # --- raw-random ------------------------------------------------------
         if not in_rng:

@@ -219,11 +219,13 @@ int run_campaign_mode(const std::vector<std::string>& args) {
                summary.wall_seconds);
   if (cache)
     std::fprintf(stderr,
-                 "cache: hits=%llu misses=%llu stores=%llu corrupt=%llu\n",
+                 "cache: hits=%llu misses=%llu stores=%llu corrupt=%llu "
+                 "syncs=%llu\n",
                  static_cast<unsigned long long>(cache->stats().hits),
                  static_cast<unsigned long long>(cache->stats().misses),
                  static_cast<unsigned long long>(cache->stats().stores),
-                 static_cast<unsigned long long>(cache->stats().corrupt));
+                 static_cast<unsigned long long>(cache->stats().corrupt),
+                 static_cast<unsigned long long>(cache->stats().syncs));
   std::fprintf(stderr, "cache_hits=%d of %d\n", summary.cache_hits,
                summary.experiments);
   if (summary.replayed > 0)
