@@ -12,6 +12,7 @@
 #include "measure/observation.hpp"
 #include "measure/worked_example.hpp"
 #include "runtime/compiled_fault.hpp"
+#include "runtime/compiled_study.hpp"
 #include "runtime/dictionary.hpp"
 #include "runtime/experiment_context.hpp"
 #include "runtime/fault_parser.hpp"
@@ -79,13 +80,14 @@ void BM_CompiledFaultEval(benchmark::State& state) {
       "f ((m0:CRASH) & ((m1:FOLLOW) | (m1:ELECT))) | ~(m2:LEAD) once\n");
   const auto prog = runtime::CompiledFaultProgram::compile(
       *study.faults.entries[0].expr, study.dict);
+  std::vector<unsigned char> stack(prog.stack_depth());
   std::vector<runtime::StateId> view(study.dict.machine_count(),
                                      runtime::kNoState);
   view[study.dict.machine_index("m0")] = study.dict.state_index("CRASH");
   view[study.dict.machine_index("m1")] = study.dict.state_index("ELECT");
   view[study.dict.machine_index("m2")] = study.dict.state_index("FOLLOW");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prog.eval(view));
+    benchmark::DoNotOptimize(prog.eval(view, stack.data()));
   }
 }
 BENCHMARK(BM_CompiledFaultEval);
@@ -99,7 +101,10 @@ void BM_FaultParserSweep(benchmark::State& state) {
                  ":LEAD) & (m" + std::to_string((i + 1) % 8) + ":FOLLOW)) always\n";
   }
   SweepStudy study(spec_text);
-  runtime::FaultParser parser(study.faults.entries, study.dict);
+  const auto tables = runtime::CompiledMachine::compile(
+      study.specs[0], study.faults, study.dict);
+  runtime::FaultParser parser(study.faults.entries, tables.fault_programs(),
+                              tables.fault_stack_depth());
   std::vector<runtime::StateId> view(study.dict.machine_count(),
                                      runtime::kNoState);
   const runtime::StateId lead = study.dict.state_index("LEAD");

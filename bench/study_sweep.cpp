@@ -6,9 +6,9 @@
 // list — through serial, threads:3 and procs:3. Every layout measures the
 // same experiments with the same StudyMeasure, so all nine layouts must
 // report the same accept counts and the same measure values, in the same
-// order; the sweep exits 1 otherwise. With one fleet per campaign, procs:3
-// pays its fork, handshake and drain tail once per campaign, not once per
-// study, so its wall time should not grow with the study count.
+// order; the sweep exits 1 otherwise. procs:3 forks one fleet and threads:3
+// starts one pool per campaign, and both pull study k+1 while study k
+// drains, so neither runner's wall time should grow with the study count.
 //
 //   study_sweep [--reps N] [--bench-json PATH]
 //

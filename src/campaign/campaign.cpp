@@ -21,7 +21,7 @@ namespace {
 /// must fail loudly, not silently replay the wrong results.
 void validate_resumed_study(const JournalState::StudyProgress& journaled,
                             const runtime::StudyParams& study,
-                            std::size_t ordinal) {
+                            const std::string& digest, std::size_t ordinal) {
   const auto mismatch = [&](const std::string& what, const std::string& want,
                             const std::string& got) {
     throw ConfigError("campaign resume: journaled study " +
@@ -35,7 +35,6 @@ void validate_resumed_study(const JournalState::StudyProgress& journaled,
       static_cast<std::uint32_t>(study.experiments))
     mismatch("experiment count", std::to_string(study.experiments),
              std::to_string(journaled.experiments));
-  const std::string digest = study_digest(study);
   if (journaled.digest != digest)
     mismatch("digest", digest, journaled.digest);
 }
@@ -51,8 +50,11 @@ void validate_resumed_study(const JournalState::StudyProgress& journaled,
 ///
 /// Cache-first probing happens in next(), when the runner first asks for a
 /// study: one generator call per index, on the runner's calling thread
-/// (the Runner contract), so a generator never races a runner's own use of
-/// it. Memory stays O(keys): each hit is read and emitted at its turn.
+/// (the Runner contract). It is the only place a generator runs while the
+/// runner runs (build() computes a journal's study digests), so a runner
+/// that generates on other threads meanwhile need only serialize next()
+/// with them (ThreadPoolRunner holds its generator lock across it). Memory
+/// stays O(keys): each hit is read and emitted at its turn.
 ///
 /// When `journal` is set, every index is journaled (IndexDone, write-ahead
 /// of its emit); for fresh results this sits *after* the cache store, and
@@ -60,14 +62,16 @@ void validate_resumed_study(const JournalState::StudyProgress& journaled,
 /// the whole resume guarantee rests on.
 class Delivery {
  public:
+  /// `digests` holds every study's digest when `journal` is set.
   Delivery(const std::vector<runtime::StudyParams>& studies,
            ResultCache* cache, CampaignJournal* journal,
-           const JournalState& state,
+           const std::vector<std::string>& digests, const JournalState& state,
            const std::vector<std::shared_ptr<ResultSink>>& sinks,
            Campaign::Summary& summary)
       : studies_(studies),
         cache_(cache),
         journal_(journal),
+        digests_(digests),
         state_(state),
         sinks_(sinks),
         summary_(summary) {}
@@ -212,7 +216,7 @@ class Delivery {
     for (const auto& sink : sinks_) sink->on_study_begin(info_);
     if (journal_ != nullptr && journaled(study_) == nullptr)
       journal_->study_begin(static_cast<std::uint32_t>(study_), study.name,
-                            study_digest(study),
+                            digests_[study_],
                             static_cast<std::uint32_t>(study.experiments));
   }
 
@@ -284,6 +288,7 @@ class Delivery {
   const std::vector<runtime::StudyParams>& studies_;
   ResultCache* cache_;
   CampaignJournal* journal_;
+  const std::vector<std::string>& digests_;
   const JournalState& state_;
   const std::vector<std::shared_ptr<ResultSink>>& sinks_;
   Campaign::Summary& summary_;
@@ -341,7 +346,8 @@ Campaign::Summary Campaign::run() {
               std::to_string(studies_.size()) +
               " — this journal belongs to a different campaign");
         for (std::size_t i = 0; i < state.progress.size(); ++i)
-          validate_resumed_study(state.progress[i], studies_[i], i);
+          validate_resumed_study(state.progress[i], studies_[i], digests_[i],
+                                 i);
       }
     }
     if (fresh) {
@@ -358,7 +364,8 @@ Campaign::Summary Campaign::run() {
 
   for (const auto& sink : sinks_) sink->on_campaign_begin(summary.studies);
 
-  Delivery delivery(studies_, cache_.get(), jptr, state, sinks_, summary);
+  Delivery delivery(studies_, cache_.get(), jptr, digests_, state, sinks_,
+                    summary);
   try {
     try {
       runner_->run(
@@ -576,8 +583,12 @@ Campaign CampaignBuilder::build() const {
                                "study '" + study.name + "'");
     // With a cache attached every experiment must be encodable for its
     // content key; probe that too, so a node without a wire identity
-    // (app_name) fails here and not mid-campaign.
-    if (cache_) runtime::experiment_cache_key(study.make_params(0));
+    // (app_name) fails here and not mid-campaign. A journal's study digest
+    // hashes that key, so it is the probe.
+    if (cache_ && !journal_path_.empty())
+      campaign.digests_.push_back(study_digest(study));
+    else if (cache_)
+      runtime::experiment_cache_key(study.make_params(0));
     campaign.studies_.push_back(std::move(study));
   }
   // The journal's whole replay guarantee rests on the cache's durable store

@@ -85,6 +85,9 @@ class Campaign {
   std::shared_ptr<ResultCache> cache_;
   std::vector<std::shared_ptr<ResultSink>> sinks_;
   std::filesystem::path journal_path_;  // empty => no journal
+  /// One study_digest per study when journaled, computed by build(): a
+  /// digest calls the study's generator, which run() calls only in next().
+  std::vector<std::string> digests_;
   bool resume_{false};
   int journal_group_{32};
   std::uint64_t journal_seed_{0};

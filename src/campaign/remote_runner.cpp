@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/pulled_plan.hpp"
 #include "campaign/validate.hpp"
 #include "runtime/experiment_context.hpp"
 #include "runtime/serialize.hpp"
@@ -89,22 +90,11 @@ class EventQueue {
   std::deque<Event> events_ LOKI_GUARDED_BY(mu_);
 };
 
-/// A run of campaign-wide positions [lo, hi) awaiting a worker. Positions
-/// number the planned indices in plan order across every pulled study, so
-/// position order is the serial emit order.
+/// A run of campaign-wide positions [lo, hi) awaiting a worker (see
+/// Segment).
 struct Chunk {
   int lo{0};
   int hi{0};
-};
-
-/// Indices [lo, hi) of study `study`, placed at positions [pos, end()): one
-/// IndexRun of a pulled plan, or one lease sliced out of such a run.
-struct Segment {
-  int study{0};
-  int lo{0};
-  int hi{0};
-  int pos{0};
-  int end() const { return pos + (hi - lo); }
 };
 
 /// One worker slot: a single link for the whole run. A lost link is never
@@ -533,27 +523,17 @@ class Engine {
         plan_done_ = true;
         break;
       }
-      for (const IndexRun& run : plan->runs) {
-        const Segment segment{plan->study, run.lo, run.hi, planned_};
-        segments_.push_back(segment);
-        // Every queued position sits below planned_, so appending keeps
-        // the queue sorted; leases never straddle a segment (see assign).
-        if (!queue_.empty() && queue_.back().hi == segment.pos)
-          queue_.back().hi = segment.end();
-        else
-          queue_.push_back({segment.pos, segment.end()});
-        pending_ += segment.end() - segment.pos;
-        planned_ = segment.end();
-      }
+      const int from = plan_.planned();
+      plan_.append(*plan);
+      if (plan_.planned() == from) continue;
+      // Every queued position sits below `from`, so appending keeps the
+      // queue sorted; leases never straddle a segment (see assign).
+      if (!queue_.empty() && queue_.back().hi == from)
+        queue_.back().hi = plan_.planned();
+      else
+        queue_.push_back({from, plan_.planned()});
+      pending_ += plan_.planned() - from;
     }
-  }
-
-  /// The pulled segment holding position `pos` (< planned_).
-  const Segment& segment_at(int pos) const {
-    const auto after = std::upper_bound(
-        segments_.begin(), segments_.end(), pos,
-        [](int p, const Segment& s) { return p < s.pos; });
-    return *std::prev(after);
   }
 
   // --- scheduling ------------------------------------------------------------
@@ -575,7 +555,7 @@ class Engine {
   int lookahead(int workers) const { return 2 * workers * lease_now_; }
 
   int unfinished() const {
-    const int stop = std::min(fail_pos_, planned_);
+    const int stop = std::min(fail_pos_, plan_.planned());
     int have = 0;
     for (const auto& entry : buffer_) have += entry.first < stop ? 1 : 0;
     return stop - next_emit_ - have;
@@ -585,7 +565,7 @@ class Engine {
     // A failure aborts as soon as the serial prefix is emitted — workers
     // still mid-lease are torn down, not awaited.
     if (fail_pos_ != kNoFailure) return next_emit_ >= fail_pos_;
-    if (!plan_done_ || next_emit_ < planned_) return false;
+    if (!plan_done_ || next_emit_ < plan_.planned()) return false;
     // Every result is in; now wait for each leased worker's trailing
     // Heartbeat + LeaseDone so the telemetry ledger is exact at the end
     // (per-worker experiments_completed sums to the run's total). A worker
@@ -598,14 +578,14 @@ class Engine {
   }
 
   void drain() {
-    const int stop = std::min(fail_pos_, planned_);
+    const int stop = std::min(fail_pos_, plan_.planned());
     while (next_emit_ < stop) {
       auto it = buffer_.find(next_emit_);
       if (it == buffer_.end()) break;
       auto node = buffer_.extract(it);
-      const Segment& segment = segment_at(next_emit_);
+      const Segment& segment = plan_.segment_at(next_emit_);
       const int study = segment.study;
-      const int index = segment.lo + (next_emit_ - segment.pos);
+      const int index = segment.index_at(next_emit_);
       ++next_emit_;
       emit_(study, index, std::move(node.mapped()));
     }
@@ -634,15 +614,14 @@ class Engine {
       // idle workers behind one full span. While the plan is not exhausted,
       // the lookahead keeps enough pending that the share is a full span.
       Chunk& head = queue_.front();
-      const Segment& segment = segment_at(head.lo);
+      const Segment& segment = plan_.segment_at(head.lo);
       const int share = 2 * live_count();
       const int span = std::min(lease_now_, (pending_ + share - 1) / share);
       const int hi =
           std::min({head.hi, head.lo + span, segment.end(), fail_pos_});
       if (hi <= head.lo) return;  // unreachable: head.lo < fail_pos_
-      const Segment lease{segment.study,
-                          segment.lo + (head.lo - segment.pos),
-                          segment.lo + (hi - segment.pos), head.lo};
+      const Segment lease{segment.study, segment.index_at(head.lo),
+                          segment.index_at(hi), head.lo};
       pending_ -= hi - head.lo;
       if (hi >= head.hi)
         queue_.pop_front();
@@ -722,10 +701,8 @@ class Engine {
 
   EventQueue events_;
   std::vector<WorkerState> workers_;
-  /// The pulled plan: every segment in position order, the positions
-  /// planned so far, and whether next() has run dry.
-  std::vector<Segment> segments_;
-  int planned_{0};
+  /// The pulled plan, and whether next() has run dry.
+  PulledPlan plan_;
   bool plan_done_{false};
   std::deque<Chunk> queue_;
   int pending_{0};  // positions in queue_

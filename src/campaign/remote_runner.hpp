@@ -1,10 +1,10 @@
 // Crash-tolerant multi-worker campaign execution over a pluggable
 // Transport (campaign/transport.hpp).
 //
-// RemoteRunner replaces static round-robin sharding with dynamic work-queue
-// sharding: the campaign's planned indices are split into small leases,
-// idle workers pull the next lease, and the parent reassembles results into
-// the serial emit order. One fleet serves the whole Campaign::run: it is
+// RemoteRunner shards a campaign through a dynamic work queue: the
+// campaign's planned indices are split into small leases, idle workers pull
+// the next lease, and the parent reassembles results into the serial emit
+// order. One fleet serves the whole Campaign::run: it is
 // connected and handshaken once, every worker holds every study (fork()ed
 // workers inherit them, exec'd workers get them in the Hello), each Lease
 // names its study, and the plan is pulled ahead of the leases, so study k+1

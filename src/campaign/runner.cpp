@@ -1,11 +1,13 @@
 #include "campaign/runner.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "campaign/pulled_plan.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
 #include "campaign/validate.hpp"
@@ -26,36 +28,25 @@ runtime::ExperimentParams checked_params(const runtime::StudyParams& study,
   return params;
 }
 
-/// Compile the study-invariant machinery from the first planned
-/// experiment, for runners that share one CompiledStudy across worker
-/// contexts. Generators are deterministic per index (the standard campaign
-/// contract; build() probes index 0 the same way), so the extra make_params
-/// call is safe. A failure here is exactly the failure that experiment would
-/// have produced — same exception, same empty emitted prefix.
-std::shared_ptr<const runtime::CompiledStudy> compile_study_front(
-    const runtime::StudyParams& study, int first) {
-  return runtime::CompiledStudy::compile(checked_params(study, first));
-}
-
-/// Everything ThreadPoolRunner's workers and drain loop share for one
-/// study. Workers claim *positions* into the study's planned indices. The
+/// Everything ThreadPoolRunner's threads and its calling thread share for
+/// one run. Threads claim campaign-wide positions of the pulled plan. The
 /// mutex discipline is declared so clang -Wthread-safety can prove it: `mu`
-/// guards claim/complete/drain state, `gen_mu` only serializes user
-/// parameter generators (which may share hidden state across indices).
+/// guards the plan and the claim/complete/drain state, `gen_mu` only
+/// serializes user parameter generators (which may share hidden state
+/// across indices), including the ones next() calls.
 struct PoolShared {
-  explicit PoolShared(int n) : fail_min(n) {}
-
-  util::Mutex gen_mu;  // serializes make_params; never held with `mu`
+  util::Mutex gen_mu;  // serializes make_params, next(); never held with `mu`
   util::Mutex mu;
   util::CondVar cv;
+  PulledPlan plan LOKI_GUARDED_BY(mu);
+  bool plan_done LOKI_GUARDED_BY(mu){false};
   std::map<int, runtime::ExperimentResult> ready LOKI_GUARDED_BY(mu);
   std::exception_ptr failure LOKI_GUARDED_BY(mu);
-  int fail_min LOKI_GUARDED_BY(mu);    // lowest position that threw
-  int next LOKI_GUARDED_BY(mu){0};     // next position to claim
+  /// Lowest position that threw.
+  int fail_min LOKI_GUARDED_BY(mu){std::numeric_limits<int>::max()};
+  int claimed LOKI_GUARDED_BY(mu){0};  // next position to claim
   int emitted LOKI_GUARDED_BY(mu){0};  // positions already handed to emit
-  /// Not guarded: a latch raced only in the safe direction. Workers that
-  /// miss a newly-set abort claim at most one extra experiment.
-  std::atomic<bool> abort{false};
+  bool abort LOKI_GUARDED_BY(mu){false};  // next() or emit() threw
 };
 
 }  // namespace
@@ -87,44 +78,35 @@ std::string ThreadPoolRunner::name() const {
   return "thread-pool(" + std::to_string(workers_) + ")";
 }
 
-namespace {
-
-/// One study's planned indices through the pool: `indices` in serial order,
-/// claimed by position.
-void run_pool_study(const runtime::StudyParams& study, int ordinal,
-                    const std::vector<int>& indices, int workers,
-                    const EmitFn& emit) {
-  const int n = static_cast<int>(indices.size());
-  if (n <= 0) return;
-
-  // Compile once on the calling thread; every worker context borrows the
-  // same immutable CompiledStudy (its tables are shared read-only).
-  const std::shared_ptr<const runtime::CompiledStudy> compiled =
-      compile_study_front(study, indices.front());
-
-  PoolShared s(n);
-  // Backpressure: at most `window` experiments past the drain cursor may be
+void ThreadPoolRunner::run(const std::vector<runtime::StudyParams>& studies,
+                           const NextFn& next, const EmitFn& emit) {
+  PoolShared s;
+  // Backpressure: at most `window` positions past the drain cursor may be
   // claimed, so `ready` stays O(workers) even when one early experiment is
-  // slow — the streaming-sink memory guarantee survives skewed runtimes.
-  const int window = 2 * workers;
+  // slow. The plan is pulled just far enough ahead for the window to fill.
+  const int window = 2 * workers_;
 
-  auto worker = [&] {
-    // One resettable context per worker thread, alive for the whole study.
-    runtime::ExperimentContext context(compiled);
+  auto work = [&] {
+    // One resettable context per thread for the whole run: a study's first
+    // experiment on this thread compiles it, every later one reuses it.
+    runtime::ExperimentContext context;
     for (;;) {
       int pos = 0;
+      Segment segment;
       {
         util::MutexLock lock(s.mu);
-        while (!(s.abort.load(std::memory_order_relaxed) ||
-                 s.failure != nullptr || s.next >= n ||
-                 s.next - s.emitted < window))
+        while (!(s.abort || s.failure != nullptr ||
+                 s.claimed < std::min(s.plan.planned(), s.emitted + window) ||
+                 (s.plan_done && s.claimed >= s.plan.planned())))
           s.cv.wait(s.mu);
-        if (s.abort.load(std::memory_order_relaxed) || s.failure != nullptr ||
-            s.next >= n)
+        if (s.abort || s.failure != nullptr || s.claimed >= s.plan.planned())
           return;
-        pos = s.next++;
+        pos = s.claimed++;
+        segment = s.plan.segment_at(pos);
       }
-      const int k = indices[static_cast<std::size_t>(pos)];
+      const runtime::StudyParams& study =
+          studies[static_cast<std::size_t>(segment.study)];
+      const int k = segment.index_at(pos);
       try {
         runtime::ExperimentParams params;
         {
@@ -133,29 +115,20 @@ void run_pool_study(const runtime::StudyParams& study, int ordinal,
         }
         validate_experiment_params(params, experiment_context(study, k));
         runtime::ExperimentResult result = context.run(params);
-        {
-          util::MutexLock lock(s.mu);
-          s.ready.emplace(pos, std::move(result));
-        }
+        util::MutexLock lock(s.mu);
+        s.ready.emplace(pos, std::move(result));
       } catch (...) {
-        {
-          util::MutexLock lock(s.mu);
-          if (pos < s.fail_min) {
-            s.fail_min = pos;
-            s.failure = std::current_exception();
-          }
+        util::MutexLock lock(s.mu);
+        if (pos < s.fail_min) {
+          s.fail_min = pos;
+          s.failure = std::current_exception();
         }
-        s.abort.store(true, std::memory_order_relaxed);
       }
       s.cv.notify_all();
     }
   };
 
   std::vector<std::thread> pool;
-  const int spawn = workers < n ? workers : n;
-  pool.reserve(static_cast<std::size_t>(spawn));
-  for (int i = 0; i < spawn; ++i) pool.emplace_back(worker);
-
   // Drain completions in position order on the calling thread, so sinks see
   // exactly the sequence SerialRunner would produce — including on failure:
   // every position below the first failing one was claimed earlier and will
@@ -164,44 +137,61 @@ void run_pool_study(const runtime::StudyParams& study, int ordinal,
   // before rethrowing the first failure.
   try {
     util::MutexLock lock(s.mu);
-    for (int pos = 0; pos < n; ++pos) {
-      while (!(s.ready.contains(pos) || pos >= s.fail_min)) s.cv.wait(s.mu);
-      if (pos >= s.fail_min) break;
-      auto node = s.ready.extract(pos);
+    for (;;) {
+      // Nothing more is pulled once an experiment failed: the campaign ends
+      // at that failure.
+      while (!s.plan_done && s.failure == nullptr &&
+             s.plan.planned() < s.emitted + window) {
+        lock.unlock();
+        std::optional<StudyPlan> plan;
+        {
+          util::MutexLock gen(s.gen_mu);
+          plan = next();
+        }
+        lock.lock();
+        if (plan.has_value())
+          s.plan.append(*plan);
+        else
+          s.plan_done = true;
+        s.cv.notify_all();
+      }
+      // Threads start lazily, at most one per planned position, so a plan
+      // the pool never has to execute (every index cached or replayed)
+      // starts none.
+      while (static_cast<int>(pool.size()) <
+             std::min(workers_, s.plan.planned()))
+        pool.emplace_back(work);
+      if (s.emitted >= s.fail_min ||
+          (s.plan_done && s.emitted >= s.plan.planned()))
+        break;
+      while (!(s.ready.contains(s.emitted) || s.emitted >= s.fail_min))
+        s.cv.wait(s.mu);
+      if (s.emitted >= s.fail_min) break;
+      auto node = s.ready.extract(s.emitted);
+      const Segment& segment = s.plan.segment_at(s.emitted);
+      const int study = segment.study;
+      const int index = segment.index_at(s.emitted);
       lock.unlock();
-      emit(ordinal, indices[static_cast<std::size_t>(pos)],
-           std::move(node.mapped()));
+      emit(study, index, std::move(node.mapped()));
       lock.lock();
       ++s.emitted;
       s.cv.notify_all();  // open the claim window
     }
   } catch (...) {
-    s.abort.store(true, std::memory_order_relaxed);
+    {
+      util::MutexLock lock(s.mu);
+      s.abort = true;
+    }
     s.cv.notify_all();
     for (std::thread& t : pool) t.join();
     throw;
   }
 
   for (std::thread& t : pool) t.join();
-  {
-    // Workers are joined: sole owner now, but the analysis still wants the
-    // lock for the guarded reads (and it documents the rethrow contract).
-    util::MutexLock lock(s.mu);
-    if (s.failure) std::rethrow_exception(s.failure);
-  }
-}
-
-}  // namespace
-
-void ThreadPoolRunner::run(const std::vector<runtime::StudyParams>& studies,
-                           const NextFn& next, const EmitFn& emit) {
-  while (const std::optional<StudyPlan> plan = next()) {
-    std::vector<int> indices;
-    for (const IndexRun& run : plan->runs)
-      for (int k = run.lo; k < run.hi; ++k) indices.push_back(k);
-    run_pool_study(studies[static_cast<std::size_t>(plan->study)],
-                   plan->study, indices, workers_, emit);
-  }
+  // Threads are joined: sole owner now, but the analysis still wants the
+  // lock for the guarded read (and it documents the rethrow contract).
+  util::MutexLock lock(s.mu);
+  if (s.failure) std::rethrow_exception(s.failure);
 }
 
 std::shared_ptr<Runner> parse_runner_spec(const std::string& spec) {

@@ -9,6 +9,8 @@
 // while study k drains. The contract every implementation must honour:
 //
 //   * next() and emit() are called only on the thread that called run();
+//     next() may call the studies' generators (a cache-first probe), emit()
+//     never does;
 //   * next() is called until it returns nullopt, unless run() throws;
 //   * emit(s, k, result) is called exactly once per planned (s, k), in
 //     increasing (s, k) order;
@@ -156,25 +158,27 @@ class SerialRunner final : public Runner {
            const NextFn& next, const EmitFn& emit) override;
 };
 
-/// Fans each study's planned experiments out across a fixed pool of worker
-/// threads, then re-orders completions so emit still observes the serial
-/// sequence. The reorder buffer is bounded (O(workers)), so streaming sinks
-/// keep their memory guarantee even when early experiments run long. The
-/// pool starts and joins per study, so each study drains to an idle pool
-/// before the next one starts. That boundary has a measured cost:
-/// bench/study_sweep on a 4-vCPU host reads threads:3 18-30% slower at 26
-/// studies than at 1 (about 0.5-0.7 ms per boundary), while procs:3, whose
-/// fleet spans the campaign, stays within noise. ROADMAP.md open item 1
-/// records it as not addressed.
+/// Fans the campaign's planned experiments out across one pool of worker
+/// threads per run(), then re-orders completions so emit still observes the
+/// serial sequence. The calling thread pulls the plan just far enough ahead
+/// of its drain cursor for the claim window to fill, so threads cross study
+/// boundaries without draining. Each thread keeps one ExperimentContext for
+/// the whole run and compiles a study on its first experiment of it.
+/// Threads claim positions at most 2 * workers past the drain cursor, so
+/// the reorder buffer stays O(workers) and streaming sinks keep their
+/// memory guarantee even when early experiments run long.
 ///
 /// study.make_params is invoked under a lock: generators may capture shared
 /// state by reference and are only required to be deterministic per index,
-/// not thread-safe. run_experiment itself runs unlocked on the workers.
+/// not thread-safe. The calling thread holds the same lock across next(),
+/// whose cache-first probe calls the next study's generator while threads
+/// may still generate the previous one; emit() calls no generator, so it
+/// runs unlocked. run_experiment itself runs unlocked on the workers.
 ///
 /// Failure semantics match SerialRunner: if planned experiment k throws
 /// (generator, validation, or run), the planned indices before it are still
 /// emitted in order, then k's exception is rethrown; no index past the
-/// first failing one is emitted.
+/// first failing one is emitted, and nothing more is pulled.
 class ThreadPoolRunner final : public Runner {
  public:
   /// Throws ConfigError when workers < 1.

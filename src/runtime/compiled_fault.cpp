@@ -43,7 +43,7 @@ CompiledFaultProgram CompiledFaultProgram::compile(const spec::FaultExpr& expr,
     prog.code_.push_back(instr);
   }
   LOKI_REQUIRE(depth == 1, "malformed fault expression postfix");
-  prog.stack_.resize(max_depth);
+  prog.stack_depth_ = max_depth;
   return prog;
 }
 
@@ -72,14 +72,6 @@ bool CompiledFaultProgram::run(const std::vector<StateId>* view,
     }
   }
   return sp[-1] != 0;
-}
-
-bool CompiledFaultProgram::eval(const std::vector<StateId>& view) const {
-  return run(&view, stack_.data());
-}
-
-bool CompiledFaultProgram::eval_empty() const {
-  return run(nullptr, stack_.data());
 }
 
 bool CompiledFaultProgram::eval(const std::vector<StateId>& view,

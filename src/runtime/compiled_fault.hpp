@@ -3,11 +3,11 @@
 // A spec::FaultExpr is a shared_ptr tree evaluated by virtual dispatch with
 // a string map lookup per term — fine at parse time, expensive on every
 // state notification. CompiledFaultProgram flattens the tree once per
-// experiment into a postfix instruction vector over dense ids: a term
-// becomes "view[machine] == state" against the node's std::vector<StateId>
-// partial view, unknown names compile to a constant-false push, and the
-// evaluation stack is preallocated at compile time, so eval() performs no
-// allocation and no string comparison.
+// study into a postfix instruction vector over dense ids: a term becomes
+// "view[machine] == state" against the node's std::vector<StateId> partial
+// view, and unknown names compile to a constant-false push. The maximum
+// stack depth is fixed at compile time and the caller brings the stack, so
+// eval() performs no allocation and no string comparison.
 #pragma once
 
 #include <cstdint>
@@ -29,23 +29,18 @@ class CompiledFaultProgram {
                                       const StudyDictionary& dict);
 
   /// Evaluate against a dense partial view of global state: view[m] is the
-  /// last known StateId of machine m, or kNoState. Allocation-free.
-  bool eval(const std::vector<StateId>& view) const;
-
-  /// Evaluate against the all-unknown view (parser edge initialization).
-  bool eval_empty() const;
-
-  /// Re-entrant variants over caller-provided scratch of at least
-  /// stack_depth() bytes. These never touch the program's own stack, so one
-  /// compiled program may be shared read-only by any number of contexts
-  /// (the CompiledStudy case: worker threads share the compiled study and
-  /// each FaultParser brings its own scratch).
+  /// last known StateId of machine m, or kNoState. `stack` is caller scratch
+  /// of at least stack_depth() bytes; the program itself is never written,
+  /// so one compiled program may be shared read-only by any number of
+  /// evaluators (the CompiledMachine case: the parsers of every incarnation
+  /// of a node borrow its programs, each with its own scratch).
   bool eval(const std::vector<StateId>& view, unsigned char* stack) const;
+  /// Evaluate against the all-unknown view (parser edge initialization).
   bool eval_empty(unsigned char* stack) const;
 
   std::size_t size() const { return code_.size(); }
   /// Maximum evaluation-stack depth, fixed at compile time.
-  std::size_t stack_depth() const { return stack_.size(); }
+  std::size_t stack_depth() const { return stack_depth_; }
 
  private:
   enum class Op : std::uint8_t { Term, False, And, Or, Not };
@@ -58,11 +53,7 @@ class CompiledFaultProgram {
   bool run(const std::vector<StateId>* view, unsigned char* stack) const;
 
   std::vector<Instr> code_;
-  /// Evaluation stack for the scratch-less eval() overloads, sized to the
-  /// program's maximum depth at compile time. Only safe when the program
-  /// is private to one thread; shared programs must use the external-stack
-  /// overloads.
-  mutable std::vector<unsigned char> stack_;
+  std::size_t stack_depth_{0};
 };
 
 }  // namespace loki::runtime

@@ -9,19 +9,19 @@
 //
 //   CompiledStudy      (runtime/compiled_study.hpp) — built once per study,
 //                      immutable, shareable across worker threads.
-//   ExperimentContext  one per executor (serial loop, pool worker thread,
-//                      forked shard, remote worker) — owns the sim::World,
-//                      the recorders, and the per-run wiring, and resets
-//                      them in place between experiments instead of
-//                      reallocating: the world keeps its event slab and
-//                      link tables, recorders clear-and-refill their
-//                      timelines, and the compiled tables are borrowed.
+//   ExperimentContext  one per executor (serial loop, pool thread, remote
+//                      worker) — owns the sim::World, the recorders, and
+//                      the per-run wiring, and resets them in place between
+//                      experiments instead of reallocating: the world keeps
+//                      its event slab and link tables, recorders
+//                      clear-and-refill their timelines, and the compiled
+//                      tables are borrowed.
 //
 // Identity contract: context.run(params) is byte-identical to
 // run_experiment(params) for every params, in any order, with any reuse —
 // enforced by tests/context_test.cpp and the identity CI job. A context is
-// single-threaded; parallelism means one context per worker sharing one
-// CompiledStudy.
+// single-threaded; parallelism means one context per thread, each compiling
+// a study on its first experiment of it.
 //
 // Structure changes between experiments are legal: run() checks the cached
 // study with CompiledStudy::compatible_with and recompiles when the node
@@ -48,8 +48,8 @@ class ExperimentContext {
  public:
   /// Empty context: the first run() compiles its study.
   ExperimentContext();
-  /// Seed the study cache with an already-compiled study (the thread-pool
-  /// case: compile once on the caller, share across worker contexts).
+  /// Seed the study cache with an already-compiled study, so several
+  /// contexts share one CompiledStudy.
   explicit ExperimentContext(std::shared_ptr<const CompiledStudy> study);
   ~ExperimentContext();
 

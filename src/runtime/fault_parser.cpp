@@ -1,23 +1,6 @@
 #include "runtime/fault_parser.hpp"
 
-#include <algorithm>
-
 namespace loki::runtime {
-
-FaultParser::FaultParser(const std::vector<spec::FaultSpecEntry>& entries,
-                         const StudyDictionary& dict)
-    : entries_(&entries) {
-  owned_programs_.reserve(entries.size());
-  std::size_t depth = 0;
-  for (const spec::FaultSpecEntry& e : entries) {
-    owned_programs_.push_back(CompiledFaultProgram::compile(*e.expr, dict));
-    depth = std::max(depth, owned_programs_.back().stack_depth());
-  }
-  programs_ = &owned_programs_;
-  scratch_.resize(depth);
-  edges_.resize(entries.size());
-  reset();
-}
 
 FaultParser::FaultParser(const std::vector<spec::FaultSpecEntry>& entries,
                          const std::vector<CompiledFaultProgram>& programs,

@@ -6,8 +6,8 @@
 //   once   — fire only on the first such edge in the experiment;
 //   always — fire on every edge.
 //
-// Expressions are compiled once (CompiledFaultProgram) at construction, so
-// the per-notification sweep is a branch-predictable pass over flat postfix
+// Expressions are compiled once per study (CompiledFaultProgram), so the
+// per-notification sweep is a branch-predictable pass over flat postfix
 // programs against the dense id view — no tree walk, no string compares,
 // no allocation (the fired list is a reused buffer).
 //
@@ -28,19 +28,13 @@ namespace loki::runtime {
 
 class FaultParser {
  public:
-  /// Compiles every entry's expression through `dict` up front. `entries`
-  /// is borrowed, not copied — the caller (the experiment's fault spec)
-  /// must outlive the parser.
-  FaultParser(const std::vector<spec::FaultSpecEntry>& entries,
-              const StudyDictionary& dict);
-
-  /// Borrow programs compiled once per study (runtime/compiled_study.hpp)
-  /// instead of recompiling per node per experiment. `entries` and
-  /// `programs` must be parallel vectors (same length, same order) and
-  /// outlive the parser; `stack_depth` is the scratch size needed by the
-  /// deepest program. The parser evaluates shared programs with its own
-  /// scratch, so any number of parsers (across experiments and threads)
-  /// may borrow the same programs concurrently.
+  /// Borrow programs compiled once per study (CompiledMachine in
+  /// runtime/compiled_study.hpp). `entries` and `programs` must be parallel
+  /// vectors (same length, same order) and outlive the parser;
+  /// `stack_depth` is the scratch size needed by the deepest program. The
+  /// parser evaluates shared programs with its own scratch, so any number
+  /// of parsers (across experiments and threads) may borrow the same
+  /// programs concurrently.
   FaultParser(const std::vector<spec::FaultSpecEntry>& entries,
               const std::vector<CompiledFaultProgram>& programs,
               std::size_t stack_depth);
@@ -66,9 +60,6 @@ class FaultParser {
   };
 
   const std::vector<spec::FaultSpecEntry>* entries_;
-  /// Owned only by the compile-here constructor; the borrow constructor
-  /// leaves this empty and points programs_ at the study's shared vector.
-  std::vector<CompiledFaultProgram> owned_programs_;
   const std::vector<CompiledFaultProgram>* programs_;
   /// Evaluation scratch for the shared programs (see CompiledFaultProgram's
   /// external-stack eval).

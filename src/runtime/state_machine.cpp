@@ -18,23 +18,6 @@ StateMachine::StateMachine(const CompiledMachine& tables,
   view_.assign(tables_->dict().machine_count(), kNoState);
 }
 
-StateMachine::StateMachine(const spec::StateMachineSpec& sm_spec,
-                           const spec::FaultSpec& fault_spec,
-                           const StudyDictionary& dict,
-                           std::shared_ptr<Recorder> recorder, Hooks hooks)
-    : owned_tables_(std::make_shared<CompiledMachine>(
-          CompiledMachine::compile(sm_spec, fault_spec, dict))),
-      tables_(owned_tables_.get()),
-      recorder_(std::move(recorder)),
-      hooks_(std::move(hooks)),
-      parser_(tables_->fault_spec().entries, tables_->fault_programs(),
-              tables_->fault_stack_depth()) {
-  LOKI_REQUIRE(recorder_ != nullptr, "state machine needs a recorder");
-  LOKI_REQUIRE(static_cast<bool>(hooks_.clock), "state machine needs a clock hook");
-  current_state_ = tables_->begin_state();
-  view_.assign(tables_->dict().machine_count(), kNoState);
-}
-
 const std::uint32_t* StateMachine::find_event(const std::string& name) const {
   const auto& ids = tables_->event_ids();
   const auto it = ids.find(name);

@@ -76,13 +76,6 @@ class StateMachine {
   StateMachine(const CompiledMachine& tables, std::shared_ptr<Recorder> recorder,
                Hooks hooks);
 
-  /// Compile-here convenience (tests, single-shot tools): compiles a
-  /// private CompiledMachine from the borrowed specs, which must outlive
-  /// the state machine (they live in the experiment's NodeConfig).
-  StateMachine(const spec::StateMachineSpec& sm_spec,
-               const spec::FaultSpec& fault_spec, const StudyDictionary& dict,
-               std::shared_ptr<Recorder> recorder, Hooks hooks);
-
   /// Probe-facing notifyEvent() (§3.5.7). The one string->id interning
   /// point of the hot path.
   void notify_event(const std::string& name);
@@ -115,9 +108,6 @@ class StateMachine {
   std::uint32_t event_index_or_default(const std::string& event) const;
   const std::uint32_t* find_event(const std::string& name) const;
 
-  /// Set only by the compile-here constructor; the study path borrows the
-  /// tables from the CompiledStudy instead.
-  std::shared_ptr<const CompiledMachine> owned_tables_;
   /// The immutable compiled tables (transition matrix, notify lists, fault
   /// programs) — everything that used to be rebuilt per node per
   /// experiment, now compiled once per study.

@@ -1,17 +1,27 @@
 // The campaign facade: builder validation at build() time, runner
-// equivalence (thread pool == serial, byte for byte), sink invocation
-// order, and the streaming measure path against the batch one.
+// equivalence (thread pool == serial, byte for byte), one thread pool across
+// study boundaries (generators serialized, claim window held), sink
+// invocation order, and the streaming measure path against the batch one.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/pipeline.hpp"
 #include "apps/election.hpp"
+#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "clocksync/sync_data.hpp"
 #include "measure/study_measure.hpp"
+#include "runtime/serialize.hpp"
 #include "util/error.hpp"
 
 namespace loki {
@@ -479,6 +489,152 @@ TEST(Runners, SkewedDurationsKeepOrderAndBackpressure) {
     SCOPED_TRACE("experiment " + std::to_string(k));
     expect_identical(serial[k], pooled[k]);
   }
+}
+
+// --- one pool across study boundaries ----------------------------------------
+
+/// `count` quickstart studies of `experiments` each; every generator call
+/// first runs `on_generate(study, index)`.
+std::vector<runtime::StudyParams> boundary_studies(
+    int count, int experiments,
+    const std::function<void(int study, int index)>& on_generate) {
+  std::vector<runtime::StudyParams> studies;
+  for (int s = 0; s < count; ++s) {
+    runtime::StudyParams study = quickstart_study(
+        "boundary" + std::to_string(s), experiments,
+        20'000 + 1'000 * static_cast<std::uint64_t>(s));
+    study.make_params = [inner = study.make_params, on_generate, s](int k) {
+      on_generate(s, k);
+      return inner(k);
+    };
+    studies.push_back(std::move(study));
+  }
+  return studies;
+}
+
+/// The sink event sequence of `studies` through `runner`, each result as
+/// its encoded bytes; a non-empty `journal` (which needs `cache`) journals
+/// the campaign there.
+std::vector<std::string> run_events(
+    std::shared_ptr<campaign::Runner> runner,
+    const std::vector<runtime::StudyParams>& studies,
+    std::shared_ptr<campaign::ResultCache> cache = nullptr,
+    const std::string& journal = "") {
+  std::vector<std::string> events;
+  auto sink = std::make_shared<campaign::CallbackSink>();
+  sink->study_begin([&](const campaign::StudyInfo& s) {
+        events.push_back("begin:" + s.name);
+      })
+      .experiment([&](const campaign::StudyInfo& s, int k,
+                      const ExperimentResult& r) {
+        const std::vector<std::uint8_t> bytes =
+            runtime::encode_experiment_result(r);
+        events.push_back("exp:" + s.name + ":" + std::to_string(k) + ":" +
+                         std::string(bytes.begin(), bytes.end()));
+      })
+      .study_done([&](const campaign::StudyInfo& s) {
+        events.push_back("done:" + s.name);
+      });
+  CampaignBuilder builder;
+  for (const runtime::StudyParams& study : studies) builder.add(study);
+  builder.runner(std::move(runner)).sink(sink);
+  if (cache) builder.cache(std::move(cache));
+  if (!journal.empty()) builder.journal(journal);
+  builder.build().run();
+  return events;
+}
+
+TEST(Runners, OnePoolServesEveryStudy) {
+  // Six studies over at most three pool threads: if one pool serves the
+  // whole run, some thread must generate for two studies. A pool restarted
+  // per study gives every thread a single study. (Thread ids cannot tell:
+  // a joined thread's id is reused.)
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> served_two{false};
+  const auto studies = boundary_studies(6, 10, [&](int study, int) {
+    if (std::this_thread::get_id() == caller) return;
+    thread_local int first_study = -1;
+    if (first_study < 0)
+      first_study = study;
+    else if (first_study != study)
+      served_two = true;
+  });
+  const auto serial =
+      run_events(std::make_shared<campaign::SerialRunner>(), studies);
+  auto runner = std::make_shared<campaign::ThreadPoolRunner>(3);
+  EXPECT_TRUE(run_events(runner, studies) == serial);
+  EXPECT_TRUE(served_two.load());
+  // A second Campaign::run on the same runner starts its own pool.
+  EXPECT_TRUE(run_events(runner, studies) == serial);
+}
+
+TEST(Runners, GeneratorsNeverRunConcurrently) {
+  // Cache-first: next() probes each study by calling its generator on the
+  // calling thread, and the pool pulls study k+1 while its threads still
+  // generate study k. A journal also needs each study's digest, which calls
+  // its generator, and the emit that ends study k writes study k+1's
+  // StudyBegin while threads may already generate study k+1. Every
+  // generator call must still run alone.
+  std::atomic<int> in_call{0};
+  std::atomic<int> overlaps{0};
+  const auto studies = boundary_studies(6, 10, [&](int, int) {
+    if (in_call.fetch_add(1) != 0) ++overlaps;
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    in_call.fetch_sub(1);
+  });
+  const auto serial =
+      run_events(std::make_shared<campaign::SerialRunner>(), studies);
+  for (const bool journaled : {false, true}) {
+    SCOPED_TRACE(journaled ? "cache + journal" : "cache");
+    const std::string dir = testing::TempDir() + "loki-generators-alone-" +
+                            std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    overlaps = 0;
+    auto cache = std::make_shared<campaign::ResultCache>(dir + "/cache");
+    EXPECT_TRUE(run_events(std::make_shared<campaign::ThreadPoolRunner>(3),
+                           studies, std::move(cache),
+                           journaled ? dir + "/campaign.journal" : "") ==
+                serial);
+    EXPECT_EQ(overlaps.load(), 0);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(Runners, ClaimWindowHoldsAcrossStudyBoundaries) {
+  // threads:2 claims at most 2 * 2 = 4 positions past the drain cursor,
+  // counted across studies of 2. Experiment (0, 0) runs 3x longer, so the
+  // pool runs ahead of the first emission; every emission then holds the
+  // calling thread long enough for threads to claim whatever they may.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> pool_calls{0};
+  std::vector<runtime::StudyParams> studies;
+  for (int s = 0; s < 6; ++s) {
+    runtime::StudyParams study;
+    study.name = "window" + std::to_string(s);
+    study.experiments = 2;
+    study.make_params = [&pool_calls, caller, s](int k) {
+      if (std::this_thread::get_id() != caller) ++pool_calls;
+      return election_params(
+          9'000 + 10 * static_cast<std::uint64_t>(s) +
+              static_cast<std::uint64_t>(k),
+          s == 0 && k == 0 ? milliseconds(900) : milliseconds(300));
+    };
+    studies.push_back(std::move(study));
+  }
+  int emitted = 0;
+  auto sink = std::make_shared<campaign::CallbackSink>();
+  sink->experiment([&](const campaign::StudyInfo&, int,
+                       const ExperimentResult&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_LE(pool_calls.load(), emitted + 4) << "at emission " << emitted;
+    ++emitted;
+  });
+  CampaignBuilder builder;
+  for (const runtime::StudyParams& study : studies) builder.add(study);
+  builder.runner(std::make_shared<campaign::ThreadPoolRunner>(2)).sink(sink);
+  builder.build().run();
+  EXPECT_EQ(emitted, 12);
 }
 
 TEST(RunSingle, ValidatesBeforeRunning) {

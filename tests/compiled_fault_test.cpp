@@ -80,6 +80,7 @@ TEST_P(CompiledVsTreeWalk, AgreeOnRandomizedExpressionsAndViews) {
   for (int trial = 0; trial < 60; ++trial) {
     const auto expr = random_expr(rng, 4);
     const auto prog = CompiledFaultProgram::compile(*expr, fx.dict);
+    std::vector<unsigned char> stack(prog.stack_depth());
 
     for (int v = 0; v < 20; ++v) {
       // Random dense view; some machines unknown.
@@ -97,7 +98,7 @@ TEST_P(CompiledVsTreeWalk, AgreeOnRandomizedExpressionsAndViews) {
         const auto it = names.find(machine);
         return it == names.end() ? nullptr : &it->second;
       };
-      ASSERT_EQ(prog.eval(view), expr->eval(sv))
+      ASSERT_EQ(prog.eval(view, stack.data()), expr->eval(sv))
           << "divergence on " << expr->to_string() << " (trial " << trial
           << ", view " << v << ")";
     }
@@ -106,7 +107,7 @@ TEST_P(CompiledVsTreeWalk, AgreeOnRandomizedExpressionsAndViews) {
     const spec::StateView empty = [](const std::string&) -> const std::string* {
       return nullptr;
     };
-    ASSERT_EQ(prog.eval_empty(), expr->eval(empty))
+    ASSERT_EQ(prog.eval_empty(stack.data()), expr->eval(empty))
         << "empty-view divergence on " << expr->to_string();
   }
 }
@@ -125,6 +126,7 @@ TEST(CompiledFaultProgram, PostfixRoundTripOfParsedExpressions) {
   for (const char* text : exprs) {
     const auto expr = spec::parse_fault_expr(text, "t", 1);
     const auto prog = CompiledFaultProgram::compile(*expr, fx.dict);
+    std::vector<unsigned char> stack(prog.stack_depth());
     std::vector<StateId> view(fx.dict.machine_count(), kNoState);
     view[fx.dict.machine_index("m0")] = fx.dict.state_index("LEAD");
     std::map<std::string, std::string> names{{"m0", "LEAD"}};
@@ -133,7 +135,7 @@ TEST(CompiledFaultProgram, PostfixRoundTripOfParsedExpressions) {
       const auto it = names.find(machine);
       return it == names.end() ? nullptr : &it->second;
     };
-    EXPECT_EQ(prog.eval(view), expr->eval(sv)) << text;
+    EXPECT_EQ(prog.eval(view, stack.data()), expr->eval(sv)) << text;
   }
 }
 

@@ -448,10 +448,10 @@ TEST(RemoteRunner, ManyStudiesShareOneFleet) {
   EXPECT_EQ(*connects, 4);
 }
 
-// Cache-first over one procs:2 fleet: the runner sees only the misses, as
-// sorted runs in original coordinates — none for a fully cached study, a
-// fragmented plan for a half-cached one — and the delivery still matches
-// an uncached serial run event for event.
+// Cache-first over one procs:2 fleet, and over one threads:3 pool: the
+// runner sees only the misses, as sorted runs in original coordinates —
+// none for a fully cached study, a fragmented plan for a half-cached one —
+// and the delivery still matches an uncached serial run event for event.
 TEST(RemoteRunner, CacheFirstPlanAcrossStudiesIdenticalToSerial) {
   const std::vector<runtime::StudyParams> studies = {
       fault_study("plan-cold", 5, 71'000),
@@ -461,27 +461,31 @@ TEST(RemoteRunner, CacheFirstPlanAcrossStudiesIdenticalToSerial) {
   const auto serial =
       run_recorded(std::make_shared<campaign::SerialRunner>(), studies);
 
-  const std::string dir = temp_dir("plan-cache");
-  int cached = 0;
-  {
-    campaign::ResultCache warm(dir);
-    const auto store = [&](const runtime::StudyParams& study, int k) {
-      const ExperimentParams params = study.make_params(k);
-      warm.store(runtime::experiment_cache_key(params),
-                 runtime::run_experiment(params));
-      ++cached;
-    };
-    for (int k = 0; k < studies[2].experiments; ++k) store(studies[2], k);
-    for (int k = 0; k < studies[3].experiments; k += 2) store(studies[3], k);
+  for (const char* spec : {"procs:2", "threads:3"}) {
+    SCOPED_TRACE(spec);
+    const std::string dir = temp_dir(std::string("plan-cache-") + spec);
+    int cached = 0;
+    {
+      campaign::ResultCache warm(dir);
+      const auto store = [&](const runtime::StudyParams& study, int k) {
+        const ExperimentParams params = study.make_params(k);
+        warm.store(runtime::experiment_cache_key(params),
+                   runtime::run_experiment(params));
+        ++cached;
+      };
+      for (int k = 0; k < studies[2].experiments; ++k) store(studies[2], k);
+      for (int k = 0; k < studies[3].experiments; k += 2) store(studies[3], k);
+    }
+    auto cache = std::make_shared<campaign::ResultCache>(dir);
+    const auto run =
+        run_recorded(campaign::parse_runner_spec(spec), studies, cache);
+    expect_identical_events(serial.events, run.events);
+    const int total = 5 + 4 + 5 + 8;
+    EXPECT_EQ(run.summary.cache_hits, cached);
+    EXPECT_EQ(cache->stats().hits, static_cast<std::uint64_t>(cached));
+    EXPECT_EQ(cache->stats().stores,
+              static_cast<std::uint64_t>(total - cached));
   }
-  auto cache = std::make_shared<campaign::ResultCache>(dir);
-  const auto remote = run_recorded(campaign::parse_runner_spec("procs:2"),
-                                   studies, cache);
-  expect_identical_events(serial.events, remote.events);
-  const int total = 5 + 4 + 5 + 8;
-  EXPECT_EQ(remote.summary.cache_hits, cached);
-  EXPECT_EQ(cache->stats().hits, static_cast<std::uint64_t>(cached));
-  EXPECT_EQ(cache->stats().stores, static_cast<std::uint64_t>(total - cached));
 }
 
 // --- fault injection: the runner under its own medicine ----------------------
@@ -1089,12 +1093,12 @@ TEST(RemoteRunnerFaults, GeneratorThrowInForkedWorkerIsRehydrated) {
   EXPECT_NE(error.find("generator exploded at 3"), std::string::npos) << error;
 }
 
-// The failure prefix across a study boundary: forked workers run the
-// generator, which throws at (study 2, index 3) while study 3 is already
-// pulled and leasable. The campaign delivers exactly serial's events —
-// study 2's indices 0..2 and nothing of study 3, not even its
-// on_study_begin — and the error arrives in original coordinates, with no
-// cache-first annotation.
+// The failure prefix across a study boundary: forked workers (or pool
+// threads) run the generator, which throws at (study 2, index 3) while
+// study 3 may already be pulled and leasable. The campaign delivers exactly
+// serial's events — study 2's indices 0..2 and nothing of study 3, not even
+// its on_study_begin — and the error arrives in original coordinates, with
+// no cache-first annotation.
 TEST(RemoteRunnerFaults, FailurePrefixAcrossAStudyBoundaryMatchesSerial) {
   std::vector<runtime::StudyParams> studies;
   for (int s = 0; s < 4; ++s)
@@ -1109,7 +1113,6 @@ TEST(RemoteRunnerFaults, FailurePrefixAcrossAStudyBoundaryMatchesSerial) {
 
   // run_recorded's events die with its frame on a throw, so record here.
   std::vector<Event> serial_events;
-  std::vector<Event> remote_events;
   const auto record = [&](std::shared_ptr<campaign::Runner> runner,
                           std::vector<Event>& events) {
     auto sink = std::make_shared<campaign::CallbackSink>();
@@ -1137,23 +1140,31 @@ TEST(RemoteRunnerFaults, FailurePrefixAcrossAStudyBoundaryMatchesSerial) {
   };
   const std::string serial_error =
       record(std::make_shared<campaign::SerialRunner>(), serial_events);
-  // Two workers: the plan is pulled 2 * workers * span positions ahead and
-  // a lease may start workers * span past the drain cursor, so study 3 is
-  // pulled, and may be leased, while study 2 still drains.
-  const std::string remote_error = record(
-      std::make_shared<campaign::RemoteRunner>(
-          std::make_shared<campaign::SubprocessTransport>(2), test_options()),
-      remote_events);
-
   ASSERT_FALSE(serial_error.empty());
-  expect_identical_events(serial_events, remote_events);
-  ASSERT_FALSE(remote_events.empty());
-  EXPECT_EQ(remote_events.back(), (Event{"experiment", "boundary-2", 2,
-                                         remote_events.back().result_bytes}));
-  for (const Event& e : remote_events) EXPECT_NE(e.study, "boundary-3");
-  EXPECT_NE(remote_error.find("generator exploded at 3"), std::string::npos)
-      << remote_error;
-  EXPECT_EQ(remote_error.find("cache-first"), std::string::npos) << remote_error;
+
+  // procs:2 pulls the plan 2 * workers * span positions ahead and leases up
+  // to workers * span past the drain cursor; threads:3 pulls and claims up
+  // to 2 * workers past it. Either way study 3 is pulled, and may be
+  // started, while study 2 still drains.
+  const std::vector<std::pair<std::string, std::shared_ptr<campaign::Runner>>>
+      runners = {
+          {"procs:2", std::make_shared<campaign::RemoteRunner>(
+                          std::make_shared<campaign::SubprocessTransport>(2),
+                          test_options())},
+          {"threads:3", campaign::parse_runner_spec("threads:3")}};
+  for (const auto& [spec, runner] : runners) {
+    SCOPED_TRACE(spec);
+    std::vector<Event> events;
+    const std::string error = record(runner, events);
+    expect_identical_events(serial_events, events);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.back(), (Event{"experiment", "boundary-2", 2,
+                                    events.back().result_bytes}));
+    for (const Event& e : events) EXPECT_NE(e.study, "boundary-3");
+    EXPECT_NE(error.find("generator exploded at 3"), std::string::npos)
+        << error;
+    EXPECT_EQ(error.find("cache-first"), std::string::npos) << error;
+  }
 }
 
 // --- lease autotuning --------------------------------------------------------

@@ -155,19 +155,23 @@ TEST(Timeline, ParserRejectsGarbage) {
 
 // --- fault parser ------------------------------------------------------------
 
-/// Harness over the id-based parser API: owns the dictionary and a dense
-/// view, with name-based setters for test readability.
+/// Harness over the id-based parser API: owns the dictionary, the machine
+/// compiled through the study path, and a dense view, with name-based
+/// setters for test readability.
 struct ParserHarness {
   spec::StateMachineSpec sm = mini_spec("m1");
   spec::FaultSpec faults;
   StudyDictionary dict;
+  CompiledMachine tables;
   FaultParser parser;
   std::vector<StateId> view;
 
   explicit ParserHarness(const std::string& fault_text)
       : faults(spec::parse_fault_spec(fault_text, "f")),
         dict(StudyDictionary::build({&sm}, {&faults})),
-        parser(faults.entries, dict),
+        tables(CompiledMachine::compile(sm, faults, dict)),
+        parser(faults.entries, tables.fault_programs(),
+               tables.fault_stack_depth()),
         view(dict.machine_count(), kNoState) {}
 
   void set(const std::string& machine, const std::string& state) {
@@ -239,6 +243,7 @@ struct SmHarness {
   spec::FaultSpec faults;
   spec::FaultSpec peer_faults;
   StudyDictionary dict;
+  CompiledMachine tables;
   std::shared_ptr<Recorder> recorder;
   std::vector<std::string> injected;
   std::vector<std::pair<std::string, std::vector<std::string>>> notified;
@@ -251,6 +256,7 @@ struct SmHarness {
                    : spec::parse_fault_spec(fault_text, "f")),
         dict(StudyDictionary::build({&sm_spec, &peer_spec},
                                     {&faults, &peer_faults})),
+        tables(CompiledMachine::compile(sm_spec, faults, dict)),
         recorder(std::make_shared<Recorder>("m1", "hostA", dict)) {
     StateMachine::Hooks hooks;
     hooks.clock = [this] {
@@ -265,8 +271,7 @@ struct SmHarness {
       notified.emplace_back(dict.state_name(state), std::move(names));
     };
     hooks.inject_fault = [this](const std::string& f) { injected.push_back(f); };
-    sm = std::make_unique<StateMachine>(sm_spec, faults, dict, recorder,
-                                        std::move(hooks));
+    sm = std::make_unique<StateMachine>(tables, recorder, std::move(hooks));
   }
 
   MachineId mid(const std::string& name) const { return dict.machine_index(name); }
