@@ -11,19 +11,25 @@
 
 namespace loki::bench {
 
-/// Write one row per (name, seconds); false when `path` cannot be opened.
+/// Write one row per (name, seconds), then one per (name, ratio) with time
+/// unit "ratio" (a plain number to bench_compare); false when `path` cannot
+/// be opened.
 inline bool write_bench_json(
     const std::string& path,
-    const std::vector<std::pair<std::string, double>>& rows) {
+    const std::vector<std::pair<std::string, double>>& rows,
+    const std::vector<std::pair<std::string, double>>& ratios = {}) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::fprintf(f, "{\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  const std::size_t total = rows.size() + ratios.size();
+  for (std::size_t i = 0; i < total; ++i) {
+    const bool ratio = i >= rows.size();
+    const auto& [name, value] = ratio ? ratios[i - rows.size()] : rows[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                 "\"real_time\": %.3f, \"time_unit\": \"ms\"}%s\n",
-                 rows[i].first.c_str(), rows[i].second * 1e3,
-                 i + 1 < rows.size() ? "," : "");
+                 "\"real_time\": %.*f, \"time_unit\": \"%s\"}%s\n",
+                 name.c_str(), ratio ? 4 : 3, ratio ? value : value * 1e3,
+                 ratio ? "ratio" : "ms", i + 1 < total ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   return std::fclose(f) == 0;

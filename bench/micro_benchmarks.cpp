@@ -1,12 +1,15 @@
 // Micro-benchmarks of the hot runtime and analysis paths (google-benchmark):
 // fault-expression evaluation, the fault parser sweep per view change
 // (§3.5.5 — the thesis flags it as a future optimization target), recorder
-// appends, convex-hull bound computation, predicate evaluation, global
-// timeline construction, and one full experiment as a macro-benchmark.
+// appends, convex-hull bound computation, predicate evaluation, SHA-256 and
+// the cache key, the analysis of one election, kvstore and token-ring
+// experiment, and one full experiment as a macro-benchmark.
 #include <benchmark/benchmark.h>
 
 #include "analysis/pipeline.hpp"
 #include "apps/election.hpp"
+#include "apps/kvstore.hpp"
+#include "apps/token_ring.hpp"
 #include "campaign/campaign.hpp"
 #include "clocksync/convex_hull.hpp"
 #include "measure/observation.hpp"
@@ -18,6 +21,8 @@
 #include "runtime/fault_parser.hpp"
 #include "runtime/recorder.hpp"
 #include "runtime/experiment.hpp"
+#include "runtime/serialize.hpp"
+#include "util/digest.hpp"
 
 using namespace loki;
 
@@ -252,6 +257,81 @@ void BM_AnalyzeExperiment(benchmark::State& state) {
                  std::to_string(result.timeline_of("black").records.size()));
 }
 BENCHMARK(BM_AnalyzeExperiment)->Unit(benchmark::kMicrosecond);
+
+void BM_AnalyzeKvstore(benchmark::State& state) {
+  // The campaign benchmark's discard-heavy study: the once fault's
+  // injection is checked against two machines on two other clocks.
+  apps::KvStoreParams app;
+  app.initial_primary = "kv1";
+  app.run_for = milliseconds(500);
+  auto params = apps::kvstore_experiment(
+      60'000, {"hostA", "hostB", "hostC"},
+      {{"kv1", "hostA"}, {"kv2", "hostB"}, {"kv3", "hostC"}}, app);
+  params.nodes[1].fault_spec = spec::parse_fault_spec(
+      "f ((kv1:REPLICATING) & (kv2:BACKUP)) once\n", "bm");
+  const auto result = runtime::run_experiment(params);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::analyze_experiment(result));
+  }
+}
+BENCHMARK(BM_AnalyzeKvstore)->Unit(benchmark::kMicrosecond);
+
+void BM_AnalyzeTokenRing(benchmark::State& state) {
+  // The campaign benchmark's record-heavy study (about 256 records).
+  apps::TokenRingParams app;
+  app.run_for = milliseconds(400);
+  auto params = apps::token_ring_experiment(
+      70'000, {"hostA", "hostB", "hostC"},
+      {{"n1", "hostA"}, {"n2", "hostB"}, {"n3", "hostC"}}, app);
+  params.nodes[2].fault_spec = spec::parse_fault_spec(
+      "duplicate_token (n1:CRITICAL) once\n", "bm");
+  const auto result = runtime::run_experiment(params);
+  std::size_t records = 0;
+  for (const auto& tl : result.timelines) records += tl.records.size();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::analyze_experiment(result));
+  }
+  state.SetLabel("timeline records: " + std::to_string(records));
+}
+BENCHMARK(BM_AnalyzeTokenRing)->Unit(benchmark::kMicrosecond);
+
+void BM_Sha256(benchmark::State& state) {
+  // 3,171 bytes: the mean params encoding of the campaign benchmark, i.e.
+  // one cache key's worth of hashing. SHA-NI or portable, by CPU.
+  std::vector<std::uint8_t> bytes(3171);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::sha256_hex(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Sha256)->Unit(benchmark::kMicrosecond);
+
+void BM_ExperimentCacheKey(benchmark::State& state) {
+  // Encode plus hash, over params shaped like the campaign benchmark's
+  // election studies (two faulty nodes, one with a restart policy).
+  apps::ElectionParams app;
+  app.run_for = milliseconds(700);
+  app.fault_activation_prob = 0.85;
+  auto params = apps::election_experiment(
+      40'000, {"hostA", "hostB", "hostC"},
+      {{"black", "hostA"}, {"yellow", "hostB"}, {"green", "hostC"}}, app);
+  params.nodes[0].fault_spec =
+      spec::parse_fault_spec("bfault1 (black:LEAD) always\n", "bm");
+  params.nodes[0].restart.enabled = true;
+  params.nodes[0].restart.max_restarts = 2;
+  params.nodes[2].fault_spec = spec::parse_fault_spec(
+      "gfault2 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once\n",
+      "bm");
+  state.SetLabel("params bytes: " +
+                 std::to_string(runtime::encode_experiment_params(params).size()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runtime::experiment_cache_key(params));
+  }
+}
+BENCHMARK(BM_ExperimentCacheKey)->Unit(benchmark::kMicrosecond);
 
 // Campaign orchestration end to end: the same small election study through
 // the facade with 1, 2, and 4 workers (byte-identical results; wall clock

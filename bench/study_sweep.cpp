@@ -14,8 +14,10 @@
 //
 // Prints the median Campaign::Summary wall time of N interleaved
 // repetitions (default 5) per layout, and each runner's 7- and 26-study
-// times relative to its 1-study time. `--bench-json PATH` writes the
-// medians as google-benchmark JSON (study_sweep/<runner>/<studies>) for
+// times relative to its 1-study time: the median of the per-repetition
+// ratios, so host drift between repetitions cancels out. `--bench-json
+// PATH` writes the medians (study_sweep/<runner>/<studies>) and the ratios
+// (study_sweep/<runner>/ratio7, .../ratio26) as google-benchmark JSON for
 // tools/bench_compare.py.
 #include <algorithm>
 #include <cstdio>
@@ -203,22 +205,31 @@ int main(int argc, char** argv) {
               kExperiments, reps);
   std::printf("  %-10s", "runner");
   for (const int count : study_counts) std::printf("  %8d st", count);
-  std::printf("   vs 1 study\n");
+  std::printf("   vs 1 study (median of per-run ratios)\n");
   std::vector<std::pair<std::string, double>> rows;
+  std::vector<std::pair<std::string, double>> ratio_rows;
   for (std::size_t r = 0; r < runners.size(); ++r) {
     std::printf("  %-10s", runners[r].c_str());
-    std::vector<double> medians;
+    const std::string prefix = "study_sweep/" + runners[r] + "/";
     for (std::size_t c = 0; c < study_counts.size(); ++c) {
-      medians.push_back(median(walls[r][c]));
-      rows.emplace_back("study_sweep/" + runners[r] + "/" +
-                            std::to_string(study_counts[c]),
-                        medians.back());
-      std::printf("  %8.1f   ", medians.back() * 1e3);
+      const double wall = median(walls[r][c]);
+      rows.emplace_back(prefix + std::to_string(study_counts[c]), wall);
+      std::printf("  %8.1f   ", wall * 1e3);
     }
     std::printf("  ");
-    for (std::size_t c = 1; c < medians.size(); ++c)
-      std::printf(" %d st %+.0f%%", study_counts[c],
-                  100.0 * (medians[c] / medians[0] - 1.0));
+    for (std::size_t c = 1; c < study_counts.size(); ++c) {
+      // Each repetition runs every layout back to back, so its own 1-study
+      // run is the baseline its c-study run is least drifted from.
+      std::vector<double> ratios;
+      ratios.reserve(static_cast<std::size_t>(reps));
+      for (int rep = 0; rep < reps; ++rep)
+        ratios.push_back(walls[r][c][static_cast<std::size_t>(rep)] /
+                         walls[r][0][static_cast<std::size_t>(rep)]);
+      const double ratio = median(ratios);
+      ratio_rows.emplace_back(prefix + "ratio" + std::to_string(study_counts[c]),
+                              ratio);
+      std::printf(" %d st %.3f", study_counts[c], ratio);
+    }
     std::printf("\n");
   }
   std::printf("  accepted %d of %d; results identical: %s\n",
@@ -226,7 +237,7 @@ int main(int argc, char** argv) {
               identical ? "yes" : "NO - BUG");
 
   if (!bench_json.empty()) {
-    if (!bench::write_bench_json(bench_json, rows)) {
+    if (!bench::write_bench_json(bench_json, rows, ratio_rows)) {
       std::fprintf(stderr, "study_sweep: cannot write %s\n",
                    bench_json.c_str());
       return 2;

@@ -1,8 +1,9 @@
 #include "analysis/global_timeline.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
-#include "util/error.hpp"
+#include "analysis/projection_walk.hpp"
 
 namespace loki::analysis {
 
@@ -14,49 +15,81 @@ std::vector<const GlobalEvent*> GlobalTimeline::of_machine(
   return out;
 }
 
+namespace {
+
+GlobalEvent to_global_event(const std::string& machine,
+                            const ProjectedRecord& p) {
+  GlobalEvent e;
+  e.machine = machine;
+  e.host = *p.host;
+  e.local = p.local;
+  e.when = p.when;
+  switch (p.type) {
+    case runtime::RecordType::StateChange:
+      e.kind = EventKind::StateChange;
+      e.state = *p.state;
+      e.event = *p.event;
+      break;
+    case runtime::RecordType::FaultInjection:
+      e.kind = EventKind::FaultInjection;
+      e.fault = *p.fault;
+      break;
+    case runtime::RecordType::Restart:
+      e.kind = EventKind::Restart;
+      break;
+  }
+  return e;
+}
+
+}  // namespace
+
+std::vector<GlobalEvent> project_timeline(const runtime::LocalTimeline& tl,
+                                          const clocksync::AlphaBetaFile& ab) {
+  std::vector<GlobalEvent> out;
+  out.reserve(tl.records.size());
+  for_each_projected(tl, ab, [&](const ProjectedRecord& p) {
+    out.push_back(to_global_event(tl.nickname, p));
+  });
+  return out;
+}
+
 GlobalTimeline build_global_timeline(
     const std::vector<const runtime::LocalTimeline*>& timelines,
     const clocksync::AlphaBetaFile& alphabeta) {
+  struct Projected {
+    const std::string* machine;
+    ProjectedRecord record;
+  };
+  std::size_t records = 0;
+  for (const runtime::LocalTimeline* tl : timelines) records += tl->records.size();
+  std::vector<Projected> projected;
+  projected.reserve(records);
+  for (const runtime::LocalTimeline* tl : timelines)
+    for_each_projected(*tl, alphabeta, [&](const ProjectedRecord& p) {
+      projected.push_back(Projected{&tl->nickname, p});
+    });
+
+  // Sort (midpoint, position) keys rather than 200-byte events, then build
+  // each event once, in sorted order. The sort is stable, so events with
+  // equal midpoints keep record order.
+  struct Key {
+    double mid;
+    std::size_t position;
+  };
+  std::vector<Key> keys;
+  keys.reserve(projected.size());
+  for (std::size_t i = 0; i < projected.size(); ++i)
+    keys.push_back(Key{projected[i].record.when.mid(), i});
+  std::stable_sort(keys.begin(), keys.end(),
+                   [](const Key& a, const Key& b) { return a.mid < b.mid; });
+
   GlobalTimeline out;
   out.reference = alphabeta.reference;
-
-  for (const runtime::LocalTimeline* tl : timelines) {
-    std::string host = tl->initial_host;
-    for (std::size_t i = 0; i < tl->records.size(); ++i) {
-      const runtime::TimelineRecord& r = tl->records[i];
-      if (r.type == runtime::RecordType::Restart) host = r.host;
-
-      const clocksync::ClockBounds& bounds = alphabeta.for_host(host);
-      if (!bounds.valid)
-        throw ConfigError("no valid clock bounds for host " + host);
-
-      GlobalEvent e;
-      e.machine = tl->nickname;
-      e.host = host;
-      e.local = r.time;
-      e.when = clocksync::project_to_reference(r.time, bounds);
-      switch (r.type) {
-        case runtime::RecordType::StateChange:
-          e.kind = EventKind::StateChange;
-          e.state = tl->state_name(r.state_index);
-          e.event = tl->event_name(r.event_index);
-          break;
-        case runtime::RecordType::FaultInjection:
-          e.kind = EventKind::FaultInjection;
-          e.fault = tl->fault_name(r.fault_index);
-          break;
-        case runtime::RecordType::Restart:
-          e.kind = EventKind::Restart;
-          break;
-      }
-      out.events.push_back(std::move(e));
-    }
+  out.events.reserve(keys.size());
+  for (const Key& k : keys) {
+    const Projected& p = projected[k.position];
+    out.events.push_back(to_global_event(*p.machine, p.record));
   }
-
-  std::stable_sort(out.events.begin(), out.events.end(),
-                   [](const GlobalEvent& a, const GlobalEvent& b) {
-                     return a.mid() < b.mid();
-                   });
   return out;
 }
 

@@ -49,6 +49,10 @@ GlobalTimeline build_global_timeline(
     const std::vector<const runtime::LocalTimeline*>& timelines,
     const clocksync::AlphaBetaFile& alphabeta);
 
+/// Project one timeline's records in record order (no cross-machine sort).
+std::vector<GlobalEvent> project_timeline(const runtime::LocalTimeline& tl,
+                                          const clocksync::AlphaBetaFile& ab);
+
 /// Serialize for the analysis output file: one event per line,
 ///   <machine> <kind> <name...> <host> <local_ns> <lo_ns> <hi_ns>
 std::string serialize_global_timeline(const GlobalTimeline& t);

@@ -1,10 +1,9 @@
 #include "analysis/verification.hpp"
 
-#include <algorithm>
+#include <deque>
 #include <limits>
-#include <map>
-#include <memory>
 
+#include "analysis/projection_walk.hpp"
 #include "util/error.hpp"
 
 namespace loki::analysis {
@@ -12,178 +11,200 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One machine's stay in one state, with exact (local) and projected
-/// (reference) coordinates. exit_* are +inf / absent when the machine held
-/// the state to the end of the experiment.
-struct Occupancy {
-  std::string state;
-  std::string entry_host;
-  LocalTime entry_local{};
-  clocksync::TimeBounds entry;
-  bool has_exit{false};
-  std::string exit_host;
-  LocalTime exit_local{};
-  clocksync::TimeBounds exit{kInf, kInf};
-};
-
-/// The (interval-valued) instant of one injection.
-struct InjectionSite {
-  std::string machine;
-  std::string fault;
-  std::string host;
+/// An instant as one host's clock recorded it: exact on that clock, an
+/// interval on the reference clock. `clock` identifies the host.
+struct Stamp {
+  const clocksync::ClockBounds* clock{nullptr};
   LocalTime local{};
   clocksync::TimeBounds when;
 };
 
-/// Evaluate a term (machine:state) over the injection interval.
-Tri eval_term(const std::map<std::string, std::vector<Occupancy>>& occupancies,
-              const std::string& machine, const std::string& state,
-              const InjectionSite& site) {
-  const auto it = occupancies.find(machine);
-  if (it == occupancies.end()) return Tri::False;  // machine never reported
+/// One machine's stay in one state, its name borrowed from the timeline.
+/// Without an exit the machine held the state to the end of the experiment.
+struct Occupancy {
+  const std::string* state{nullptr};
+  Stamp entry;
+  bool has_exit{false};
+  Stamp exit;
+};
 
+/// A machine by ordinal. Timelines that share a nickname pool their
+/// occupancies here, and the last of them supplies the fault entries.
+struct Machine {
+  const std::string* name{nullptr};
+  const runtime::LocalTimeline* last{nullptr};
+  std::vector<Occupancy> occupancies;
+};
+
+/// The (interval-valued) instant of one injection.
+struct InjectionSite {
+  std::size_t machine{0};
+  const std::string* fault{nullptr};
+  Stamp at;
+};
+
+/// How many injections of one machine's fault the verdicts have counted.
+struct InjectionCount {
+  std::size_t machine{0};
+  const std::string* fault{nullptr};
+  std::size_t count{0};
+};
+
+std::size_t machine_ordinal(const std::vector<Machine>& machines,
+                            const std::string& name) {
+  for (std::size_t m = 0; m < machines.size(); ++m)
+    if (*machines[m].name == name) return m;
+  return machines.size();
+}
+
+InjectionCount* find_count(std::vector<InjectionCount>& counts,
+                           std::size_t machine, const std::string& fault) {
+  for (InjectionCount& c : counts)
+    if (c.machine == machine && *c.fault == fault) return &c;
+  return nullptr;
+}
+
+/// Evaluate a term (machine:state), given the occupancies of that state by
+/// that machine, over the injection interval.
+Tri eval_term(const std::vector<const Occupancy*>& occupancies,
+              const Stamp& site) {
   bool any_possible = false;
-  for (const Occupancy& occ : it->second) {
-    if (occ.state != state) continue;
-
+  for (const Occupancy* occ : occupancies) {
     // Same-clock fast path: exact ordering by local time.
-    const bool entry_same = occ.entry_host == site.host;
-    const bool exit_same = !occ.has_exit || occ.exit_host == site.host;
+    const bool entry_same = occ->entry.clock == site.clock;
+    const bool exit_same = !occ->has_exit || occ->exit.clock == site.clock;
     if (entry_same && exit_same) {
-      const bool inside = occ.entry_local <= site.local &&
-                          (!occ.has_exit || site.local < occ.exit_local);
+      const bool inside = occ->entry.local <= site.local &&
+                          (!occ->has_exit || site.local < occ->exit.local);
       if (inside) return Tri::True;
       continue;  // exactly outside: cannot overlap
     }
 
     // Cross-clock: thesis containment rule on projected bounds.
-    const double exit_lo = occ.has_exit ? occ.exit.lo : kInf;
-    const double exit_hi = occ.has_exit ? occ.exit.hi : kInf;
+    const double exit_lo = occ->has_exit ? occ->exit.when.lo : kInf;
+    const double exit_hi = occ->has_exit ? occ->exit.when.hi : kInf;
     const bool certain =
-        occ.entry.hi <= site.when.lo && site.when.hi <= exit_lo;
+        occ->entry.when.hi <= site.when.lo && site.when.hi <= exit_lo;
     if (certain) return Tri::True;
-    const bool possible = occ.entry.lo <= site.when.hi && site.when.lo <= exit_hi;
+    const bool possible =
+        occ->entry.when.lo <= site.when.hi && site.when.lo <= exit_hi;
     if (possible) any_possible = true;
   }
   return any_possible ? Tri::Unknown : Tri::False;
 }
 
-/// Tri-valued expression evaluation by structural recursion over the term
-/// list is not possible through the FaultExpr interface (it is Boolean).
-/// Instead we flatten the expression to postfix once, pre-evaluate every
-/// distinct term to True/False/Unknown over the injection bounds, and
-/// enumerate the (at most 2^u for u Unknown terms, capped) assignments —
-/// expr is monotone in term values only if negation-free, so with NOT
-/// present the two-pass optimistic/pessimistic trick would be unsound.
-/// Multiple states of the same machine are naturally exclusive in real
-/// views, but an assignment may propose impossible combinations — that
+/// A fault expression in postfix form, every distinct (machine:state) term
+/// resolved to its slot and each slot to that term's occupancies.
+struct CompiledExpr {
+  const std::string* text{nullptr};
+  std::vector<spec::PostfixOp::Kind> ops;
+  std::vector<std::size_t> slot;  // per op; meaningful for Term ops
+  std::vector<std::vector<const Occupancy*>> terms;
+};
+
+/// Tri-valued evaluation of the fault expressions of one verify_experiment
+/// call, each parsed and flattened once, on first use.
+///
+/// Tri-valued evaluation by structural recursion over the term list is not
+/// possible through the FaultExpr interface (it is Boolean). Instead each
+/// distinct term is pre-evaluated to True/False/Unknown over the injection
+/// bounds, and the (at most 2^u for u Unknown terms, capped) assignments
+/// are enumerated — expr is monotone in term values only if negation-free,
+/// so with NOT present the two-pass optimistic/pessimistic trick would be
+/// unsound. Multiple states of the same machine are naturally exclusive in
+/// real views, but an assignment may propose impossible combinations — that
 /// only widens Unknown, keeping the check conservative.
-Tri eval_expr(const spec::FaultExpr& expr,
-              const std::map<std::string, std::vector<Occupancy>>& occupancies,
-              const InjectionSite& site) {
-  const auto postfix = spec::expr_postfix(expr);
+class ExprEvaluator {
+ public:
+  explicit ExprEvaluator(const std::vector<Machine>& machines)
+      : machines_(machines) {}
 
-  // Deduplicate (machine,state) pairs, pre-evaluate each, and resolve every
-  // postfix Term to its slot in the deduplicated list.
-  std::vector<std::pair<std::string, std::string>> uniq;
-  std::vector<Tri> values;
-  std::vector<std::size_t> term_slot(postfix.size(), 0);
-  for (std::size_t p = 0; p < postfix.size(); ++p) {
-    if (postfix[p].kind != spec::PostfixOp::Kind::Term) continue;
-    const std::pair<std::string, std::string> t{postfix[p].machine,
-                                                postfix[p].state};
-    const auto it = std::find(uniq.begin(), uniq.end(), t);
-    if (it != uniq.end()) {
-      term_slot[p] = static_cast<std::size_t>(it - uniq.begin());
-      continue;
+  const CompiledExpr& compiled(const std::string& text) {
+    for (const CompiledExpr& e : exprs_)
+      if (*e.text == text) return e;
+    const std::vector<spec::PostfixOp> postfix =
+        spec::expr_postfix(*spec::parse_fault_expr(text, "fault_list", 0));
+    CompiledExpr& e = exprs_.emplace_back();
+    e.text = &text;
+    std::vector<const spec::PostfixOp*> uniq;
+    for (const spec::PostfixOp& op : postfix) {
+      e.ops.push_back(op.kind);
+      e.slot.push_back(0);
+      if (op.kind != spec::PostfixOp::Kind::Term) continue;
+      std::size_t s = 0;
+      while (s < uniq.size() &&
+             (uniq[s]->machine != op.machine || uniq[s]->state != op.state))
+        ++s;
+      e.slot.back() = s;
+      if (s < uniq.size()) continue;
+      uniq.push_back(&op);
+      std::vector<const Occupancy*>& occs = e.terms.emplace_back();
+      const std::size_t m = machine_ordinal(machines_, op.machine);
+      if (m == machines_.size()) continue;  // machine never reported
+      for (const Occupancy& occ : machines_[m].occupancies)
+        if (*occ.state == op.state) occs.push_back(&occ);
     }
-    term_slot[p] = uniq.size();
-    uniq.push_back(t);
-    values.push_back(eval_term(occupancies, t.first, t.second, site));
+    return e;
   }
 
-  std::vector<std::size_t> unknown_idx;
-  for (std::size_t i = 0; i < values.size(); ++i)
-    if (values[i] == Tri::Unknown) unknown_idx.push_back(i);
+  Tri eval(const CompiledExpr& e, const Stamp& site) {
+    unknown_.clear();
+    assignment_.resize(e.terms.size());
+    for (std::size_t i = 0; i < e.terms.size(); ++i) {
+      const Tri value = eval_term(e.terms[i], site);
+      assignment_[i] = value == Tri::True;
+      if (value == Tri::Unknown) unknown_.push_back(i);
+    }
+    // With many unknowns, give up early: Unknown (conservatively incorrect).
+    if (unknown_.size() > 16) return Tri::Unknown;
 
-  // With many unknowns, give up early: Unknown (conservatively incorrect).
-  if (unknown_idx.size() > 16) return Tri::Unknown;
+    stack_.resize(e.ops.size());
+    bool seen_true = false;
+    bool seen_false = false;
+    const std::size_t combos = std::size_t{1} << unknown_.size();
+    for (std::size_t mask = 0; mask < combos; ++mask) {
+      for (std::size_t b = 0; b < unknown_.size(); ++b)
+        assignment_[unknown_[b]] = (mask >> b) & 1;
 
-  std::vector<char> assignment(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    assignment[i] = values[i] == Tri::True;
-  std::vector<char> stack(postfix.size());
-
-  bool seen_true = false;
-  bool seen_false = false;
-  const std::size_t combos = std::size_t{1} << unknown_idx.size();
-  for (std::size_t mask = 0; mask < combos; ++mask) {
-    for (std::size_t b = 0; b < unknown_idx.size(); ++b)
-      assignment[unknown_idx[b]] = (mask >> b) & 1;
-
-    char* sp = stack.data();
-    for (std::size_t p = 0; p < postfix.size(); ++p) {
-      switch (postfix[p].kind) {
-        case spec::PostfixOp::Kind::Term:
-          *sp++ = assignment[term_slot[p]];
-          break;
-        case spec::PostfixOp::Kind::And:
-          --sp;
-          sp[-1] = sp[-1] & sp[0];
-          break;
-        case spec::PostfixOp::Kind::Or:
-          --sp;
-          sp[-1] = sp[-1] | sp[0];
-          break;
-        case spec::PostfixOp::Kind::Not:
-          sp[-1] = static_cast<char>(!sp[-1]);
-          break;
+      char* sp = stack_.data();
+      for (std::size_t p = 0; p < e.ops.size(); ++p) {
+        switch (e.ops[p]) {
+          case spec::PostfixOp::Kind::Term:
+            *sp++ = assignment_[e.slot[p]];
+            break;
+          case spec::PostfixOp::Kind::And:
+            --sp;
+            sp[-1] = sp[-1] & sp[0];
+            break;
+          case spec::PostfixOp::Kind::Or:
+            --sp;
+            sp[-1] = sp[-1] | sp[0];
+            break;
+          case spec::PostfixOp::Kind::Not:
+            sp[-1] = static_cast<char>(!sp[-1]);
+            break;
+        }
       }
+      if (sp[-1] != 0)
+        seen_true = true;
+      else
+        seen_false = true;
+      if (seen_true && seen_false) return Tri::Unknown;
     }
-    if (sp[-1] != 0)
-      seen_true = true;
-    else
-      seen_false = true;
-    if (seen_true && seen_false) return Tri::Unknown;
+    if (seen_true && !seen_false) return Tri::True;
+    if (seen_false && !seen_true) return Tri::False;
+    return Tri::Unknown;
   }
-  if (seen_true && !seen_false) return Tri::True;
-  if (seen_false && !seen_true) return Tri::False;
-  return Tri::Unknown;
-}
+
+ private:
+  const std::vector<Machine>& machines_;
+  std::deque<CompiledExpr> exprs_;  // deque: references stay valid
+  std::vector<std::size_t> unknown_;
+  std::vector<char> assignment_;
+  std::vector<char> stack_;
+};
 
 }  // namespace
-
-std::vector<GlobalEvent> project_timeline(const runtime::LocalTimeline& tl,
-                                          const clocksync::AlphaBetaFile& ab) {
-  std::string host = tl.initial_host;
-  std::vector<GlobalEvent> out;
-  for (const runtime::TimelineRecord& r : tl.records) {
-    if (r.type == runtime::RecordType::Restart) host = r.host;
-    const clocksync::ClockBounds& bounds = ab.for_host(host);
-    if (!bounds.valid) throw ConfigError("no valid clock bounds for host " + host);
-    GlobalEvent e;
-    e.machine = tl.nickname;
-    e.host = host;
-    e.local = r.time;
-    e.when = clocksync::project_to_reference(r.time, bounds);
-    switch (r.type) {
-      case runtime::RecordType::StateChange:
-        e.kind = EventKind::StateChange;
-        e.state = tl.state_name(r.state_index);
-        e.event = tl.event_name(r.event_index);
-        break;
-      case runtime::RecordType::FaultInjection:
-        e.kind = EventKind::FaultInjection;
-        e.fault = tl.fault_name(r.fault_index);
-        break;
-      case runtime::RecordType::Restart:
-        e.kind = EventKind::Restart;
-        break;
-    }
-    out.push_back(std::move(e));
-  }
-  return out;
-}
 
 VerificationResult verify_experiment(
     const std::vector<const runtime::LocalTimeline*>& timelines,
@@ -192,68 +213,55 @@ VerificationResult verify_experiment(
   VerificationResult result;
 
   // Build occupancies and injection sites per machine, in record order.
-  std::map<std::string, std::vector<Occupancy>> occupancies;
+  std::vector<Machine> machines;
   std::vector<InjectionSite> sites;
-  std::map<std::string, const runtime::LocalTimeline*> by_machine;
-
   for (const runtime::LocalTimeline* tl : timelines) {
-    by_machine[tl->nickname] = tl;
-    const auto events = project_timeline(*tl, alphabeta);
-    auto& occ_list = occupancies[tl->nickname];
-    for (const GlobalEvent& e : events) {
-      switch (e.kind) {
-        case EventKind::StateChange: {
-          if (!occ_list.empty() && !occ_list.back().has_exit) {
-            occ_list.back().has_exit = true;
-            occ_list.back().exit_host = e.host;
-            occ_list.back().exit_local = e.local;
-            occ_list.back().exit = e.when;
-          }
-          Occupancy occ;
-          occ.state = e.state;
-          occ.entry_host = e.host;
-          occ.entry_local = e.local;
-          occ.entry = e.when;
-          occ_list.push_back(std::move(occ));
-          break;
-        }
-        case EventKind::FaultInjection: {
-          sites.push_back(
-              InjectionSite{e.machine, e.fault, e.host, e.local, e.when});
-          break;
-        }
-        case EventKind::Restart:
-          // State between restart and the first notification is BEGIN; the
-          // previous occupancy (normally CRASH) ends here.
-          if (!occ_list.empty() && !occ_list.back().has_exit) {
-            occ_list.back().has_exit = true;
-            occ_list.back().exit_host = e.host;
-            occ_list.back().exit_local = e.local;
-            occ_list.back().exit = e.when;
-          }
-          break;
+    const std::size_t m = machine_ordinal(machines, tl->nickname);
+    if (m == machines.size()) machines.emplace_back().name = &tl->nickname;
+    machines[m].last = tl;
+    std::vector<Occupancy>& occs = machines[m].occupancies;
+    for_each_projected(*tl, alphabeta, [&](const ProjectedRecord& p) {
+      const Stamp at{p.clock, p.local, p.when};
+      if (p.type == runtime::RecordType::FaultInjection) {
+        sites.push_back(InjectionSite{m, p.fault, at});
+        return;
       }
-    }
+      // A state change ends the open occupancy, and so does a RESTART: the
+      // state between a restart and the first notification is BEGIN, and
+      // the previous occupancy (normally CRASH) ends there.
+      if (!occs.empty() && !occs.back().has_exit) {
+        occs.back().has_exit = true;
+        occs.back().exit = at;
+      }
+      if (p.type == runtime::RecordType::StateChange) {
+        Occupancy& occ = occs.emplace_back();
+        occ.state = p.state;
+        occ.entry = at;
+      }
+    });
   }
 
   // Check each injection against its fault expression.
-  std::map<std::pair<std::string, std::string>, std::size_t> injection_counts;
+  ExprEvaluator exprs(machines);
+  std::vector<InjectionCount> counts;
   for (const InjectionSite& site : sites) {
-    const runtime::LocalTimeline* tl = by_machine.at(site.machine);
+    const Machine& machine = machines[site.machine];
     const runtime::TimelineFaultEntry* entry = nullptr;
-    for (const auto& f : tl->faults)
-      if (f.name == site.fault) entry = &f;
-    LOKI_REQUIRE(entry != nullptr, "injection for unknown fault " + site.fault);
+    for (const auto& f : machine.last->faults)
+      if (f.name == *site.fault) entry = &f;
+    LOKI_REQUIRE(entry != nullptr, "injection for unknown fault " + *site.fault);
 
-    const spec::FaultExprPtr expr =
-        spec::parse_fault_expr(entry->expr_text, "fault_list", 0);
+    const CompiledExpr& expr = exprs.compiled(entry->expr_text);
 
     InjectionVerdict verdict;
-    verdict.machine = site.machine;
-    verdict.fault = site.fault;
-    verdict.injection_index = injection_counts[{site.machine, site.fault}]++;
+    verdict.machine = *machine.name;
+    verdict.fault = *site.fault;
+    InjectionCount* count = find_count(counts, site.machine, *site.fault);
+    if (count == nullptr)
+      count = &counts.emplace_back(InjectionCount{site.machine, site.fault, 0});
+    verdict.injection_index = count->count++;
 
-    const Tri value = eval_expr(*expr, occupancies, site);
+    const Tri value = exprs.eval(expr, site.at);
     verdict.correct = value == Tri::True;
     if (value == Tri::Unknown)
       verdict.reason = "expression not certainly true over the injection bounds";
@@ -267,22 +275,18 @@ VerificationResult verify_experiment(
   // sampled instant, yet no injection was recorded.
   if (options.strict_missed_once) {
     for (const runtime::LocalTimeline* tl : timelines) {
+      const std::size_t m = machine_ordinal(machines, tl->nickname);
       for (const auto& f : tl->faults) {
         if (f.trigger != spec::Trigger::Once) continue;
-        if (injection_counts.contains({tl->nickname, f.name})) continue;
-        const spec::FaultExprPtr expr =
-            spec::parse_fault_expr(f.expr_text, "fault_list", 0);
+        if (find_count(counts, m, f.name) != nullptr) continue;
+        const CompiledExpr& expr = exprs.compiled(f.expr_text);
         // Sample at every machine's state-entry instant (the only times the
-        // global state changes).
+        // global state changes); whether any certifies it is independent
+        // of the order they are tried in.
         bool certainly_true = false;
-        for (const auto& [machine, occs] : occupancies) {
-          for (const Occupancy& occ : occs) {
-            InjectionSite probe;
-            probe.machine = tl->nickname;
-            probe.host = occ.entry_host;
-            probe.local = occ.entry_local;
-            probe.when = occ.entry;
-            if (eval_expr(*expr, occupancies, probe) == Tri::True) {
+        for (const Machine& sampled : machines) {
+          for (const Occupancy& occ : sampled.occupancies) {
+            if (exprs.eval(expr, occ.entry) == Tri::True) {
               certainly_true = true;
               break;
             }

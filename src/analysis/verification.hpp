@@ -70,8 +70,4 @@ VerificationResult verify_experiment(
     const clocksync::AlphaBetaFile& alphabeta,
     const VerificationOptions& options = {});
 
-/// Project one timeline's records in record order (no cross-machine sort).
-std::vector<GlobalEvent> project_timeline(const runtime::LocalTimeline& tl,
-                                          const clocksync::AlphaBetaFile& ab);
-
 }  // namespace loki::analysis

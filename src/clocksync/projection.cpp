@@ -1,6 +1,7 @@
 #include "clocksync/projection.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -62,12 +63,24 @@ AlphaBetaFile parse_alphabeta(const std::string& content,
     const auto bhi = parse_f64(tokens[4]);
     if (!alo || !ahi || !blo || !bhi)
       throw ParseError(source, line.number, "bad number on line: " + line.text);
+    // Every projection divides by beta and every timeline sorts by the
+    // projected midpoints: bounds that are not finite, not ordered or not
+    // positive in beta would project to nan or inf, so they fail here.
+    if (!std::isfinite(*alo) || !std::isfinite(*ahi) || !std::isfinite(*blo) ||
+        !std::isfinite(*bhi))
+      throw ParseError(source, line.number, "non-finite bound on line: " + line.text);
+    if (*alo > *ahi || *blo > *bhi)
+      throw ParseError(source, line.number,
+                       "lower bound above upper bound on line: " + line.text);
+    if (*blo <= 0.0)
+      throw ParseError(source, line.number, "beta must be positive on line: " + line.text);
     b.alpha_lo = *alo;
     b.alpha_hi = *ahi;
     b.beta_lo = *blo;
     b.beta_hi = *bhi;
     b.valid = true;
-    file.bounds.emplace(tokens[0], b);
+    if (!file.bounds.emplace(tokens[0], b).second)
+      throw ParseError(source, line.number, "second line for host " + tokens[0]);
   }
   if (file.reference.empty())
     throw ParseError(source, 1, "missing 'reference <host>' line");

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+
 #include "analysis/global_timeline.hpp"
 #include "analysis/pipeline.hpp"
 #include "analysis/verification.hpp"
+#include "apps/election.hpp"
+#include "apps/kvstore.hpp"
+#include "apps/token_ring.hpp"
+#include "runtime/experiment.hpp"
 #include "runtime/timeline.hpp"
+#include "util/digest.hpp"
+#include "util/error.hpp"
 
 namespace loki::analysis {
 namespace {
@@ -244,6 +253,26 @@ TEST(Verification, RestartedMachineOccupanciesSplitAcrossHosts) {
   EXPECT_TRUE(v.verdicts[0].correct) << v.verdicts[0].reason;
 }
 
+TEST(Verification, OutOfRangeIndicesStillThrow) {
+  // The verifier reads no event names, yet a record naming a state, event
+  // or fault the timeline does not list is as malformed as ever.
+  const auto ab = two_host_ab(10'000);
+  const auto machine = [] {
+    return TlBuilder("m1", "hostA", {"S", "T"}, {"e"},
+                     {fault_entry("f1", "(m1:S)", spec::Trigger::Always)});
+  };
+  TlBuilder bad_state = machine();
+  bad_state.change(0, 0, 1'000'000).change(0, 2, 2'000'000);
+  TlBuilder bad_event = machine();
+  bad_event.change(0, 0, 1'000'000).change(1, 1, 2'000'000);
+  TlBuilder bad_fault = machine();
+  bad_fault.change(0, 0, 1'000'000).inject(1, 1'500'000);
+  for (const TlBuilder* b : {&bad_state, &bad_event, &bad_fault}) {
+    EXPECT_THROW(verify_experiment({&b->tl}, ab), LogicError);
+    EXPECT_THROW(build_global_timeline({&b->tl}, ab), LogicError);
+  }
+}
+
 TEST(Verification, VerdictSerialization) {
   VerificationResult v;
   v.verdicts.push_back({"m1", "f1", 0, true, ""});
@@ -253,6 +282,194 @@ TEST(Verification, VerdictSerialization) {
   EXPECT_NE(text.find("m1 f1 0 correct"), std::string::npos);
   EXPECT_NE(text.find("m1 f2 1 incorrect # late"), std::string::npos);
   EXPECT_NE(text.find("missed m2 f3"), std::string::npos);
+}
+
+// --- golden: the analysis of fixed experiments, bit for bit ------------------
+
+/// Feeds one SHA-256 with length-prefixed fields, so no two field sequences
+/// hash alike.
+struct FieldHasher {
+  util::Sha256 sha;
+
+  void u64(std::uint64_t v) {
+    unsigned char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    sha.update(b, sizeof b);
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    sha.update(s.data(), s.size());
+  }
+};
+
+void hash_analysis(FieldHasher& h, const ExperimentAnalysis& a) {
+  h.str(a.alphabeta.reference);
+  h.u64(a.alphabeta.bounds.size());
+  for (const auto& [host, b] : a.alphabeta.bounds) {
+    h.str(host);
+    h.f64(b.alpha_lo);
+    h.f64(b.alpha_hi);
+    h.f64(b.beta_lo);
+    h.f64(b.beta_hi);
+    h.u64(b.valid);
+    h.u64(b.pinned_alpha);
+    h.u64(b.pinned_beta);
+  }
+  h.str(a.timeline.reference);
+  h.u64(a.timeline.events.size());
+  for (const GlobalEvent& e : a.timeline.events) {
+    h.str(e.machine);
+    h.u64(static_cast<std::uint64_t>(e.kind));
+    h.str(e.state);
+    h.str(e.event);
+    h.str(e.fault);
+    h.str(e.host);
+    h.u64(static_cast<std::uint64_t>(e.local.ns));
+    h.f64(e.when.lo);
+    h.f64(e.when.hi);
+  }
+  h.str(serialize_verdicts(a.verification));
+  h.u64(a.verification.missed.size());
+  for (const MissedFault& m : a.verification.missed) {
+    h.str(m.machine);
+    h.str(m.fault);
+  }
+  h.u64(a.verification.all_injections_correct);
+  h.u64(a.verification.accepted);
+  h.u64(a.accepted);
+}
+
+const std::vector<std::string> kGoldenHosts = {"hostA", "hostB", "hostC"};
+
+runtime::ExperimentParams golden_election(std::uint64_t seed) {
+  apps::ElectionParams app;
+  app.run_for = milliseconds(700);
+  app.fault_activation_prob = 0.85;
+  return apps::election_experiment(
+      seed, kGoldenHosts,
+      {{"black", "hostA"}, {"yellow", "hostB"}, {"green", "hostC"}}, app);
+}
+
+runtime::NodeConfig& node_named(runtime::ExperimentParams& p,
+                                const std::string& nick) {
+  for (runtime::NodeConfig& n : p.nodes)
+    if (n.nickname == nick) return n;
+  throw std::logic_error("no node " + nick);
+}
+
+/// About 30 experiments shaped like the campaign benchmark's studies: the
+/// Chapter 5 election faults (`xfault1 ... always` on the faulty machine,
+/// gfault2 ... once on green), election with restarts onto the next host
+/// (RESTART records switch the stamping clock), the discard-heavy kvstore
+/// study and the record-heavy token ring.
+std::vector<runtime::ExperimentParams> golden_experiments() {
+  std::vector<runtime::ExperimentParams> out;
+  const char* machines[3] = {"black", "green", "yellow"};
+  for (std::uint64_t k = 0; k < 9; ++k) {
+    const std::string machine = machines[k % 3];
+    auto p = golden_election(10'000 + k);
+    runtime::NodeConfig& node = node_named(p, machine);
+    node.fault_spec = spec::parse_fault_spec(
+        machine.substr(0, 1) + "fault1 (" + machine + ":LEAD) always\n", "golden");
+    node.restart.enabled = k % 2 == 0;
+    node.restart.delay = milliseconds(60);
+    node.restart.max_restarts = 2;
+    out.push_back(std::move(p));
+  }
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    auto p = golden_election(40'000 + k);
+    node_named(p, "black").fault_spec =
+        spec::parse_fault_spec("bfault1 (black:LEAD) always\n", "golden");
+    node_named(p, "green").fault_spec = spec::parse_fault_spec(
+        "gfault2 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once\n",
+        "golden");
+    out.push_back(std::move(p));
+  }
+  // Seeds in which black leads, crashes on bfault1 and is restarted once
+  // or twice, each time on the next host.
+  for (const std::uint64_t seed : {10'001, 10'004, 10'017, 10'028, 10'033, 10'034}) {
+    auto p = golden_election(seed);
+    runtime::NodeConfig& black = node_named(p, "black");
+    black.fault_spec =
+        spec::parse_fault_spec("bfault1 (black:LEAD) always\n", "golden");
+    black.restart.enabled = true;
+    black.restart.delay = milliseconds(60);
+    black.restart.max_restarts = 2;
+    black.restart.placement = runtime::RestartPolicy::Placement::NextHost;
+    node_named(p, "green").fault_spec = spec::parse_fault_spec(
+        "gfault2 ((black:CRASH) & ((green:FOLLOW) | (green:ELECT))) once\n",
+        "golden");
+    out.push_back(std::move(p));
+  }
+  for (std::uint64_t k = 12; k < 18; ++k) {
+    apps::KvStoreParams app;
+    app.initial_primary = "kv1";
+    app.run_for = milliseconds(500);
+    auto p = apps::kvstore_experiment(
+        60'000 + k, kGoldenHosts,
+        {{"kv1", "hostA"}, {"kv2", "hostB"}, {"kv3", "hostC"}}, app);
+    node_named(p, "kv2").fault_spec = spec::parse_fault_spec(
+        "f ((kv1:REPLICATING) & (kv2:BACKUP)) once\n", "golden");
+    out.push_back(std::move(p));
+  }
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    apps::TokenRingParams app;
+    app.run_for = milliseconds(400);
+    auto p = apps::token_ring_experiment(
+        70'000 + k, kGoldenHosts,
+        {{"n1", "hostA"}, {"n2", "hostB"}, {"n3", "hostC"}}, app);
+    node_named(p, "n3").fault_spec =
+        spec::parse_fault_spec("duplicate_token (n1:CRITICAL) once\n", "golden");
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+TEST(AnalysisGolden, DigestUnchanged) {
+  // One SHA-256 over everything the analysis of 31 fixed experiments
+  // produces: every ClockBounds field's bits, every GlobalEvent in order,
+  // the verdicts, the missed list and the accept flags. Recorded before the
+  // shared projection walk replaced the per-consumer loops; any drift in
+  // bounds, projection, event order or verdicts changes it.
+  FieldHasher h;
+  std::size_t restarts_elsewhere = 0;
+  std::size_t injections = 0;
+  std::size_t incorrect = 0;
+  std::size_t missed = 0;
+  std::size_t records = 0;
+  for (const runtime::ExperimentParams& p : golden_experiments()) {
+    const runtime::ExperimentResult result = runtime::run_experiment(p);
+    for (const runtime::LocalTimeline& tl : result.timelines) {
+      records += tl.records.size();
+      for (const runtime::TimelineRecord& r : tl.records)
+        if (r.type == runtime::RecordType::Restart && r.host != tl.initial_host)
+          ++restarts_elsewhere;
+    }
+    const ExperimentAnalysis a = analyze_experiment(result);
+    for (const InjectionVerdict& v : a.verification.verdicts) {
+      ++injections;
+      if (!v.correct) ++incorrect;
+    }
+    missed += a.verification.missed.size();
+    hash_analysis(h, a);
+  }
+  // The corpus exercises what the digest guards.
+  EXPECT_GT(restarts_elsewhere, 0u);
+  EXPECT_GT(injections, incorrect);
+  EXPECT_GT(incorrect, 0u);
+  std::printf("records %zu, injections %zu (incorrect %zu), missed %zu, "
+              "restarts onto another host %zu\n",
+              records, injections, incorrect, missed, restarts_elsewhere);
+
+  const auto digest = h.sha.finish();
+  std::string hex;
+  for (const std::uint8_t b : digest) {
+    static const char* kHex = "0123456789abcdef";
+    hex.push_back(kHex[b >> 4]);
+    hex.push_back(kHex[b & 0xf]);
+  }
+  EXPECT_EQ(hex, "f738e7a656053282a96c3fa8a10131fa3bef96a6793f226f428ae1eee0ae99e7");
 }
 
 }  // namespace

@@ -174,6 +174,43 @@ TEST(AlphaBeta, FileRoundTrip) {
   EXPECT_THROW(rt.for_host("nope"), loki::ConfigError);
 }
 
+/// The line number of the ParseError `content` raises, or 0 if it parses.
+int alphabeta_error_line(const std::string& content) {
+  try {
+    parse_alphabeta(content, "ab");
+  } catch (const loki::ParseError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+TEST(AlphaBeta, NonFiniteBoundsAreRejected) {
+  // from_chars reads nan and inf; a nan bound used to project every event
+  // of its host to [nan, nan], which no timeline can sort.
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostA 0 0 1 1\nhostB nan 0 1 1\n"), 3);
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB 0 inf 1 1\n"), 2);
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB 0 0 1 -inf\n"), 2);
+}
+
+TEST(AlphaBeta, InvertedBoundsAreRejected) {
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB 5 -5 1 1\n"), 2);
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB 0 0 1.1 0.9\n"), 2);
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB -5 5 0.9 1.1\n"), 0);
+}
+
+TEST(AlphaBeta, NonPositiveBetaIsRejected) {
+  // beta = 0 used to project every event of its host to [inf, inf].
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB 0 0 0 0\n"), 2);
+  EXPECT_EQ(alphabeta_error_line("reference hostA\nhostB 0 0 -1 1\n"), 2);
+}
+
+TEST(AlphaBeta, SecondLineForAHostIsRejected) {
+  // The map's emplace used to keep the first line and drop the second.
+  EXPECT_EQ(alphabeta_error_line(
+                "reference hostA\nhostB 0 0 1 1\nhostC 0 0 1 1\nhostB 9 9 1 1\n"),
+            4);
+}
+
 TEST(SyncPhase, ProducesValidBoundsInsideSimulation) {
   // End to end inside the simulator: drifting clocks, scheduling noise, and
   // the bounds still certainly contain the truth.

@@ -9,6 +9,7 @@
 // allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -851,6 +852,56 @@ TEST(Digest, Sha256KnownVectors) {
   const std::string long_input(1000, 'a');
   EXPECT_EQ(util::sha256_hex(long_input.data(), long_input.size()),
             "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3");
+}
+
+TEST(Digest, Sha256Fips180Vectors) {
+  // FIPS 180-4's two-block message: 56 bytes, so the length needs a
+  // second padding block.
+  const std::string two_block =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  EXPECT_EQ(util::sha256_hex(two_block.data(), two_block.size()),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  const std::string million(1'000'000, 'a');
+  EXPECT_EQ(util::sha256_hex(million.data(), million.size()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Digest, DispatchedSha256MatchesPortableReference) {
+  // Every length from 0 to 1,100 bytes, fed whole and in uneven chunks, so
+  // that every padding edge and every switch between buffered and direct
+  // blocks is hit, must digest exactly as the portable block function does.
+  if (util::Sha256::hardware())
+    std::printf("Sha256 dispatches to SHA-NI on this CPU\n");
+  else
+    std::printf("no SHA-NI on this CPU: Sha256 runs the portable path\n");
+  std::vector<std::uint8_t> input(1100);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = static_cast<std::uint8_t>((i * 131 + 7) ^ (i >> 8));
+  const std::size_t chunks[] = {0, 1, 63, 64, 65, 127};  // 0: whole input
+  for (std::size_t len = 0; len <= input.size(); ++len) {
+    util::Sha256 reference = util::Sha256::portable();
+    reference.update(input.data(), len);
+    const auto expected = reference.finish();
+    for (const std::size_t chunk : chunks) {
+      util::Sha256 dispatched;
+      for (std::size_t at = 0; at < len;) {
+        const std::size_t take = chunk == 0 ? len : std::min(chunk, len - at);
+        dispatched.update(input.data() + at, take);
+        at += take;
+      }
+      ASSERT_EQ(dispatched.finish(), expected)
+          << "length " << len << ", chunks of " << chunk;
+    }
+  }
+}
+
+TEST(Digest, CacheKeyOfCheckedInParamsIsPinned) {
+  // The key of tests/data/params_v2.bin, recorded before Sha256 gained its
+  // SHA-NI path: a cache filled by an earlier build keeps its hits.
+  const std::vector<std::uint8_t> bytes = read_fixture("params_v2.bin");
+  ASSERT_FALSE(bytes.empty()) << "missing fixture " << fixture_path("params_v2.bin");
+  EXPECT_EQ(runtime::experiment_cache_key(runtime::decode_experiment_params(bytes)),
+            "2e4b4bdf0393d9bd37308cc2cedff342b271313eed9a132d50f0477937c524d3");
 }
 
 }  // namespace

@@ -71,6 +71,13 @@ def fmt(ns):
     return f"{ns:.3g} ns"
 
 
+def show(value, unit):
+    """A time in its best unit; anything else (a "ratio") as it stands."""
+    if unit not in UNIT_NS:
+        return f"{value:.3g} {unit}"
+    return fmt(to_ns(value, unit))
+
+
 def unmatched_hot_alternatives(pattern, names):
     """The '|'-alternatives of `pattern` that match no name in `names`.
 
@@ -139,7 +146,7 @@ def main(argv=None):
     if baseline is None:
         print(f"bench_compare: no baseline at {args.baseline} — first run?")
         for name, (t, unit) in sorted(current.items()):
-            print(f"  NEW       {fmt(to_ns(t, unit)):>12}  {name}")
+            print(f"  NEW       {show(t, unit):>12}  {name}")
         return 0
 
     worst = 0.0
@@ -149,7 +156,7 @@ def main(argv=None):
     for name, (t, unit) in sorted(current.items()):
         cur_ns = to_ns(t, unit)
         if name not in baseline:
-            print(f"  {name:<{width}}  {'—':>12}  {fmt(cur_ns):>12}  NEW")
+            print(f"  {name:<{width}}  {'—':>12}  {show(t, unit):>12}  NEW")
             continue
         base_ns = to_ns(*baseline[name])
         delta = (cur_ns - base_ns) / base_ns * 100.0 if base_ns > 0 else 0.0
@@ -158,10 +165,10 @@ def main(argv=None):
             worst = max(worst, delta)
         sign = "+" if delta >= 0 else ""
         tag = "  (hot)" if hot is not None and gated else ""
-        print(f"  {name:<{width}}  {fmt(base_ns):>12}  {fmt(cur_ns):>12}  "
-              f"{sign}{delta:.1f}%{tag}")
+        print(f"  {name:<{width}}  {show(*baseline[name]):>12}  "
+              f"{show(t, unit):>12}  {sign}{delta:.1f}%{tag}")
     for name in sorted(set(baseline) - set(current)):
-        print(f"  {name:<{width}}  {fmt(to_ns(*baseline[name])):>12}  "
+        print(f"  {name:<{width}}  {show(*baseline[name]):>12}  "
               f"{'—':>12}  REMOVED")
 
     if args.fail_above is not None and worst > args.fail_above:
