@@ -434,22 +434,6 @@ StudyBuilder& StudyBuilder::generator(
   return *this;
 }
 
-StudyBuilder& StudyBuilder::host(runtime::HostConfig host) {
-  hosts_.push_back(std::move(host));
-  return *this;
-}
-
-StudyBuilder& StudyBuilder::host(const std::string& name) {
-  runtime::HostConfig hc;
-  hc.name = name;
-  return host(std::move(hc));
-}
-
-StudyBuilder& StudyBuilder::node(runtime::NodeConfig node) {
-  nodes_.push_back(std::move(node));
-  return *this;
-}
-
 StudyBuilder& StudyBuilder::fault(const std::string& nickname,
                                   const std::string& fault_spec_text) {
   // Parse immediately: a syntax error points at the composition site.
@@ -466,27 +450,22 @@ StudyBuilder& StudyBuilder::tweak(
 }
 
 runtime::StudyParams StudyBuilder::to_study() const {
-  if (!generator_ && !base_ && nodes_.empty())
+  if (!generator_ && !base_)
     throw ConfigError("study '" + name_ +
-                      "': no base params, generator, or nodes composed");
+                      "': no base params or generator composed");
 
   runtime::StudyParams study;
   study.name = name_;
   study.experiments = experiments_;
   study.make_params = [name = name_, base = base_, gen = generator_,
-                       hosts = hosts_, nodes = nodes_, faults = faults_,
-                       tweaks = tweaks_](int k) {
+                       faults = faults_, tweaks = tweaks_](int k) {
     runtime::ExperimentParams p;
     if (gen) {
       p = gen(k);
-    } else if (base.has_value()) {
+    } else {
       p = *base;
       p.seed = base->seed + static_cast<std::uint64_t>(k);
-    } else {
-      p.seed = 1 + static_cast<std::uint64_t>(k);
     }
-    for (const runtime::HostConfig& h : hosts) p.hosts.push_back(h);
-    for (const runtime::NodeConfig& n : nodes) p.nodes.push_back(n);
     for (const auto& [nickname, fault_spec] : faults) {
       bool found = false;
       for (runtime::NodeConfig& n : p.nodes) {
@@ -540,10 +519,6 @@ CampaignBuilder& CampaignBuilder::cache(std::shared_ptr<ResultCache> cache) {
   return *this;
 }
 
-CampaignBuilder& CampaignBuilder::cache_dir(const std::string& dir) {
-  return cache(std::make_shared<ResultCache>(dir));
-}
-
 CampaignBuilder& CampaignBuilder::journal(const std::string& path,
                                           std::uint64_t seed) {
   if (path.empty()) throw ConfigError("journal: empty path");
@@ -595,8 +570,9 @@ Campaign CampaignBuilder::build() const {
   // ordering: no cache, no journal.
   if (!journal_path_.empty() && !cache_)
     throw ConfigError(
-        "a journaled campaign requires a result cache (cache_dir/cache): "
-        "resume replays journaled indices from the cache");
+        "a journaled campaign requires a result cache "
+        "(CampaignBuilder::cache): resume replays journaled indices from "
+        "the cache");
   campaign.runner_ = runner_ ? runner_ : std::make_shared<SerialRunner>();
   campaign.cache_ = cache_;
   campaign.sinks_ = sinks_;

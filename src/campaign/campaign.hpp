@@ -102,12 +102,9 @@ class StudyBuilder {
   /// Fixed base parameters; experiment k runs with seed base.seed + k.
   StudyBuilder& base(runtime::ExperimentParams params);
   /// Full per-experiment generator (controls its own seeds). Composed
-  /// hosts/nodes/faults/tweaks still apply on top of its output.
+  /// faults and tweaks still apply on top of its output.
   StudyBuilder& generator(std::function<runtime::ExperimentParams(int)> gen);
 
-  StudyBuilder& host(runtime::HostConfig host);
-  StudyBuilder& host(const std::string& name);
-  StudyBuilder& node(runtime::NodeConfig node);
   /// Parse `fault_spec_text` (§3.5.5) now — ParseError at composition time —
   /// and attach it to the named node.
   StudyBuilder& fault(const std::string& nickname,
@@ -131,8 +128,6 @@ class StudyBuilder {
   int experiments_{10};
   std::optional<runtime::ExperimentParams> base_;
   std::function<runtime::ExperimentParams(int)> generator_;
-  std::vector<runtime::HostConfig> hosts_;
-  std::vector<runtime::NodeConfig> nodes_;
   std::vector<std::pair<std::string, spec::FaultSpec>> faults_;
   std::vector<std::function<void(runtime::ExperimentParams&, int)>> tweaks_;
 };
@@ -163,8 +158,6 @@ class CampaignBuilder {
   /// runner, and fresh results are stored. Requires every node to carry a
   /// wire identity (NodeConfig::app_name) — checked at build() time.
   CampaignBuilder& cache(std::shared_ptr<ResultCache> cache);
-  /// Sugar for cache(make_shared<ResultCache>(dir)).
-  CampaignBuilder& cache_dir(const std::string& dir);
 
   /// Crash-safe coordination (campaign/journal.hpp): write-ahead journal
   /// every emitted index to `path` (truncating any previous journal), so a

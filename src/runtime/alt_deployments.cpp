@@ -22,20 +22,6 @@ CentralizedDeployment::CentralizedDeployment(sim::World& world,
       crash_state_id_(reserved.crash_state),
       nodes_(dict.machine_count(), nullptr) {}
 
-void CentralizedDeployment::reset(sim::HostId daemon_host,
-                                  const StudyDictionary& dict,
-                                  const CostModel& costs, Params params,
-                                  const ReservedStudyIds& reserved) {
-  daemon_host_ = daemon_host;
-  costs_ = costs;
-  params_ = params;
-  crash_state_id_ = reserved.crash_state;
-  daemon_pid_ = sim::ProcessId{};
-  nodes_.assign(dict.machine_count(), nullptr);
-  dropped_ = 0;
-  relayed_ = 0;
-}
-
 void CentralizedDeployment::start_daemon() {
   daemon_pid_ = world_.spawn(daemon_host_,
                              "loki-global@" + world_.host_name(daemon_host_));
@@ -148,16 +134,6 @@ DirectDeployment::DirectDeployment(sim::World& world,
       costs_(costs),
       exit_state_id_(reserved.exit_state),
       peers_(dict.machine_count(), nullptr) {}
-
-void DirectDeployment::reset(const StudyDictionary& dict,
-                             const CostModel& costs,
-                             const ReservedStudyIds& reserved) {
-  costs_ = costs;
-  exit_state_id_ = reserved.exit_state;
-  peers_.assign(dict.machine_count(), nullptr);
-  dropped_ = 0;
-  connect_cost = microseconds(300);  // the declaration's default initializer
-}
 
 std::size_t DirectDeployment::peer_count() const {
   return static_cast<std::size_t>(

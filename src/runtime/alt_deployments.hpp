@@ -45,13 +45,6 @@ class CentralizedDeployment final : public Deployment {
                         const StudyDictionary& dict, const CostModel& costs,
                         Params params, const ReservedStudyIds& reserved);
 
-  /// Return to as-constructed state, reusing the node-table capacity (the
-  /// deployment pool path; `dict` must be the same dictionary object while
-  /// a pool reuses this deployment).
-  void reset(sim::HostId daemon_host, const StudyDictionary& dict,
-             const CostModel& costs, Params params,
-             const ReservedStudyIds& reserved);
-
   void start_daemon();
   sim::ProcessId daemon_pid() const { return daemon_pid_; }
 
@@ -86,11 +79,6 @@ class DirectDeployment final : public Deployment {
  public:
   DirectDeployment(sim::World& world, const StudyDictionary& dict,
                    const CostModel& costs, const ReservedStudyIds& reserved);
-
-  /// Return to as-constructed state, reusing the peer-table capacity (the
-  /// deployment pool path).
-  void reset(const StudyDictionary& dict, const CostModel& costs,
-             const ReservedStudyIds& reserved);
 
   void node_started(LokiNode& node, bool restarted,
                     std::function<void()> on_ready) override;

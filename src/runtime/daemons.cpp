@@ -19,20 +19,6 @@ LocalDaemon::LocalDaemon(sim::World& world, sim::HostId host,
   last_reply_.assign(machines, SimTime::zero());
 }
 
-void LocalDaemon::reset(sim::HostId host) {
-  host_ = host;
-  pid_ = sim::ProcessId{};
-  std::fill(local_nodes_.begin(), local_nodes_.end(), nullptr);
-  std::fill(locations_.begin(), locations_.end(), sim::HostId{});
-  std::fill(last_reply_.begin(), last_reply_.end(), SimTime::zero());
-  local_count_ = 0;
-  // Keep the outer scratch vector: clearing each bucket preserves the
-  // inner capacity the route fast path worked for.
-  for (std::vector<MachineId>& bucket : route_scratch_) bucket.clear();
-  reported_empty_ = true;
-  routed_ = 0;
-}
-
 void LocalDaemon::start() {
   pid_ = world_.spawn(host_, "lokid@" + world_.host_name(host_));
   // Arm the watchdog loop.
@@ -345,32 +331,6 @@ PartiallyDistributedDeployment::PartiallyDistributedDeployment(
     daemons_.push_back(std::make_unique<LocalDaemon>(world_, h, *this));
 }
 
-void PartiallyDistributedDeployment::reset(
-    const std::vector<sim::HostId>& hosts, const CostModel& costs,
-    FabricParams params, const ReservedStudyIds& reserved) {
-  LOKI_REQUIRE(!hosts.empty(), "fabric needs at least one host");
-  hosts_ = hosts;
-  costs_ = costs;
-  params_ = params;
-  crash_state_id_ = reserved.crash_state;
-  crash_event_idx_ = reserved.crash_event_idx;
-  std::fill(recorders_.begin(), recorders_.end(), nullptr);
-  dropped_ = 0;
-  if (daemons_.size() == hosts_.size()) {
-    for (std::size_t i = 0; i < hosts_.size(); ++i)
-      daemons_[i]->reset(hosts_[i]);
-  } else {
-    daemons_.clear();
-    for (const sim::HostId h : hosts_)
-      daemons_.push_back(std::make_unique<LocalDaemon>(world_, h, *this));
-  }
-  // Per-run harness wiring; a pooled fabric must never call into the
-  // previous experiment's (destroyed) run object.
-  on_host_empty_change = nullptr;
-  on_node_crash = nullptr;
-  node_spawner = nullptr;
-}
-
 void PartiallyDistributedDeployment::start_daemons() {
   for (auto& d : daemons_) d->start();
 }
@@ -452,21 +412,6 @@ void PartiallyDistributedDeployment::request_state_updates(LokiNode& node) {
 CentralDaemon::CentralDaemon(sim::World& world, sim::HostId host,
                              PartiallyDistributedDeployment& fabric, Params params)
     : world_(world), host_(host), fabric_(fabric), params_(params) {}
-
-void CentralDaemon::reset(sim::HostId host, Params params) {
-  host_ = host;
-  params_ = params;
-  pid_ = sim::ProcessId{};
-  host_empty_.clear();  // start() sizes and fills it
-  poll_ = nullptr;
-  saw_any_node_ = false;
-  concluded_ = false;
-  timed_out_ = false;
-  confirm_epoch_ = 0;
-  pending_restarts = nullptr;
-  on_conclude = nullptr;
-  on_crash_report = nullptr;
-}
 
 void CentralDaemon::start(
     const std::vector<std::pair<std::string, sim::HostId>>& initial_nodes) {

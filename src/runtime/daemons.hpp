@@ -43,12 +43,6 @@ class LocalDaemon {
   LocalDaemon(sim::World& world, sim::HostId host,
               PartiallyDistributedDeployment& fabric);
 
-  /// Return to as-constructed state for `host`, reusing the per-machine
-  /// table capacity (the deployment pool path — one daemon object serves
-  /// every experiment of a study). Clears the stale LokiNode* of the
-  /// previous run; valid only while the fabric's dictionary is unchanged.
-  void reset(sim::HostId host);
-
   void start();
   /// Host crash & reboot support (§3.6.4): respawn the daemon process after
   /// its host rebooted. Registered nodes died with the host; the restarted
@@ -118,14 +112,6 @@ class PartiallyDistributedDeployment final : public Deployment {
                                  const CostModel& costs, FabricParams params,
                                  const ReservedStudyIds& reserved);
 
-  /// Return to as-constructed state for a new experiment of the same study
-  /// (the dictionary reference is unchanged by contract; the pool that
-  /// calls this is dropped on recompile). Rebinds hosts, costs and fabric
-  /// params, resets the pooled local daemons in place — reallocating them
-  /// only when the host count changed — and clears the per-run callbacks.
-  void reset(const std::vector<sim::HostId>& hosts, const CostModel& costs,
-             FabricParams params, const ReservedStudyIds& reserved);
-
   /// Start the local daemons (spawn + interconnect). Must run before nodes.
   void start_daemons();
 
@@ -190,11 +176,6 @@ class CentralDaemon {
 
   CentralDaemon(sim::World& world, sim::HostId host,
                 PartiallyDistributedDeployment& fabric, Params params);
-
-  /// Return to as-constructed state (deployment pool path). Drops the
-  /// previous run's harness callbacks — the pooled object must never hold a
-  /// std::function into a dead ExperimentRun.
-  void reset(sim::HostId host, Params params);
 
   /// Start the daemon process, hook fabric callbacks, arm the timeout, and
   /// instruct local daemons to start `initial_nodes` (node-file entries

@@ -14,19 +14,6 @@
 
 namespace loki::runtime {
 
-/// The pooled per-run objects. Each slot is lazily built by the first run
-/// that needs its transport design, then reset in place by every later run
-/// of the same compiled study. CentralDaemon holds a reference to the
-/// pooled fabric, so the two live and die together; the pool as a whole is
-/// dropped on recompile because fabric/centralized/direct all reference the
-/// compiled study's dictionary.
-struct DeploymentPool {
-  std::unique_ptr<PartiallyDistributedDeployment> fabric;
-  std::unique_ptr<CentralDaemon> central;
-  std::unique_ptr<CentralizedDeployment> centralized;
-  std::unique_ptr<DirectDeployment> direct;
-};
-
 namespace {
 
 /// The host whose clock stamps a node's first records: its node-file host,
@@ -47,14 +34,8 @@ class ExperimentRun {
  public:
   ExperimentRun(const ExperimentParams& params, const CompiledStudy& study,
                 sim::World& world,
-                const std::vector<std::shared_ptr<Recorder>>& recorders,
-                DeploymentPool& pool, std::uint64_t& builds)
-      : params_(params),
-        study_(study),
-        world_(world),
-        recorders_(recorders),
-        pool_(pool),
-        builds_(builds) {}
+                const std::vector<std::shared_ptr<Recorder>>& recorders)
+      : params_(params), study_(study), world_(world), recorders_(recorders) {}
 
   ExperimentResult run();
 
@@ -70,14 +51,15 @@ class ExperimentRun {
   const CompiledStudy& study_;
   sim::World& world_;
   const std::vector<std::shared_ptr<Recorder>>& recorders_;  // by node index
-  DeploymentPool& pool_;
-  std::uint64_t& builds_;
   std::vector<sim::HostId> host_ids_;
 
-  // Borrowed from pool_ for this run (null = design not in play this run).
+  // This run's deployment, built by build_deployment(). Members die in
+  // reverse order: the central daemon (which references the fabric) before
+  // the deployment, and the deployment after nodes_ (which reference it).
+  std::unique_ptr<Deployment> deployment_;
+  /// deployment_ when the design is PartiallyDistributed, else null.
   PartiallyDistributedDeployment* fabric_{nullptr};
-  CentralDaemon* central_{nullptr};
-  Deployment* deployment_{nullptr};
+  std::unique_ptr<CentralDaemon> central_;
 
   NodeDirectory directory_;
   std::vector<std::unique_ptr<LokiNode>> nodes_;
@@ -120,34 +102,21 @@ void ExperimentRun::build_hosts() {
 }
 
 void ExperimentRun::build_deployment() {
-  // Acquire-or-reset from the pool: the first run of a design constructs
-  // its objects, every later run reuses the allocation and table capacity.
   switch (params_.design) {
     case TransportDesign::PartiallyDistributed: {
-      if (pool_.fabric == nullptr) {
-        pool_.fabric = std::make_unique<PartiallyDistributedDeployment>(
-            world_, host_ids_, study_.dict(), params_.costs, params_.fabric,
-            study_.reserved());
-        ++builds_;
-      } else {
-        pool_.fabric->reset(host_ids_, params_.costs, params_.fabric,
-                            study_.reserved());
-      }
-      fabric_ = pool_.fabric.get();
+      auto fabric = std::make_unique<PartiallyDistributedDeployment>(
+          world_, host_ids_, study_.dict(), params_.costs, params_.fabric,
+          study_.reserved());
+      fabric_ = fabric.get();
+      deployment_ = std::move(fabric);
       for (std::size_t i = 0; i < params_.nodes.size(); ++i)
         fabric_->set_recorder(params_.nodes[i].nickname, recorders_[i]);
       fabric_->node_spawner = [this](const std::string& nick, sim::HostId host) {
         spawn_node(nick, host, false);
       };
       fabric_->start_daemons();
-      if (pool_.central == nullptr) {
-        pool_.central = std::make_unique<CentralDaemon>(
-            world_, host_ids_.front(), *fabric_, params_.central);
-        ++builds_;
-      } else {
-        pool_.central->reset(host_ids_.front(), params_.central);
-      }
-      central_ = pool_.central.get();
+      central_ = std::make_unique<CentralDaemon>(world_, host_ids_.front(),
+                                                 *fabric_, params_.central);
       central_->pending_restarts = [this] { return pending_restarts_; };
       central_->on_conclude = [this](bool timed_out) {
         done_ = true;
@@ -156,35 +125,20 @@ void ExperimentRun::build_deployment() {
       central_->on_crash_report = [this](const std::string& nick, sim::HostId host) {
         handle_crash_report(nick, host);
       };
-      deployment_ = fabric_;
       break;
     }
     case TransportDesign::Centralized: {
-      if (pool_.centralized == nullptr) {
-        pool_.centralized = std::make_unique<CentralizedDeployment>(
-            world_, host_ids_.front(), study_.dict(), params_.costs,
-            CentralizedDeployment::Params{}, study_.reserved());
-        ++builds_;
-      } else {
-        pool_.centralized->reset(host_ids_.front(), study_.dict(),
-                                 params_.costs, CentralizedDeployment::Params{},
-                                 study_.reserved());
-      }
-      pool_.centralized->start_daemon();
-      deployment_ = pool_.centralized.get();
+      auto centralized = std::make_unique<CentralizedDeployment>(
+          world_, host_ids_.front(), study_.dict(), params_.costs,
+          CentralizedDeployment::Params{}, study_.reserved());
+      centralized->start_daemon();
+      deployment_ = std::move(centralized);
       break;
     }
-    case TransportDesign::Direct: {
-      if (pool_.direct == nullptr) {
-        pool_.direct = std::make_unique<DirectDeployment>(
-            world_, study_.dict(), params_.costs, study_.reserved());
-        ++builds_;
-      } else {
-        pool_.direct->reset(study_.dict(), params_.costs, study_.reserved());
-      }
-      deployment_ = pool_.direct.get();
+    case TransportDesign::Direct:
+      deployment_ = std::make_unique<DirectDeployment>(
+          world_, study_.dict(), params_.costs, study_.reserved());
       break;
-    }
   }
 }
 
@@ -411,20 +365,13 @@ ExperimentResult ExperimentRun::run() {
 
 // --- ExperimentContext -------------------------------------------------------
 
-ExperimentContext::ExperimentContext() = default;
-
 ExperimentContext::ExperimentContext(std::shared_ptr<const CompiledStudy> study)
     : study_(std::move(study)) {}
-
-ExperimentContext::~ExperimentContext() = default;
 
 void ExperimentContext::prepare(const ExperimentParams& params) {
   if (study_ == nullptr || !study_->compatible_with(params)) {
     // Structure changed (or first run): fall back to the full per-
     // experiment compile. Correctness never depends on the cache hitting.
-    // The pooled deployments reference the old study's dictionary, so they
-    // die with it.
-    pool_.reset();
     study_ = CompiledStudy::compile(params);
     ++recompiles_;
     recorders_.clear();
@@ -455,9 +402,7 @@ void ExperimentContext::prepare(const ExperimentParams& params) {
 ExperimentResult ExperimentContext::run(const ExperimentParams& params) {
   prepare(params);
   ++runs_;
-  if (pool_ == nullptr) pool_ = std::make_unique<DeploymentPool>();
-  ExperimentRun run(params, *study_, *world_, recorders_, *pool_,
-                    deployment_builds_);
+  ExperimentRun run(params, *study_, *world_, recorders_);
   return run.run();
 }
 

@@ -10,12 +10,15 @@
 //   CompiledStudy      (runtime/compiled_study.hpp) — built once per study,
 //                      immutable, shareable across worker threads.
 //   ExperimentContext  one per executor (serial loop, pool thread, remote
-//                      worker) — owns the sim::World, the recorders, and
-//                      the per-run wiring, and resets them in place between
-//                      experiments instead of reallocating: the world keeps
-//                      its event slab and link tables, recorders
-//                      clear-and-refill their timelines, and the compiled
-//                      tables are borrowed.
+//                      worker) — keeps the compiled study, the sim::World
+//                      and the per-node recorders across experiments and
+//                      resets the last two in place instead of reallocating:
+//                      the world keeps its event slab and link tables, and
+//                      recorders clear-and-refill their timelines. Each run
+//                      builds its own deployment (the §3.5 fabric and
+//                      central daemon, or a §3.4 alternative design), which
+//                      is only a few machine-sized tables plus callbacks
+//                      into that run, and destroys it when the run ends.
 //
 // Identity contract: context.run(params) is byte-identical to
 // run_experiment(params) for every params, in any order, with any reuse —
@@ -39,19 +42,13 @@
 
 namespace loki::runtime {
 
-/// Pooled per-run deployment/daemon objects (defined in the .cpp): built on
-/// the first run of a study, reset in place by every later run, dropped on
-/// recompile. The last per-experiment heap churn of the campaign hot loop.
-struct DeploymentPool;
-
 class ExperimentContext {
  public:
   /// Empty context: the first run() compiles its study.
-  ExperimentContext();
+  ExperimentContext() = default;
   /// Seed the study cache with an already-compiled study, so several
   /// contexts share one CompiledStudy.
   explicit ExperimentContext(std::shared_ptr<const CompiledStudy> study);
-  ~ExperimentContext();
 
   ExperimentContext(const ExperimentContext&) = delete;
   ExperimentContext& operator=(const ExperimentContext&) = delete;
@@ -70,9 +67,6 @@ class ExperimentContext {
   /// Introspection for tests and benches.
   std::uint64_t runs() const { return runs_; }
   std::uint64_t recompiles() const { return recompiles_; }
-  /// Deployment/daemon objects constructed (not reused from the pool);
-  /// steady-state reuse keeps this flat while runs() climbs.
-  std::uint64_t deployment_builds() const { return deployment_builds_; }
 
  private:
   void prepare(const ExperimentParams& params);
@@ -83,12 +77,8 @@ class ExperimentContext {
   /// order), persisting across runs (reset per experiment) and across the
   /// crash/restart incarnations within a run (§3.6.3).
   std::vector<std::shared_ptr<Recorder>> recorders_;
-  /// Cleared whenever study_ is recompiled: the pooled objects hold a
-  /// reference to the compiled study's dictionary.
-  std::unique_ptr<DeploymentPool> pool_;
   std::uint64_t runs_{0};
   std::uint64_t recompiles_{0};
-  std::uint64_t deployment_builds_{0};
 };
 
 }  // namespace loki::runtime

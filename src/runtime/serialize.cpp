@@ -83,11 +83,13 @@ void put_vec(Writer& w, const std::vector<T>& v, Fn put_one) {
   for (const T& x : v) put_one(x);
 }
 
-std::uint64_t get_count(Reader& r) {
+/// Read an element count. Every element takes at least `min_bytes` on the
+/// wire (a string is a u64 length before its bytes, so 8 when empty), so a
+/// count the remaining bytes cannot hold is rejected here instead of
+/// becoming a reserve() of hundreds of times the input.
+std::uint64_t get_count(Reader& r, std::size_t min_bytes) {
   const std::uint64_t n = r.u64();
-  // A count can never exceed the bytes remaining (every element takes at
-  // least one byte); reject early instead of attempting a huge reserve.
-  if (n > r.remaining())
+  if (n > r.remaining() / min_bytes)
     throw DecodeError("wire: element count " + std::to_string(n) +
                       " exceeds remaining bytes");
   return n;
@@ -171,7 +173,8 @@ ExperimentParams get_params_body(Reader& r) {
   ExperimentParams p;
   p.seed = r.u64();
 
-  const std::uint64_t n_hosts = get_count(r);
+  // name, quantum, ctx_switch, preempt prob, clock flag, duty, chunk
+  const std::uint64_t n_hosts = get_count(r, 8 + 8 + 8 + 8 + 1 + 8 + 8);
   p.hosts.reserve(n_hosts);
   for (std::uint64_t i = 0; i < n_hosts; ++i) {
     HostConfig h;
@@ -185,7 +188,10 @@ ExperimentParams get_params_body(Reader& r) {
     p.hosts.push_back(std::move(h));
   }
 
-  const std::uint64_t n_nodes = get_count(r);
+  // nickname, sm name, sm text, fault text, app name, app args, two flags,
+  // enter host, restart (enabled, delay, placement, fixed host, max)
+  const std::uint64_t n_nodes =
+      get_count(r, 6 * 8 + 1 + 1 + 8 + 1 + 8 + 1 + 8 + 8);
   p.nodes.reserve(n_nodes);
   for (std::uint64_t i = 0; i < n_nodes; ++i) {
     NodeConfig n;
@@ -211,7 +217,8 @@ ExperimentParams get_params_body(Reader& r) {
     p.nodes.push_back(std::move(n));
   }
 
-  const std::uint64_t n_crashes = get_count(r);
+  // host, at, reboot after
+  const std::uint64_t n_crashes = get_count(r, 8 + 8 + 8);
   p.host_crashes.reserve(n_crashes);
   for (std::uint64_t i = 0; i < n_crashes; ++i) {
     HostCrashPlan c;
@@ -278,7 +285,7 @@ void put_timeline(Writer& w, const LocalTimeline& t) {
 }
 
 std::vector<std::string> get_string_vec(Reader& r) {
-  const std::uint64_t n = get_count(r);
+  const std::uint64_t n = get_count(r, 8);
   std::vector<std::string> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.str());
@@ -294,7 +301,8 @@ void get_timeline_header(Reader& r, LocalTimeline& t) {
   t.machines = get_string_vec(r);
   t.states = get_string_vec(r);
   t.events = get_string_vec(r);
-  const std::uint64_t n_faults = get_count(r);
+  // name, expression, trigger
+  const std::uint64_t n_faults = get_count(r, 8 + 8 + 1);
   t.faults.reserve(n_faults);
   for (std::uint64_t i = 0; i < n_faults; ++i) {
     TimelineFaultEntry f;
@@ -315,10 +323,10 @@ void skip_timeline_header(Reader& r) {
   skip_str();  // nickname
   skip_str();  // initial_host
   for (int vec = 0; vec < 3; ++vec) {  // machines, states, events
-    const std::uint64_t n = get_count(r);
+    const std::uint64_t n = get_count(r, 8);
     for (std::uint64_t i = 0; i < n; ++i) skip_str();
   }
-  const std::uint64_t n_faults = get_count(r);
+  const std::uint64_t n_faults = get_count(r, 8 + 8 + 1);
   for (std::uint64_t i = 0; i < n_faults; ++i) {
     skip_str();  // name
     skip_str();  // expr_text
@@ -327,7 +335,8 @@ void skip_timeline_header(Reader& r) {
 }
 
 void get_timeline_records(Reader& r, LocalTimeline& t) {
-  const std::uint64_t n_records = get_count(r);
+  // type, event/state/fault index, host, time
+  const std::uint64_t n_records = get_count(r, 1 + 3 * 4 + 8 + 8);
   t.records.reserve(n_records);
   for (std::uint64_t i = 0; i < n_records; ++i) {
     TimelineRecord rec;
@@ -439,7 +448,8 @@ void put_result_body(Writer& w, const ExperimentResult& res) {
 ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
   ExperimentResult res;
 
-  const std::uint64_t n_nodes = get_count(r);
+  // Timeline (nickname, initial host, five counts), then its message count.
+  const std::uint64_t n_nodes = get_count(r, 8 + 8 + 5 * 8 + 8);
   res.timelines.reserve(n_nodes);
   res.user_messages.reserve(n_nodes);
   for (std::uint64_t i = 0; i < n_nodes; ++i) {
@@ -448,7 +458,8 @@ ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
     res.user_messages.push_back(get_string_vec(r));
   }
 
-  const std::uint64_t n_samples = get_count(r);
+  // from, to, send, recv
+  const std::uint64_t n_samples = get_count(r, 8 + 8 + 8 + 8);
   res.sync_samples.reserve(n_samples);
   for (std::uint64_t i = 0; i < n_samples; ++i) {
     clocksync::SyncSample s;
@@ -459,7 +470,8 @@ ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
     res.sync_samples.push_back(std::move(s));
   }
 
-  const std::uint64_t n_hosts = get_count(r);
+  // name, start, end, clock (alpha, beta, granularity)
+  const std::uint64_t n_hosts = get_count(r, 8 + 8 + 8 + 3 * 8);
   res.hosts.reserve(n_hosts);
   res.start_local.reserve(n_hosts);
   res.end_local.reserve(n_hosts);
@@ -471,13 +483,14 @@ ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
     res.true_clocks.push_back(get_clock(r));
   }
 
-  const std::uint64_t n_machines = get_count(r);
+  // name, state-sequence count, crash count
+  const std::uint64_t n_machines = get_count(r, 8 + 8 + 8);
   res.truth.machines.reserve(n_machines);
   res.truth.state_seq.reserve(n_machines);
   res.truth.crashes.reserve(n_machines);
   for (std::uint64_t i = 0; i < n_machines; ++i) {
     res.truth.machines.push_back(r.str());
-    const std::uint64_t n_entries = get_count(r);
+    const std::uint64_t n_entries = get_count(r, 8 + 8);  // time, state
     std::vector<std::pair<SimTime, std::string>> seq;
     seq.reserve(n_entries);
     for (std::uint64_t j = 0; j < n_entries; ++j) {
@@ -485,14 +498,15 @@ ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
       seq.emplace_back(t, r.str());
     }
     res.truth.state_seq.push_back(std::move(seq));
-    const std::uint64_t n_times = get_count(r);
+    const std::uint64_t n_times = get_count(r, 8);
     std::vector<SimTime> times;
     times.reserve(n_times);
     for (std::uint64_t j = 0; j < n_times; ++j)
       times.push_back(SimTime{r.i64()});
     res.truth.crashes.push_back(std::move(times));
   }
-  const std::uint64_t n_inj = get_count(r);
+  // machine, fault, at
+  const std::uint64_t n_inj = get_count(r, 8 + 8 + 8);
   res.truth.injections.reserve(n_inj);
   for (std::uint64_t i = 0; i < n_inj; ++i) {
     TrueInjection inj;
@@ -582,9 +596,11 @@ StudyParams decode_study_params(const std::vector<std::uint8_t>& bytes) {
   StudyParams study;
   study.name = r.str();
   const std::uint32_t n = r.u32();
-  // Same sanity bound as get_count(): every params body takes at least one
-  // byte, so a corrupt count must not become a giant reserve().
-  if (n > r.remaining())
+  // Same bound as get_count(). A params body is at least: seed, three
+  // counts, design, seven costs, two fabric, two central and three sync
+  // fields, two LANs of four, and the four clock and limit fields.
+  if (n > r.remaining() / (8 + 3 * 8 + 1 + 7 * 8 + 2 * 8 + 2 * 8 + 3 * 8 +
+                           2 * 4 * 8 + 4 * 8))
     throw DecodeError("wire: study experiment count " + std::to_string(n) +
                       " exceeds remaining bytes");
   auto materialized = std::make_shared<std::vector<ExperimentParams>>();
@@ -695,9 +711,10 @@ HelloFrame decode_hello_frame(const std::vector<std::uint8_t>& frame) {
     throw DecodeError("worker frame: Hello without a heartbeat interval");
   if (r.boolean()) {
     const std::uint32_t count = r.u32();
-    // Every study takes at least its length prefix, so a corrupt count must
-    // not become a giant reserve().
-    if (count > r.remaining() / sizeof(std::uint64_t))
+    // Every study takes at least its length prefix and a study envelope's
+    // header (magic, version, kind), name and experiment count, so a
+    // corrupt count must not become a giant reserve().
+    if (count > r.remaining() / (8 + 4 + 2 + 1 + 8 + 4))
       throw DecodeError("worker frame: Hello study count " +
                         std::to_string(count) + " exceeds remaining bytes");
     hello.studies.emplace();

@@ -163,7 +163,7 @@ TEST(CampaignValidation, DuplicateStudyNameFailsAtBuild) {
 TEST(CampaignValidation, EmptyStudyFailsAtBuild) {
   CampaignBuilder b;
   b.study("s").experiments(1);
-  expect_config_error(b, "no base params, generator, or nodes");
+  expect_config_error(b, "no base params or generator");
 }
 
 TEST(CampaignValidation, ErrorNamesTheStudy) {

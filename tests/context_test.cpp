@@ -1,7 +1,8 @@
 // Compile-once campaign invariants: a reused ExperimentContext must be
-// byte-identical to fresh run_experiment calls — for shuffled seeds, across
-// structure changes (which force a recompile), and through every runner
-// backend (serial / thread pool / process workers / FakeTransport remote).
+// byte-identical to fresh run_experiment calls — for shuffled seeds, for
+// every transport design, after a run that threw, across structure changes
+// (which force a recompile), and through every runner backend (serial /
+// thread pool / process workers / FakeTransport remote).
 // Also covers the CompiledStudy compatibility check and the
 // GroundTruth::in_state binary-search boundaries.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,6 +121,68 @@ TEST(ExperimentContext, ReusedContextMatchesFreshRunsShuffledSeeds) {
       << "equal specs must reuse the compiled study";
 }
 
+/// election_params under each transport design. PartiallyDistributed also
+/// crashes and reboots green's host, and restarts black on the next host
+/// after its injected fault crashes it, so the fabric's purge, reboot and
+/// restart paths run.
+std::vector<std::pair<const char*, ExperimentParams (*)(std::uint64_t)>>
+every_design() {
+  return {
+      {"Centralized",
+       [](std::uint64_t seed) {
+         ExperimentParams p = election_params(seed);
+         p.design = runtime::TransportDesign::Centralized;
+         return p;
+       }},
+      {"Direct",
+       [](std::uint64_t seed) {
+         ExperimentParams p = election_params(seed);
+         p.design = runtime::TransportDesign::Direct;
+         return p;
+       }},
+      {"PartiallyDistributed",
+       [](std::uint64_t seed) {
+         ExperimentParams p = election_params(seed);
+         p.host_crashes.push_back(
+             {"hostC", milliseconds(100), milliseconds(60)});
+         p.nodes[0].restart.placement =
+             runtime::RestartPolicy::Placement::NextHost;
+         return p;
+       }},
+  };
+}
+
+TEST(ExperimentContext, ReusedContextMatchesFreshRunsForEveryDesign) {
+  // Each run builds its own deployment and a throwing run abandons its
+  // queued events mid-experiment: neither may leave residue in the context.
+  // One context serves every design with shuffled and repeated seeds, and
+  // every seed runs straight after a run whose last node's app factory
+  // throws.
+  const std::vector<std::uint64_t> seeds = {5, 9, 5, 1};
+  runtime::ExperimentContext context;
+  int next_host_restarts = 0;
+  for (const std::uint64_t seed : seeds) {
+    for (const auto& [design, make] : every_design()) {
+      ExperimentParams failing = make(seed);
+      failing.nodes.back().app_factory =
+          []() -> std::unique_ptr<runtime::Application> {
+        throw std::runtime_error("app factory fails");
+      };
+      EXPECT_THROW((void)context.run(failing), std::runtime_error)
+          << design << " seed " << seed;
+
+      const ExperimentResult reused = context.run(make(seed));
+      EXPECT_EQ(bytes_of(reused), bytes_of(runtime::run_experiment(make(seed))))
+          << design << " seed " << seed;
+      for (const runtime::TimelineRecord& rec : reused.timelines[0].records)
+        if (rec.type == runtime::RecordType::Restart && rec.host == "hostB")
+          ++next_host_restarts;
+    }
+  }
+  EXPECT_GT(next_host_restarts, 0) << "black never restarted on hostB";
+  EXPECT_EQ(context.recompiles(), 1u);
+}
+
 TEST(ExperimentContext, StructureChangeRecompilesAndStaysIdentical) {
   runtime::ExperimentContext context;
   const auto check = [&](const ExperimentParams& params) {
@@ -197,30 +261,6 @@ TEST(ExperimentContext, EveryRunnerBackendMatchesSerial) {
                     std::make_shared<campaign::FakeTransport>(2)),
                 study),
             serial);
-}
-
-TEST(ExperimentContext, DeploymentPoolReusedInSteadyState) {
-  // The deployment/daemon pool is the last per-experiment heap churn: built
-  // on the first run of a study, reset in place for every later run. In
-  // steady state (same structure) the build counter must stay flat while
-  // runs() climbs — and the bytes must still match the fresh path, which
-  // the identity tests above already pin down.
-  runtime::ExperimentContext context;
-  (void)context.run(election_params(1));
-  const std::uint64_t after_first = context.deployment_builds();
-  EXPECT_GT(after_first, 0u);
-  for (std::uint64_t seed = 2; seed <= 8; ++seed)
-    (void)context.run(election_params(seed));
-  EXPECT_EQ(context.deployment_builds(), after_first)
-      << "steady-state runs must reuse the pooled deployment objects";
-  EXPECT_EQ(context.runs(), 8u);
-  EXPECT_EQ(context.recompiles(), 1u);
-
-  // A structure change recompiles, which drops the pool (the pooled objects
-  // reference the old study's dictionary) and rebuilds on the next run.
-  (void)context.run(small_params(9));
-  EXPECT_GT(context.deployment_builds(), after_first);
-  EXPECT_EQ(context.recompiles(), 2u);
 }
 
 TEST(ExperimentContext, SerialRunnerReusesOneCompileAcrossAStudy) {

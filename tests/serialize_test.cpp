@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <fcntl.h>
 #include <functional>
 #include <limits>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +37,31 @@
 #include "util/digest.hpp"
 #include "util/error.hpp"
 #include "util/pipe_io.hpp"
+
+// This binary's global operator new records the largest single allocation,
+// so the decoders' allocation bound can be checked (WireBounds.*);
+// std::allocator and the array forms allocate through it. malloc/free are
+// the allocator beneath it; the replacements are kept out of line so the
+// compiler never pairs an inlined free() with a new-expression.
+namespace {
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size))  // NOLINT(cppcoreguidelines-no-malloc)
+    return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);  // NOLINT(cppcoreguidelines-no-malloc)
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);  // NOLINT(cppcoreguidelines-no-malloc)
+}
 
 namespace loki {
 namespace {
@@ -343,6 +370,136 @@ TEST(WireEnvelope, TrailingGarbageIsRejected) {
   auto bytes = runtime::encode_experiment_result(ExperimentResult{});
   bytes.push_back(0);
   EXPECT_THROW(runtime::decode_experiment_result(bytes), DecodeError);
+}
+
+// --- allocation bounds of decoded counts -------------------------------------
+
+void patch_le(std::vector<std::uint8_t>& bytes, std::size_t at,
+              std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i)
+    bytes[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+/// `decode(bytes)` must throw DecodeError without any single allocation
+/// above 4x the input.
+template <typename Decode>
+void expect_rejected_within_bound(const std::vector<std::uint8_t>& bytes,
+                                  Decode decode) {
+  g_largest_allocation = 0;
+  EXPECT_THROW((void)decode(bytes), DecodeError);
+  EXPECT_LE(g_largest_allocation.load(), 4 * bytes.size())
+      << "largest allocation for a " << bytes.size() << "-byte input";
+}
+
+TEST(WireBounds, CorruptCountsFailBeforeAGiantReserve) {
+  // The result envelope's node count (after the 7-byte header) claims one
+  // node per byte left. A node entry takes at least 64 wire bytes and an
+  // in-memory timeline 184, so a bound of one byte per element would
+  // reserve 18 MB for this 100 KB input.
+  std::vector<std::uint8_t> result = read_fixture("result_v2.bin");
+  ASSERT_GT(result.size(), 15u);
+  patch_le(result, 7, result.size() - 15, 8);
+  expect_rejected_within_bound(result, [](const auto& b) {
+    return runtime::decode_experiment_result(b);
+  });
+
+  // A study envelope's u32 experiment count, after the header and the name.
+  runtime::StudyParams study;
+  study.name = "wire-study";
+  study.experiments = 3;
+  study.make_params = [](int k) {
+    return sample_params(100 + static_cast<std::uint64_t>(k));
+  };
+  std::vector<std::uint8_t> envelope = runtime::encode_study_params(study);
+  const std::size_t count_at = 7 + 8 + study.name.size();
+  patch_le(envelope, count_at, envelope.size() - count_at - 4, 4);
+  expect_rejected_within_bound(envelope, [](const auto& b) {
+    return runtime::decode_study_params(b);
+  });
+
+  // A Hello's study count (byte 8) at the most that eight bytes per study
+  // allowed.
+  std::vector<runtime::StudyParams> studies{study};
+  std::vector<std::uint8_t> hello = runtime::encode_hello_frame(&studies, 1);
+  patch_le(hello, 8, (hello.size() - 12) / 8, 4);
+  expect_rejected_within_bound(hello, [](const auto& b) {
+    return runtime::decode_hello_frame(b);
+  });
+}
+
+TEST(WireBounds, SmallestElementsAtEveryCountRoundTrip) {
+  // Each count check assumes a smallest encoded size per element. Every
+  // case fills one counted vector with many smallest elements followed only
+  // by fixed fields, so an over-estimated minimum rejects valid bytes.
+  constexpr std::size_t kMany = 300;
+  const std::vector<std::function<void(ExperimentResult&)>> fills = {
+      [](ExperimentResult& r) { r.timelines.resize(kMany); },
+      [](ExperimentResult& r) {
+        r.timelines.resize(1);
+        r.timelines[0].machines.resize(kMany);
+      },
+      [](ExperimentResult& r) {
+        r.timelines.resize(1);
+        r.timelines[0].faults.resize(kMany);
+      },
+      [](ExperimentResult& r) {
+        r.timelines.resize(1);
+        r.timelines[0].records.resize(kMany);
+      },
+      [](ExperimentResult& r) { r.sync_samples.resize(kMany); },
+      [](ExperimentResult& r) {
+        r.hosts.resize(kMany);
+        r.start_local.resize(kMany);
+        r.end_local.resize(kMany);
+        r.true_clocks.resize(kMany);
+      },
+      [](ExperimentResult& r) {
+        r.truth.machines.resize(kMany);
+        r.truth.state_seq.resize(kMany);
+        r.truth.crashes.resize(kMany);
+      },
+      [](ExperimentResult& r) { r.truth.state_seq_of("").resize(kMany); },
+      [](ExperimentResult& r) { r.truth.crashes_of("").resize(kMany); },
+      [](ExperimentResult& r) { r.truth.injections.resize(kMany); },
+  };
+  for (std::size_t i = 0; i < fills.size(); ++i) {
+    ExperimentResult r;
+    fills[i](r);
+    const auto bytes = runtime::encode_experiment_result(r);
+    EXPECT_EQ(runtime::encode_experiment_result(
+                  runtime::decode_experiment_result(bytes)),
+              bytes)
+        << "result case " << i;
+  }
+
+  for (const bool crashes : {false, true}) {
+    ExperimentParams p;
+    if (crashes)
+      p.host_crashes.resize(kMany);
+    else
+      p.hosts.resize(kMany);
+    const auto bytes = runtime::encode_experiment_params(p);
+    EXPECT_EQ(runtime::encode_experiment_params(
+                  runtime::decode_experiment_params(bytes)),
+              bytes)
+        << (crashes ? "host crashes" : "hosts");
+  }
+
+  // Default params bodies fill a study, and empty studies fill a Hello.
+  runtime::StudyParams study;
+  study.experiments = static_cast<int>(kMany);
+  study.make_params = [](int) { return ExperimentParams{}; };
+  EXPECT_EQ(runtime::decode_study_params(runtime::encode_study_params(study))
+                .experiments,
+            study.experiments);
+  runtime::StudyParams empty;
+  empty.make_params = study.make_params;
+  const std::vector<runtime::StudyParams> studies(kMany, empty);
+  const runtime::HelloFrame hello =
+      runtime::decode_hello_frame(runtime::encode_hello_frame(&studies, 1));
+  ASSERT_TRUE(hello.studies.has_value());
+  EXPECT_EQ(hello.studies->size(), kMany);
 }
 
 // --- app args + digest -------------------------------------------------------
