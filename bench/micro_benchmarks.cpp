@@ -1,9 +1,10 @@
 // Micro-benchmarks of the hot runtime and analysis paths (google-benchmark):
-// fault-expression evaluation, the fault parser sweep per view change
-// (§3.5.5 — the thesis flags it as a future optimization target), recorder
-// appends, convex-hull bound computation, predicate evaluation, SHA-256 and
-// the cache key, the analysis of one election, kvstore and token-ring
-// experiment, and one full experiment as a macro-benchmark.
+// the event kernel's closed loop, fault-expression evaluation, the fault
+// parser sweep per view change (§3.5.5 — the thesis flags it as a future
+// optimization target), recorder appends, convex-hull bound computation,
+// predicate evaluation, SHA-256 and the cache key, the analysis of one
+// election, kvstore and token-ring experiment, and one full experiment as a
+// macro-benchmark.
 #include <benchmark/benchmark.h>
 
 #include "analysis/pipeline.hpp"
@@ -22,7 +23,9 @@
 #include "runtime/recorder.hpp"
 #include "runtime/experiment.hpp"
 #include "runtime/serialize.hpp"
+#include "sim/event_queue.hpp"
 #include "util/digest.hpp"
+#include "util/rng.hpp"
 
 using namespace loki;
 
@@ -60,6 +63,35 @@ struct SweepStudy {
     return runtime::StudyDictionary::build(sp, fp);
   }
 };
+
+void BM_EventQueue(benchmark::State& state) {
+  // The kernel's closed loop: N events pending, each of which schedules one
+  // successor at a uniform 1-200,000 ns delay, so N stays put. Time is per
+  // event: a batch runs a window of simulated time that holds kBatch events
+  // on average. Up to 32 pending fit the queue's sorted run (every campaign
+  // experiment stays there); 100 and more exercise its overflow heap.
+  constexpr std::uint64_t kMaxDelay = 200000;
+  constexpr benchmark::IterationCount kBatch = 1000;
+  const std::int64_t pending = state.range(0);
+  sim::EventQueue q;
+  struct Loop {
+    sim::EventQueue* q;
+    Rng rng;
+    void step() {
+      const std::uint64_t draw = rng.next_u64() % kMaxDelay;
+      q->schedule_in(Duration{1 + static_cast<std::int64_t>(draw)},
+                     [this] { step(); });
+    }
+  } loop{&q, Rng(7)};
+  for (std::int64_t i = 0; i < pending; ++i) loop.step();
+  q.run_until(SimTime{2 * static_cast<std::int64_t>(kMaxDelay)});  // warm-up
+  const Duration window{kBatch * static_cast<std::int64_t>(kMaxDelay + 1) / 2 /
+                        pending};
+  while (state.KeepRunningBatch(kBatch))
+    benchmark::DoNotOptimize(q.run_until(q.now() + window));
+}
+BENCHMARK(BM_EventQueue)
+    ->Arg(4)->Arg(10)->Arg(32)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_FaultExprEval(benchmark::State& state) {
   // The spec-layer tree walk (shared_ptr tree + string compares per term) —

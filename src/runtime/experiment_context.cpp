@@ -292,9 +292,11 @@ ExperimentResult ExperimentRun::run() {
       // which merely shares a nominal name with the first host here.
       for (const sim::ProcessId pid : world_.processes_on(host)) {
         if (central_ != nullptr && pid == central_->pid()) continue;
-        // Mark node incarnations on this host dead in the directory.
+        // A node incarnation on this host dies as in a silent crash: nothing
+        // escapes, the directory drops it, and the ground truth records its
+        // crash time and CRASH state (once, as crash_app is one-shot).
         for (auto& node : nodes_) {
-          if (node->pid() == pid) directory_.remove(node->nickname(), node.get());
+          if (node->pid() == pid) node->crash_app(CrashMode::Silent);
         }
         world_.kill(pid);
       }

@@ -7,27 +7,31 @@
 
 namespace loki::sim {
 
-void EventQueue::heap_push(const Key& k) {
-  heap_.push_back(k);
-  sift_up(heap_.size() - 1);
+std::uint32_t EventQueue::new_slot() {
+  LOKI_REQUIRE(slots_ < (1u << kSlotBits), "event slab exceeded 2^20 slots");
+  if ((slots_ & kChunkMask) == 0)
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkMask + 1));
+  return slots_++;
 }
 
-std::uint32_t EventQueue::take_next() {
-  const auto slot =
-      static_cast<std::uint32_t>(next_.seq_slot & ((1u << kSlotBits) - 1));
-  if (heap_.empty()) {
-    has_next_ = false;
-  } else {
-    next_ = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+bool EventQueue::spill(const Key& k) {
+  if ((!heap_.empty() && !before(k, heap_.front())) ||
+      (run_size_ == kRunKeys && !before(k, run_[0]))) {
+    heap_push(k);
+    return true;
   }
-  return slot;
+  if (run_size_ == kRunKeys) {
+    // Every other run key is before run_[0], which is before every heap key.
+    heap_push(run_[0]);
+    std::copy(run_ + 1, run_ + kRunKeys, run_);
+    --run_size_;
+  }
+  return false;
 }
 
-void EventQueue::sift_up(std::size_t i) {
-  Key k = heap_[i];
+void EventQueue::heap_push(const Key& k) {
+  std::size_t i = heap_.size();
+  heap_.push_back(k);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!before(k, heap_[parent])) break;
@@ -37,9 +41,13 @@ void EventQueue::sift_up(std::size_t i) {
   heap_[i] = k;
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::heap_pop() {
+  // The last leaf replaces the root and sifts down.
+  const Key k = heap_.back();
+  heap_.pop_back();
   const std::size_t n = heap_.size();
-  Key k = heap_[i];
+  if (n == 0) return;
+  std::size_t i = 0;
   for (;;) {
     const std::size_t first_child = 4 * i + 1;
     if (first_child >= n) break;
@@ -58,32 +66,25 @@ void EventQueue::sift_down(std::size_t i) {
 std::uint64_t EventQueue::run_until(SimTime limit) {
   std::uint64_t count = 0;
   for (;;) {
-    std::uint32_t slot;
-    if (due_.empty()) {
-      // Hot path: no same-instant fast-lane entries, the next event is the
-      // cached minimum.
-      if (!has_next_ || next_.at > limit.ns) break;
-      now_ = SimTime{next_.at};
-      slot = take_next();
-    } else if (now_ <= limit) {
-      // A non-due entry at this same instant predates everything in the
-      // fast lane (smaller seq), so it goes first. next_ is the minimum of
-      // all heap-side keys, so checking it alone suffices.
-      if (has_next_ && next_.at == now_.ns) {
-        slot = take_next();
-      } else {
-        slot = due_.front();
-        due_.pop_front();
-      }
+    // The heap serves only once the run is empty: its keys come later.
+    const bool from_run = run_size_ != 0;
+    if (!from_run && heap_.empty()) break;
+    const Key k = from_run ? run_[run_size_ - 1] : heap_.front();
+    if (k.at > limit.ns) break;
+    if (from_run) {
+      --run_size_;
     } else {
-      break;
+      heap_pop();
     }
+    now_ = SimTime{k.at};
 
-    // Run the action in place (slot addresses are stable — the slab is a
-    // deque) and recycle the slot afterwards. The single combined
-    // invoke+destroy dispatch is the pop path's only indirect call.
-    slab_[slot].task.run_once();
-    slab_[slot].next_free = free_head_;
+    // Run the action in place and recycle the slot afterwards. The single
+    // combined invoke+destroy dispatch is the pop path's only indirect call.
+    const auto slot =
+        static_cast<std::uint32_t>(k.seq_slot & ((1u << kSlotBits) - 1));
+    Slot& s = slot_at(slot);
+    s.task.run_once();
+    s.next_free = free_head_;
     free_head_ = slot;
     ++count;
     ++executed_;
@@ -102,15 +103,14 @@ void EventQueue::reset() {
   // Experiments stop at done_ without draining, so live tasks (watchdog
   // timers, in-flight deliveries) may still occupy slots: destroy them all,
   // free and occupied alike (resetting an empty Task is a no-op).
-  for (Slot& slot : slab_) slot.task.reset();
-  heap_.clear();
-  due_.clear();
-  has_next_ = false;
+  for (std::uint32_t i = 0; i < slots_; ++i) slot_at(i).task.reset();
   free_head_ = kNoSlot;
-  for (std::size_t i = slab_.size(); i-- > 0;) {
-    slab_[i].next_free = free_head_;
-    free_head_ = static_cast<std::uint32_t>(i);
+  for (std::uint32_t i = slots_; i-- > 0;) {
+    slot_at(i).next_free = free_head_;
+    free_head_ = i;
   }
+  run_size_ = 0;
+  heap_.clear();
   now_ = SimTime::zero();
   next_seq_ = 0;
   executed_ = 0;

@@ -1,20 +1,24 @@
 // Discrete-event simulation kernel.
 //
-// An intrusive 4-ary min-heap of (time, sequence) keys over a slab of
-// small-buffer-optimized Task slots. Sequence numbers break ties so that
-// execution order is a pure function of the schedule calls — the substrate
-// is deterministic by construction.
+// (time, sequence) keys over a slab of small-buffer-optimized Task slots.
+// Sequence numbers break ties so that execution order is a pure function of
+// the schedule calls — the substrate is deterministic by construction.
 //
-// The heap sifts 16-byte POD keys only; the tasks themselves never move
-// after insertion. Slots are recycled through a free list, so the
-// steady-state loop (events scheduling further events) performs no heap
-// allocation at all: the slab stops growing once it covers the high-water
-// mark of simultaneously-pending events, and captures within
-// Task::kInlineSize live inline in their slot.
+// Over the campaign_bench campaign a pop sees 10.9 pending events on average,
+// its own included (1-3 at 0.5% of pops, 4-7 at 10.9%, 8-15 at 83.6%, 16-31
+// at 5.1%, never more than 28). So the nearest kRunKeys keys live in one
+// sorted run with the minimum at the back, keys beyond it overflow into a
+// 4-ary min-heap, and every run key is before every heap key. An event
+// scheduled at now() sorts after every queued key at now() and before every
+// later one.
+//
+// Tasks never move after insertion, and slots recycle through a free list,
+// so the steady-state loop performs no heap allocation once the slab covers
+// the high-water mark of pending events.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -39,30 +43,12 @@ class EventQueue {
     std::uint32_t slot;
     if (free_head_ != kNoSlot) {
       slot = free_head_;
-      free_head_ = slab_[slot].next_free;
+      free_head_ = slot_at(slot).next_free;
     } else {
-      slot = static_cast<std::uint32_t>(slab_.size());
-      slab_.emplace_back();
+      slot = new_slot();
     }
-    slab_[slot].task = std::move(action);
-    if (at == now_) {
-      // Fast lane (see below): runs after every already-queued event at
-      // this instant, in schedule order — exactly the (time, seq) contract.
-      ++next_seq_;
-      due_.push_back(slot);
-      return;
-    }
-    LOKI_REQUIRE(slot < (1u << kSlotBits), "event slab exceeded 2^20 slots");
-    const Key k{at.ns, (next_seq_++ << kSlotBits) | slot};
-    if (!has_next_) {
-      next_ = k;
-      has_next_ = true;
-    } else if (before(k, next_)) {
-      heap_push(next_);
-      next_ = k;
-    } else {
-      heap_push(k);
-    }
+    slot_at(slot).task = std::move(action);
+    push(Key{at.ns, (next_seq_++ << kSlotBits) | slot});
   }
 
   /// Schedule `action` `delay` from now (delay >= 0).
@@ -80,33 +66,34 @@ class EventQueue {
 
   /// Return to the just-constructed state (now == 0, seq == 0, nothing
   /// pending) while keeping the slab: pending tasks are destroyed, every
-  /// slot is re-threaded onto the free list, and the heap/FIFO storage
-  /// keeps its capacity. Execution order is a pure function of (time, seq),
-  /// never of slot indices, so a reset queue behaves identically to a fresh
-  /// one — minus the slab regrowth. The backbone of ExperimentContext reuse.
+  /// slot is re-threaded onto the free list, and the heap storage keeps its
+  /// capacity. Execution order is a pure function of (time, seq), never of
+  /// slot indices, so a reset queue behaves identically to a fresh one —
+  /// minus the slab regrowth. The backbone of ExperimentContext reuse.
   void reset();
 
-  bool empty() const { return !has_next_ && heap_.empty() && due_.empty(); }
+  bool empty() const { return run_size_ == 0 && heap_.empty(); }
   std::uint64_t executed() const { return executed_; }
 
   /// Number of task slots ever created (high-water mark of pending events).
   /// Flat across a steady-state window == no per-event slab growth.
-  std::size_t slab_capacity() const { return slab_.size(); }
+  std::size_t slab_capacity() const { return slots_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  /// Slab slots live in a deque: stable addresses let run_until() execute a
-  /// task in place (one combined invoke+destroy dispatch) while the action
-  /// schedules new events — which may grow the slab — behind its back.
+  /// Slots live in chunks of 2^kChunkBits that never move, so run_until()
+  /// executes a task in place (one combined invoke+destroy dispatch) while
+  /// the action schedules new events — which may add chunks — behind its back.
   struct Slot {
     Task task;
     std::uint32_t next_free{kNoSlot};
   };
-  /// Heap entry: ordering key + slab index packed into 16 bytes (sifting
-  /// moves two words instead of three). The sequence number occupies the
-  /// high bits, so comparing seq_slot compares seq — the slot bits can
-  /// never decide an ordering because sequence numbers are unique.
+  static constexpr unsigned kChunkBits = 6;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+  /// Ordering key + slab index packed into 16 bytes. The sequence number
+  /// occupies the high bits, so comparing seq_slot compares seq — the slot
+  /// bits can never decide an ordering because sequence numbers are unique.
   static constexpr unsigned kSlotBits = 20;  // up to ~1M pending events
   struct Key {
     std::int64_t at;
@@ -115,34 +102,38 @@ class EventQueue {
   static bool before(const Key& a, const Key& b) {
     return a.at != b.at ? a.at < b.at : a.seq_slot < b.seq_slot;
   }
+  static constexpr std::uint32_t kRunKeys = 32;  // above every campaign pop
 
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
+  Slot& slot_at(std::uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & kChunkMask];
+  }
+  std::uint32_t new_slot();  // past the high-water mark
+
+  void push(const Key& k) {
+    if ((!heap_.empty() || run_size_ == kRunKeys) && spill(k)) return;
+    // Insertion from the minimum end: keys before `k` shift one place back.
+    std::uint32_t i = run_size_++;
+    while (i > 0 && before(run_[i - 1], k)) {
+      run_[i] = run_[i - 1];
+      --i;
+    }
+    run_[i] = k;
+  }
+  /// Sends `k` to the heap (true) when it is not before the heap's root or
+  /// the full run's largest key; otherwise makes room in the run (false).
+  bool spill(const Key& k);
   void heap_push(const Key& k);
-  /// Consume next_ and refill it from the heap root (if any).
-  std::uint32_t take_next();
+  void heap_pop();
 
   SimTime now_{SimTime::zero()};
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
-  std::deque<Slot> slab_;
-  std::uint32_t free_head_{kNoSlot};
+  Key run_[kRunKeys]{};  // descending: run_[run_size_ - 1] is the minimum
+  std::uint32_t run_size_{0};
   std::vector<Key> heap_;
-  /// Min-event cache: the smallest future (non-due_) key lives here, not in
-  /// heap_. The dominant kernel pattern — an event schedules its successor,
-  /// which is the next thing to run (burst completions, chained timers) —
-  /// then never touches the heap at all: schedule fills next_, pop drains
-  /// it, zero sifts. The heap only sees keys displaced by a smaller
-  /// arrival, and ordering stays the pure (time, seq) function because
-  /// next_ is by construction the minimum of all heap-side keys.
-  Key next_{};
-  bool has_next_{false};
-  /// Fast lane for events scheduled at exactly now(): zero-delay dispatches
-  /// are ~a third of all kernel traffic and never need the heap. Ordering
-  /// stays correct because any heap entry with at == now() was necessarily
-  /// scheduled earlier (smaller seq) than every entry in this FIFO, and the
-  /// FIFO itself preserves seq order.
-  std::deque<std::uint32_t> due_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slots_{0};
+  std::uint32_t free_head_{kNoSlot};
 };
 
 }  // namespace loki::sim

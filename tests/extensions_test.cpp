@@ -2,7 +2,11 @@
 // common fault types, and host crash & reboot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/pipeline.hpp"
 #include "apps/election.hpp"
@@ -234,6 +238,36 @@ TEST(HostCrash, SurvivorsReElectAfterLeaderHostDies) {
         if (s == "LEAD") ++survivor_leads;
     }
     EXPECT_GE(survivor_leads, 1);
+  }
+}
+
+TEST(HostCrash, TruthRecordsNodesKilledWithTheirHost) {
+  // Power failure on hostC kills green's process with the host. The ground
+  // truth must record one crash at that instant and CRASH as green's true
+  // state from then on, not the LEAD or FOLLOW it held when the host died.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    auto params = apps::election_experiment(seed, kHosts, kPlacement,
+                                            apps::ElectionParams{});
+    params.host_crashes.push_back(
+        runtime::HostCrashPlan{"hostC", milliseconds(100), milliseconds(60)});
+    const auto r = runtime::run_experiment(params);
+    const SimTime crash_at = r.start_phys + milliseconds(100);
+
+    const auto* crashes = r.truth.find_crashes("green");
+    ASSERT_NE(crashes, nullptr);
+    EXPECT_EQ(*crashes, std::vector<SimTime>{crash_at});
+    const auto* seq = r.truth.find_state_seq("green");
+    ASSERT_NE(seq, nullptr);
+    ASSERT_FALSE(seq->empty());
+    EXPECT_EQ(seq->back(),
+              (std::pair<SimTime, std::string>{crash_at, "CRASH"}));
+    EXPECT_EQ(std::count_if(seq->begin(), seq->end(),
+                            [](const auto& e) { return e.second == "CRASH"; }),
+              1);
+    EXPECT_TRUE(r.truth.in_state("green", "CRASH", r.end_phys));
+    EXPECT_FALSE(r.truth.crashed("black"));
+    EXPECT_FALSE(r.truth.crashed("yellow"));
   }
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -10,6 +13,7 @@
 #include "sim/network.hpp"
 #include "sim/world.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace loki::sim {
 namespace {
@@ -120,6 +124,128 @@ TEST(EventQueue, OversizedCapturesStillRunViaHeapFallback) {
   EXPECT_EQ(Task::heap_allocations(), heap_before + 1);
   q.run_to_completion();
   EXPECT_EQ(got, 42u);
+}
+
+/// Reference model of the (time, seq) contract. Every schedule call is
+/// logged in call order, which is seq order, so whatever the queue does
+/// inside, the events it has run by a limit must be the stable sort of the
+/// log by time, cut at that limit.
+struct QueueModel {
+  struct Scheduled {
+    std::int64_t at;
+    std::uint64_t id;
+  };
+  EventQueue* q;
+  Rng rng;
+  std::vector<Scheduled> log{};  // since the last reset
+  std::vector<std::uint64_t> ran{};
+  std::uint64_t next_id = 0;
+  std::size_t budget = 0;  // schedules the actions may still make
+  std::int64_t spread = 0;
+  /// When set, every task also holds a reference: reset() must drop it.
+  std::shared_ptr<int> token{};
+
+  std::int64_t delay() {
+    switch (rng.uniform_int(0, 3)) {
+      case 0: return 0;                           // into the same instant
+      case 1: return 10 * rng.uniform_int(0, 3);  // ties on a coarse grid
+      default: return rng.uniform_int(0, spread);
+    }
+  }
+  void schedule(std::int64_t at) {
+    const std::uint64_t id = next_id++;
+    log.push_back({at, id});
+    if (token) {
+      q->schedule_at(SimTime{at}, [this, id, t = token] { fire(id); });
+    } else {
+      q->schedule_at(SimTime{at}, [this, id] { fire(id); });
+    }
+  }
+  /// An action logs itself and schedules 0-2 successors, which keeps a
+  /// burst near its size until the budget runs out.
+  void fire(std::uint64_t id) {
+    ran.push_back(id);
+    for (std::int64_t n = rng.uniform_int(0, 2); n > 0 && budget > 0; --n) {
+      --budget;
+      schedule(q->now().ns + delay());
+    }
+  }
+  std::vector<std::uint64_t> expected(std::int64_t limit) const {
+    std::vector<Scheduled> sorted = log;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Scheduled& a, const Scheduled& b) {
+                       return a.at < b.at;
+                     });
+    std::vector<std::uint64_t> ids;
+    for (const Scheduled& s : sorted)
+      if (s.at <= limit) ids.push_back(s.id);
+    return ids;
+  }
+};
+
+TEST(EventQueue, RandomSchedulesRunInStableTimeOrder) {
+  // Bursts on both sides of the sorted run's 32 keys, up to about 1,000
+  // pending; limits on an instant that holds several events, just before
+  // one, or anywhere; every third epoch ends in a reset() with tasks still
+  // pending, and every epoch reuses the one queue.
+  const std::size_t kBursts[] = {1, 4, 10, 31, 32, 33, 100, 1000};
+  EventQueue q;
+  QueueModel m{&q, Rng(26)};
+  int pending_resets = 0;
+  for (int epoch = 0; epoch < 48; ++epoch) {
+    SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+    const std::size_t burst = kBursts[epoch % 8];
+    m.log.clear();
+    m.ran.clear();
+    m.budget = 3 * burst + 100;
+    m.spread = m.rng.bernoulli(0.5) ? 50 : 200000;
+    m.token = epoch % 2 == 0 ? std::make_shared<int>(0) : nullptr;
+    for (std::size_t i = 0; i < burst; ++i) m.schedule(m.delay());
+
+    for (int step = 0; step < 10 && !q.empty(); ++step) {
+      const std::int64_t now = q.now().ns;
+      std::int64_t limit = now;
+      const std::int64_t pick =
+          m.log[static_cast<std::size_t>(m.rng.uniform_int(
+                    0, static_cast<std::int64_t>(m.log.size()) - 1))]
+              .at;
+      switch (m.rng.uniform_int(0, 3)) {
+        case 0: break;
+        case 1: limit = std::max(now, pick); break;
+        case 2: limit = std::max(now, pick - 1); break;
+        default: limit = now + m.rng.uniform_int(0, m.spread); break;
+      }
+      const std::size_t ran_before = m.ran.size();
+      const std::uint64_t n = q.run_until(SimTime{limit});
+      EXPECT_EQ(n, m.ran.size() - ran_before);
+      ASSERT_EQ(m.ran, m.expected(limit)) << "step " << step;
+      EXPECT_EQ(q.executed(), m.ran.size());
+      EXPECT_EQ(q.now().ns, limit);
+      // Schedules from outside the run, at the limit and later.
+      for (std::int64_t k = m.rng.uniform_int(0, 3); k > 0; --k)
+        m.schedule(limit + m.delay());
+    }
+
+    if (epoch % 3 == 2 && !q.empty()) {
+      ++pending_resets;
+      q.reset();
+      EXPECT_TRUE(q.empty());
+      EXPECT_EQ(q.now().ns, 0);
+      EXPECT_EQ(q.executed(), 0u);
+      if (m.token) {
+        EXPECT_EQ(m.token.use_count(), 1) << "a dropped task lives";
+      }
+      continue;
+    }
+    q.run_to_completion();
+    ASSERT_EQ(m.ran, m.expected(std::numeric_limits<std::int64_t>::max()));
+    EXPECT_EQ(q.executed(), m.ran.size());
+    if (m.token) {
+      EXPECT_EQ(m.token.use_count(), 1) << "a run task lives";
+    }
+    q.reset();
+  }
+  EXPECT_GE(pending_resets, 8);
 }
 
 TEST(Clock, LinearModel) {
